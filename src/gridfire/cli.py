@@ -12,12 +12,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .budget import Budget, containment_budget, parse_budget
+from .budget import containment_budget, parse_budget
 from .engine import FireState, run
-from .grid import Topology, ball
+from .grid import Topology, ball, bounding_box
 from .monitor import check_invariants
 from .reduction import run_reduction
-from .render import render_pgm, render_text, state_at_round
+from .render import render_pgm, render_text
 from .search import SearchConfig, exhaustive_search, min_burnt_search
 from .strategies import parse_strategy
 from .trace import MalformedTraceError, RunTrace
@@ -36,6 +36,10 @@ class ExperimentConfig:
     seed: int | None = None
     out: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.horizon < 1:
+            raise ValueError("horizon must be at least 1")
+
     def to_json(self) -> str:
         d = dataclasses.asdict(self)
         d["center"] = list(self.center)
@@ -44,6 +48,9 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         d = json.loads(text)
+        names = {f.name for f in dataclasses.fields(cls)}
+        if not isinstance(d, dict) or d.keys() != names:
+            raise ValueError(f"config must hold exactly the keys {sorted(names)}")
         d["center"] = tuple(d["center"])
         return cls(**d)
 
@@ -60,43 +67,58 @@ class ExperimentConfig:
         )
 
 
-def _budget_or_die(spec: str) -> Budget:
+class _UsageError(Exception):
+    """A parse error in the command line or a file it names; main exits 2."""
+
+
+def _parsed(parse, spec):
     try:
-        return parse_budget(spec)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        return parse(spec)
+    except (ValueError, TypeError, OSError, MalformedTraceError) as exc:
+        raise _UsageError(exc) from exc
+
+
+def _ints(count: int | None = None, least: int | None = None):
+    """An argparse type: ``count`` comma-separated integers (bare if 1), each >= ``least``."""
+
+    def integers(text: str) -> int | list[int]:
+        values = [int(v) for v in text.split(",")] if text else []
+        if count is not None and len(values) != count:
+            raise argparse.ArgumentTypeError(f"expected {count} integers, got {text!r}")
+        if least is not None and any(v < least for v in values):
+            raise argparse.ArgumentTypeError(f"expected integers >= {least}, got {text!r}")
+        return values[0] if count == 1 else values
+
+    return integers
+
+
+def _experiment(args: argparse.Namespace) -> ExperimentConfig:
+    if args.config:
+        return ExperimentConfig.from_json(Path(args.config).read_text())
+    return ExperimentConfig(
+        topology=args.topology,
+        center=tuple(args.center),
+        radius=args.radius,
+        source_metric=args.source_metric,
+        budget=args.budget,
+        strategy=args.strategy,
+        horizon=args.horizon,
+        seed=args.seed,
+        out=args.out,
+    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.config:
-        cfg = ExperimentConfig.from_json(Path(args.config).read_text())
-    else:
-        cfg = ExperimentConfig(
-            topology=args.topology,
-            center=tuple(int(v) for v in args.center.split(",")),
-            radius=args.radius,
-            source_metric=args.source_metric,
-            budget=args.budget,
-            strategy=args.strategy,
-            horizon=args.horizon,
-            seed=args.seed,
-            out=args.out,
-        )
-    budget = _budget_or_die(cfg.budget)
-    try:
-        strategy = parse_strategy(cfg.strategy)
-    except (ValueError, OSError, MalformedTraceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    trace = run(cfg.initial_state(), budget, strategy, cfg.horizon, seed=cfg.seed)
+    cfg = _parsed(_experiment, args)
+    initial = _parsed(ExperimentConfig.initial_state, cfg)
+    budget = _parsed(parse_budget, cfg.budget)
+    strategy = _parsed(parse_strategy, cfg.strategy)
+    trace = run(initial, budget, strategy, cfg.horizon, seed=cfg.seed)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fp:
             trace.write(fp)
-    burnt = trace.burnt_through(trace.final_round())
-    xs = [p[0] for p in burnt]
-    ys = [p[1] for p in burnt]
-    bbox = (min(xs), max(xs), min(ys), max(ys))
+    burnt, _ = trace.state_at(trace.final_round())
+    bbox = bounding_box(burnt)
     if trace.status == "controlled":
         print(f"controlled at round {trace.control_round}")
     elif trace.status == "horizon":
@@ -109,16 +131,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
-    try:
-        with open(args.trace, encoding="utf-8") as fp:
-            trace = RunTrace.read(fp)
-        report = check_invariants(trace)
-    except MalformedTraceError as exc:
-        print(f"malformed trace: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = _parsed(check_invariants, _parsed(RunTrace.load, args.trace))
     if args.json_out:
         Path(args.json_out).write_text(json.dumps(report.to_json(), indent=2))
     print(report.to_table())
@@ -126,20 +139,14 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    budget = _budget_or_die(args.budget)
-    try:
-        strategy = parse_strategy(args.strategy)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    budget = _parsed(parse_budget, args.budget)
+    strategy = _parsed(parse_strategy, args.strategy)
     if not isinstance(strategy, ContainmentStrategy):
         print("error: reduce expects a strong-grid containment strategy",
               file=sys.stderr)
         return 2
-    r = strategy.plan.r
-    m = strategy.plan.m
-    horizon = args.horizon or (12 * r * m * m + 30 * r * m + 5)
-    report = run_reduction(strategy, budget, r, horizon)
+    plan = strategy.plan
+    report = run_reduction(strategy, budget, plan.r, args.horizon or plan.horizon)
     ok = True
     t_strong = report.strong_control_round
     print(f"strong grid: status={report.strong_trace.status} "
@@ -167,7 +174,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    budget = _budget_or_die(args.budget)
+    budget = _parsed(parse_budget, args.budget)
     topo = Topology(args.topology)
     metric = "l1" if topo is Topology.CARTESIAN else "linf"
     cfg = SearchConfig(
@@ -200,7 +207,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def _sweep_cell(cell: tuple[int, int]) -> dict:
     m, r = cell
-    budget = containment_budget(m)
     plan = wall_plan(m, r)
     initial = FireState(
         burnt=ball((0, 0), r, "linf"),
@@ -208,34 +214,29 @@ def _sweep_cell(cell: tuple[int, int]) -> dict:
         round=0,
         topology=Topology.STRONG,
     )
-    bound_round = 12 * r * m * m + 30 * r * m
-    trace = run(initial, budget, ContainmentStrategy(plan), bound_round + 5)
-    burnt = trace.burnt_through(trace.final_round())
-    xs = [p[0] for p in burnt]
-    ys = [p[1] for p in burnt]
-    width = max(xs) - min(xs) + 1
-    height = max(ys) - min(ys) + 1
+    trace = run(initial, containment_budget(m), ContainmentStrategy(plan), plan.horizon)
+    xmin, xmax, ymin, ymax = bounding_box(trace.state_at(trace.final_round())[0])
+    width = xmax - xmin + 1
+    height = ymax - ymin + 1
     controlled = trace.status == "controlled"
     return {
         "m": m,
         "r": r,
         "status": trace.status,
         "control_round": trace.control_round,
-        "round_bound": bound_round,
+        "round_bound": plan.round_bound,
         "width": width,
-        "width_bound": 6 * r * m * m + 16 * r * m + 2 * r,
+        "width_bound": plan.width_bound,
         "height": height,
-        "height_bound": bound_round + 3 * r - 1,
-        "round_ok": controlled and trace.control_round <= bound_round,
-        "width_ok": width <= 6 * r * m * m + 16 * r * m + 2 * r,
-        "height_ok": height <= bound_round + 3 * r - 1,
+        "height_bound": plan.height_bound,
+        "round_ok": controlled and trace.control_round <= plan.round_bound,
+        "width_ok": width <= plan.width_bound,
+        "height_ok": height <= plan.height_bound,
     }
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    ms = [int(v) for v in args.m.split(",")] if args.m else []
-    rs = [int(v) for v in args.r.split(",")] if args.r else []
-    cells = [(m, r) for m in ms for r in rs]
+    cells = [(m, r) for m in args.m for r in args.r]
     if not cells:
         print("empty sweep")
         return 0
@@ -258,21 +259,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    try:
-        with open(args.trace, encoding="utf-8") as fp:
-            trace = RunTrace.read(fp)
-    except MalformedTraceError as exc:
-        print(f"malformed trace: {exc}", file=sys.stderr)
-        return 2
-    try:
-        burnt, protected = state_at_round(trace, args.round)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    window = tuple(int(v) for v in args.window.split(","))
-    if len(window) != 4:
-        print("error: window must be xmin,xmax,ymin,ymax", file=sys.stderr)
-        return 2
+    trace = _parsed(RunTrace.load, args.trace)
+    burnt, protected = _parsed(trace.state_at, args.round)
+    window = tuple(args.window)
     if args.pgm:
         Path(args.pgm).write_text(render_pgm(burnt, protected, window))
     else:
@@ -280,8 +269,15 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line of stderr and exits 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridfire",
         description="Firefighter-problem simulation and verification on planar grids",
     )
@@ -291,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON experiment config (overrides flags)")
     p.add_argument("--topology", default="cartesian",
                    choices=[t.value for t in Topology])
-    p.add_argument("--center", default="0,0")
+    p.add_argument("--center", type=_ints(2), default="0,0")
     p.add_argument("--radius", type=int, default=0)
     p.add_argument("--source-metric", choices=["l1", "linf"], default=None)
     p.add_argument("--budget", default="const:0")
@@ -309,16 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="map a strong-grid strategy onto the Cartesian grid")
     p.add_argument("--strategy", required=True, help="e.g. contain:m=1,r=1")
     p.add_argument("--budget", required=True)
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--horizon", type=_ints(1, 1), default=None)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("search", help="game-tree search over placements")
     p.add_argument("--topology", default="cartesian",
                    choices=[t.value for t in Topology])
-    p.add_argument("--radius", type=int, default=0)
+    p.add_argument("--radius", type=_ints(1, 0), default=0)
     p.add_argument("--budget", required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--distance", type=int, default=2)
+    p.add_argument("--horizon", type=_ints(1, 1), required=True)
+    p.add_argument("--distance", type=_ints(1, 0), default=2)
     p.add_argument("--unrestricted", action="store_true")
     p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--node-cap", type=int, default=100_000_000)
@@ -330,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sweep", help="containment parameter sweep")
-    p.add_argument("--m", default="1,2,3")
-    p.add_argument("--r", default="1,2,3")
+    p.add_argument("--m", type=_ints(least=1), default="1,2,3")
+    p.add_argument("--r", type=_ints(least=1), default="1,2,3")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_sweep)
@@ -339,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="snapshot a trace round as text or PGM")
     p.add_argument("--trace", required=True)
     p.add_argument("--round", type=int, required=True)
-    p.add_argument("--window", required=True, help="xmin,xmax,ymin,ymax")
+    p.add_argument("--window", type=_ints(4), required=True, help="xmin,xmax,ymin,ymax")
     p.add_argument("--pgm", default=None)
     p.set_defaults(func=cmd_render)
     return parser
@@ -348,7 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)  # argparse exits 2 on usage errors
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        malformed = isinstance(exc.__cause__, MalformedTraceError)
+        print(f"{'malformed trace' if malformed else 'error'}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,10 +9,10 @@ free-burning fire from a single point occupies the metric ball of radius k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
-from .budget import Budget
-from .grid import _OFFSETS, Point, Topology, neighbors
+from .budget import Budget, parse_budget
+from .grid import _OFFSETS, Point, Topology, check_range
 from .trace import MalformedTraceError, RoundRecord, RunTrace
 
 
@@ -49,14 +49,32 @@ class FireState:
             raise SimulationError("burnt and protected sets overlap")
 
 
-def endangered(state: FireState) -> set[Point]:
+def endangered_near(
+    cells: Iterable[Point],
+    burnt: AbstractSet[Point],
+    protected: AbstractSet[Point],
+    topology: Topology,
+) -> frozenset[Point]:
+    """Unburnt, unprotected neighbors of ``cells``: the one spread rule.
+
+    Over the whole burnt set this is the endangered set E. After squad S,
+    ignited = E - S and E' = endangered_near(ignited) on the updated sets, since
+    every other neighbor of an older burnt point was in E. The fire is
+    controlled exactly when E is empty.
+    """
+    offsets = _OFFSETS[topology]
+    return frozenset({
+        q
+        for x, y in cells
+        for dx, dy in offsets
+        if (q := (x + dx, y + dy)) not in burnt and q not in protected
+    })
+
+
+def endangered(state: FireState) -> frozenset[Point]:
     """Unburnt, unprotected points adjacent to a burning point."""
-    out: set[Point] = set()
-    for p in state.burnt:
-        for q in neighbors(p, state.topology):
-            if q not in state.burnt and q not in state.protected:
-                out.add(q)
-    return out
+    check_range(state.burnt)
+    return endangered_near(state.burnt, state.burnt, state.protected, state.topology)
 
 
 def is_controlled(state: FireState) -> bool:
@@ -66,8 +84,8 @@ def is_controlled(state: FireState) -> bool:
 
 def _validate_placements(
     placements: Sequence[Point],
-    burnt: Iterable[Point],
-    protected: Iterable[Point],
+    burnt: AbstractSet[Point],
+    protected: AbstractSet[Point],
     available: int,
 ) -> None:
     if len(placements) > available:
@@ -75,14 +93,12 @@ def _validate_placements(
             f"{len(placements)} placements exceed the {available} available"
         )
     seen: set[Point] = set()
-    burnt_set = burnt if isinstance(burnt, (set, frozenset)) else set(burnt)
-    prot_set = protected if isinstance(protected, (set, frozenset)) else set(protected)
     for p in placements:
         if p in seen:
             raise PlacementError("duplicate placement", p)
-        if p in burnt_set:
+        if p in burnt:
             raise PlacementError("placement on a burnt point", p)
-        if p in prot_set:
+        if p in protected:
             raise PlacementError("placement on a protected point", p)
         seen.add(p)
 
@@ -91,16 +107,9 @@ def step(state: FireState, placements: Sequence[Point], budget: Budget) -> FireS
     """Advance one round: place the next squad, then spread the fire."""
     t_next = state.round + 1
     _validate_placements(placements, state.burnt, state.protected, budget.at(t_next))
-    protected = state.protected | set(placements)
-    ignited = {
-        q
-        for p in state.burnt
-        for q in neighbors(p, state.topology)
-        if q not in state.burnt and q not in protected
-    }
     return FireState(
-        burnt=state.burnt | ignited,
-        protected=protected,
+        burnt=state.burnt | endangered(state).difference(placements),
+        protected=state.protected.union(placements),
         round=t_next,
         topology=state.topology,
     )
@@ -109,32 +118,23 @@ def step(state: FireState, placements: Sequence[Point], budget: Budget) -> FireS
 class SimView:
     """Read-only window onto a running simulation, handed to strategies."""
 
-    __slots__ = ("topology", "round", "burnt", "protected", "frontier",
+    __slots__ = ("topology", "round", "burnt", "protected", "_endangered",
                  "burnt_count", "burnt_sum")
 
     def __init__(self, topology: Topology, burnt: set[Point], protected: set[Point],
-                 frontier: set[Point], round_no: int, burnt_sum: tuple[int, int]):
+                 endangered: frozenset[Point], round_no: int,
+                 burnt_sum: tuple[int, int]):
         self.topology = topology
         self.burnt = burnt
         self.protected = protected
-        self.frontier = frontier
+        self._endangered = endangered
         self.round = round_no
         self.burnt_count = len(burnt)
         self.burnt_sum = burnt_sum
 
-    def endangered(self) -> set[Point]:
-        # Any unburnt cell adjacent to an old burnt cell either burned or was
-        # protected already, so scanning the last wave suffices.
-        offsets = _OFFSETS[self.topology]
-        burnt = self.burnt
-        protected = self.protected
-        out: set[Point] = set()
-        for x, y in self.frontier:
-            for dx, dy in offsets:
-                q = (x + dx, y + dy)
-                if q not in burnt and q not in protected:
-                    out.add(q)
-        return out
+    def endangered(self) -> frozenset[Point]:
+        """The cells that burn next round unless this squad protects them."""
+        return self._endangered
 
 
 def run(
@@ -147,24 +147,26 @@ def run(
     """Drive the process for up to ``horizon`` rounds or until controlled.
 
     Strategy failures (illegal placements, missed wall deadlines) terminate
-    the trace with status "strategy-error" rather than propagating.
+    the trace with status "strategy-error" rather than propagating. A trace
+    records no initial protection or round offset, so ``initial`` has neither.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
+    if initial.round != 0 or initial.protected:
+        raise ValueError("a trace starts at round 0 with nothing protected")
+    topo = initial.topology
     trace = RunTrace(
-        topology=initial.topology,
+        topology=topo,
         initial=tuple(sorted(initial.burnt, key=lambda p: (p[1], p[0]))),
         budget_desc=budget.describe(),
         strategy_id=getattr(strategy, "identifier", "unknown"),
         seed=seed,
     )
     burnt = set(initial.burnt)
-    protected = set(initial.protected)
-    frontier = set(initial.burnt)
+    protected: set[Point] = set()
+    danger = endangered_near(burnt, burnt, protected, topo)
     sx = sum(p[0] for p in burnt)
     sy = sum(p[1] for p in burnt)
-    topo = initial.topology
-    offsets = _OFFSETS[topo]
 
     reset = getattr(strategy, "reset", None)
     if reset is not None:
@@ -172,18 +174,17 @@ def run(
             reset(initial)
         except SimulationError as exc:
             trace.status = "strategy-error"
-            trace.error = f"round {initial.round}: {exc}"
+            trace.error = f"round 0: {exc}"
             return trace
 
-    view = SimView(topo, burnt, protected, frontier, initial.round, (sx, sy))
-    if not view.endangered():
+    if not danger:
         trace.status = "controlled"
-        trace.control_round = initial.round
+        trace.control_round = 0
         return trace
 
-    for t in range(initial.round + 1, initial.round + horizon + 1):
+    for t in range(1, horizon + 1):
         f_t = budget.at(t)
-        view = SimView(topo, burnt, protected, frontier, t - 1, (sx, sy))
+        view = SimView(topo, burnt, protected, danger, t - 1, (sx, sy))
         try:
             placements = list(strategy.next_placements(view, f_t))
             _validate_placements(placements, burnt, protected, f_t)
@@ -192,17 +193,12 @@ def run(
             trace.error = f"round {t}: {exc}"
             return trace
         protected.update(placements)
-        ignited = set()
-        for x, y in frontier:
-            for dx, dy in offsets:
-                q = (x + dx, y + dy)
-                if q not in burnt and q not in protected:
-                    ignited.add(q)
+        ignited = danger.difference(placements)
         burnt.update(ignited)
-        for (x, y) in ignited:
+        for x, y in ignited:
             sx += x
             sy += y
-        frontier = ignited
+        danger = endangered_near(ignited, burnt, protected, topo)
         trace.rounds.append(
             RoundRecord(
                 t=t,
@@ -211,16 +207,7 @@ def run(
                 ignited=tuple(sorted(ignited, key=lambda p: (p[1], p[0]))),
             )
         )
-        still_endangered = False
-        for x, y in frontier:
-            for dx, dy in offsets:
-                q = (x + dx, y + dy)
-                if q not in burnt and q not in protected:
-                    still_endangered = True
-                    break
-            if still_endangered:
-                break
-        if not still_endangered:
+        if not danger:
             trace.status = "controlled"
             trace.control_round = t
             return trace
@@ -229,32 +216,57 @@ def run(
 
 
 def replay_validate(trace: RunTrace) -> None:
-    """Re-run a trace's placements and check every record is reproduced.
+    """Re-run a trace's placements and check every record and the header.
 
     Raises MalformedTraceError (with the offending line) when the recorded
-    ignitions do not match the process dynamics, e.g. a teleporting fire.
+    ignitions do not match the process dynamics, e.g. a teleporting fire, or
+    when the header's status, control round or budget contradicts them.
     """
+    desc, budget = trace.budget_desc, None
+    # A "table:" label names a file, which checking an untrusted trace must never open.
+    if isinstance(desc, str) and desc.partition(":")[0] in ("const", "periodic", "prefix"):
+        try:
+            budget = parse_budget(desc)
+        except ValueError as exc:
+            raise MalformedTraceError(f"bad header budget: {exc}", line=1) from exc
     burnt = set(trace.initial)
     protected: set[Point] = set()
-    frontier = set(trace.initial)
-    offsets = _OFFSETS[trace.topology]
+    danger = endangered_near(burnt, burnt, protected, trace.topology)
     for i, rec in enumerate(trace.rounds):
         line = i + 2  # header is line 1
+        if not danger:
+            raise MalformedTraceError(
+                f"round {rec.t}: recorded after the fire was controlled", line=line
+            )
+        if budget is not None and rec.f != budget.at(i + 1):
+            raise MalformedTraceError(
+                f"header budget {trace.budget_desc} contradicts round {rec.t}'s f = {rec.f}",
+                line=1,
+            )
         try:
             _validate_placements(rec.placed, burnt, protected, rec.f)
         except PlacementError as exc:
             raise MalformedTraceError(str(exc), line=line) from exc
         protected.update(rec.placed)
-        ignited = set()
-        for x, y in frontier:
-            for dx, dy in offsets:
-                q = (x + dx, y + dy)
-                if q not in burnt and q not in protected:
-                    ignited.add(q)
-        if ignited != set(rec.ignited):
+        ignited = danger.difference(rec.placed)
+        if ignited != set(rec.ignited) or len(ignited) != len(rec.ignited):
             raise MalformedTraceError(
                 f"round {rec.t}: recorded ignitions do not match the spread rule",
                 line=line,
             )
         burnt.update(ignited)
-        frontier = ignited
+        danger = endangered_near(ignited, burnt, protected, trace.topology)
+    final = trace.final_round()
+    controlled = trace.status == "controlled"
+    # A strategy may fail in reset, before round 1, on a fire with no front.
+    if (
+        trace.status not in ("controlled", "horizon", "strategy-error")
+        or (not danger) != controlled and (trace.rounds or trace.status == "horizon")
+        or trace.control_round != (final if controlled else None)
+    ):
+        raise MalformedTraceError(
+            f"header status {trace.status!r} with control_round "
+            f"{trace.control_round} contradicts the replay, after whose round "
+            f"{final} the fire is " + ("still spreading" if danger else "controlled"),
+            line=1,
+        )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
+from typing import Iterable
 
 Point = tuple[int, int]
 
@@ -35,11 +36,17 @@ _OFFSETS = {
 }
 
 
+def check_range(points: Iterable[Point]) -> None:
+    """Raise OverflowError for the first point outside the supported range."""
+    for x, y in points:
+        if not (-COORD_LIMIT < x < COORD_LIMIT and -COORD_LIMIT < y < COORD_LIMIT):
+            raise OverflowError(f"coordinate out of supported range: {(x, y)}")
+
+
 def neighbors(p: Point, topo: Topology) -> tuple[Point, ...]:
     """Adjacent points of ``p`` under ``topo``, in row-major (y, x) order."""
+    check_range((p,))
     x, y = p
-    if not (-COORD_LIMIT < x < COORD_LIMIT and -COORD_LIMIT < y < COORD_LIMIT):
-        raise OverflowError(f"coordinate out of supported range: {p}")
     return tuple((x + dx, y + dy) for dx, dy in _OFFSETS[topo])
 
 
@@ -76,3 +83,9 @@ def skew_map(p: Point) -> Point:
 def is_even_point(p: Point) -> bool:
     """True when the coordinate sum is even."""
     return (p[0] + p[1]) % 2 == 0
+
+
+def bounding_box(points: Iterable[Point]) -> tuple[int, int, int, int]:
+    """(xmin, xmax, ymin, ymax) of a non-empty point set."""
+    xs, ys = zip(*points)
+    return min(xs), max(xs), min(ys), max(ys)

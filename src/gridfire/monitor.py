@@ -13,6 +13,13 @@ only spreads 1..t-1 applied; instant 0 is the empty grid with the source
 declared but not yet alight, where by convention the total potential is 1
 (a quarter per direction).
 
+The engine carries the endangered set E from round to round: after squad S,
+ignited = E - S and E' = N(ignited) - burnt - protected. So on a valid trace
+the endangered set at instant t is exactly round t's recorded ignitions, and
+the walk reads it off the trace with no spread code of its own.
+check_invariants(validate=False) therefore trusts the recorded ignitions, as
+it already trusts the recorded burnt cells.
+
 The checks, per instant:
 
   A  potential of a front never exceeds its length (t >= 1);
@@ -35,8 +42,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .grid import Point, Topology, neighbors
-from .trace import MalformedTraceError, RunTrace, analysis_states
+from .engine import endangered_near, replay_validate
+from .grid import Point, Topology
+from .trace import MalformedTraceError, RunTrace
 
 Direction = tuple[int, int]
 
@@ -75,20 +83,11 @@ def perimeter(offsets: dict[Direction, int]) -> int:
     return sum(offsets.values())
 
 
-def endangered_cartesian(burnt: set[Point], protected: set[Point]) -> set[Point]:
-    out: set[Point] = set()
-    for p in burnt:
-        for q in neighbors(p, Topology.CARTESIAN):
-            if q not in burnt and q not in protected:
-                out.add(q)
-    return out
-
-
 def potentials(
     burnt: set[Point],
     protected: set[Point],
     offsets: dict[Direction, int] | None = None,
-    endangered: set[Point] | None = None,
+    endangered: Iterable[Point] | None = None,
     pending_source: bool = False,
 ) -> tuple[dict[Direction, Fraction], Fraction]:
     """Per-front and total potential of the current state.
@@ -103,7 +102,13 @@ def potentials(
     if offsets is None:
         offsets = front_offsets(burnt)
     if endangered is None:
-        endangered = endangered_cartesian(burnt, protected)
+        endangered = endangered_near(burnt, burnt, protected, Topology.CARTESIAN)
+    return _line_potentials(endangered, offsets)
+
+
+def _line_potentials(
+    endangered: Iterable[Point], offsets: dict[Direction, int]
+) -> tuple[dict[Direction, Fraction], Fraction]:
     # Accumulate in quarter units to stay in integer arithmetic.
     quarters = dict.fromkeys(DIRECTIONS, 0)
     total = 0
@@ -225,84 +230,62 @@ class MonitorReport:
         return "\n".join(lines)
 
 
-class _FrontTracker:
-    """Incremental offsets/endangered bookkeeping while walking a trace."""
-
-    def __init__(self) -> None:
-        self.values: dict[Direction, dict[int, int]] = {d: {} for d in DIRECTIONS}
-        self.offsets: dict[Direction, int] = {d: 0 for d in DIRECTIONS}
-        self.endangered: set[Point] = set()
-
-    def add_burnt(self, cells: Iterable[Point]) -> None:
-        for x, y in cells:
-            for d in DIRECTIONS:
-                v = x * d[0] + y * d[1]
-                counts = self.values[d]
-                counts[v] = counts.get(v, 0) + 1
-        for d in DIRECTIONS:
-            counts = self.values[d]
-            c = self.offsets[d]
-            while c in counts:
-                c += 1
-            self.offsets[d] = c
-
-    def update_endangered(
-        self, new_burnt: Iterable[Point], burnt: set[Point], protected: set[Point]
-    ) -> None:
-        add = self.endangered.add
-        for x, y in new_burnt:
-            for q in ((x, y - 1), (x - 1, y), (x + 1, y), (x, y + 1)):
-                if q not in burnt and q not in protected:
-                    add(q)
-        self.endangered -= burnt
-        self.endangered -= protected
-
-
 def check_invariants(trace: RunTrace, validate: bool = True) -> MonitorReport:
     """Walk a Cartesian trace and evaluate checks A-F on every instant."""
     if trace.topology is not Topology.CARTESIAN:
         raise ValueError("front metrics are defined on the Cartesian grid only")
     if validate:
-        from .engine import replay_validate
-
         replay_validate(trace)
 
-    tracker = _FrontTracker()
-    metrics: list[FrontMetrics] = []
-    unattributed: list[Point] = []
+    offsets = dict.fromkeys(DIRECTIONS, 0)
+    burning_lines: dict[Direction, set[int]] = {d: set() for d in DIRECTIONS}
     attributed_cum = {d: 0 for d in DIRECTIONS}
-
-    for t, burnt, protected, supply in analysis_states(trace):
-        if t == 0:
-            phi = {d: _QUARTER for d in DIRECTIONS}
-            phi_total = Fraction(1)
-            offsets = dict(tracker.offsets)
-        else:
-            new_cells = trace.initial if t == 1 else trace.rounds[t - 2].ignited
-            tracker.add_burnt(new_cells)
-            tracker.update_endangered(new_cells, burnt, protected)
-            tracker.endangered -= set(trace.rounds[t - 1].placed)
-            offsets = dict(tracker.offsets)
-            phi, phi_total = potentials(
-                burnt, protected, offsets=offsets, endangered=tracker.endangered
-            )
-            unattributed.extend(trace.rounds[t - 1].placed)
-            still: list[Point] = []
-            for q in unattributed:
-                for d in DIRECTIONS:
-                    if q[0] * d[0] + q[1] * d[1] == offsets[d]:
-                        attributed_cum[d] += 1
-                        break
-                else:
-                    still.append(q)
-            unattributed = still
+    metrics = [
+        FrontMetrics(
+            t=0,
+            offsets=offsets,
+            lengths=front_lengths(offsets),
+            perimeter=0,
+            phi={d: _QUARTER for d in DIRECTIONS},
+            phi_total=Fraction(1),
+            supply=0,
+            attributed=dict(attributed_cum),
+        )
+    ]
+    unattributed: list[Point] = []
+    supply = 0
+    newly_burnt = trace.initial
+    for rec in trace.rounds:
+        # Instant t = rec.t: squads 1..t are down, spreads 1..t-1 have burnt.
+        for x, y in newly_burnt:
+            for sx, sy in DIRECTIONS:
+                burning_lines[(sx, sy)].add(x * sx + y * sy)
+        newly_burnt = rec.ignited
+        # Filling lines never empties one, so each offset only moves up.
+        offsets = dict(offsets)
+        for d in DIRECTIONS:
+            while offsets[d] in burning_lines[d]:
+                offsets[d] += 1
+        supply += rec.f
+        # What is endangered now is exactly what spread t ignites.
+        phi, phi_total = _line_potentials(rec.ignited, offsets)
+        unattributed.extend(rec.placed)
+        still: list[Point] = []
+        for q in unattributed:
+            for d in DIRECTIONS:
+                if q[0] * d[0] + q[1] * d[1] == offsets[d]:
+                    attributed_cum[d] += 1
+                    break
+            else:
+                still.append(q)
+        unattributed = still
         metrics.append(
             FrontMetrics(
-                t=t,
+                t=rec.t,
                 offsets=offsets,
                 lengths=front_lengths(offsets),
                 perimeter=sum(offsets.values()),
-                phi=dict(phi),
+                phi=phi,
                 phi_total=phi_total,
                 supply=supply,
                 attributed=dict(attributed_cum),

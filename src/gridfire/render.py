@@ -3,7 +3,26 @@
 from __future__ import annotations
 
 from .grid import Point
-from .trace import RunTrace
+
+
+def _rows(
+    burnt: set[Point],
+    protected: set[Point],
+    window: tuple[int, int, int, int],
+    marks: tuple[str, str, str],
+) -> list[list[str]]:
+    """Window rows from ymax down, each cell marked burnt, protected or empty."""
+    xmin, xmax, ymin, ymax = window
+    burnt_mark, protected_mark, empty_mark = marks
+    return [
+        [
+            burnt_mark if (x, y) in burnt
+            else protected_mark if (x, y) in protected
+            else empty_mark
+            for x in range(xmin, xmax + 1)
+        ]
+        for y in range(ymax, ymin - 1, -1)
+    ]
 
 
 def render_text(
@@ -12,19 +31,8 @@ def render_text(
     window: tuple[int, int, int, int],
 ) -> str:
     """Character grid over window = (xmin, xmax, ymin, ymax); top row is ymax."""
-    xmin, xmax, ymin, ymax = window
-    rows = []
-    for y in range(ymax, ymin - 1, -1):
-        row = []
-        for x in range(xmin, xmax + 1):
-            if (x, y) in burnt:
-                row.append("#")
-            elif (x, y) in protected:
-                row.append("F")
-            else:
-                row.append(".")
-        rows.append("".join(row))
-    return "\n".join(rows)
+    rows = _rows(burnt, protected, window, ("#", "F", "."))
+    return "\n".join("".join(row) for row in rows)
 
 
 def render_pgm(
@@ -34,29 +42,6 @@ def render_pgm(
 ) -> str:
     """Plain (P2) graymap, three levels: empty 255, protected 128, burnt 0."""
     xmin, xmax, ymin, ymax = window
-    width = xmax - xmin + 1
-    height = ymax - ymin + 1
-    lines = [f"P2 {width} {height} 255"]
-    for y in range(ymax, ymin - 1, -1):
-        vals = []
-        for x in range(xmin, xmax + 1):
-            if (x, y) in burnt:
-                vals.append("0")
-            elif (x, y) in protected:
-                vals.append("128")
-            else:
-                vals.append("255")
-        lines.append(" ".join(vals))
+    lines = [f"P2 {xmax - xmin + 1} {ymax - ymin + 1} 255"]
+    lines += (" ".join(row) for row in _rows(burnt, protected, window, ("0", "128", "255")))
     return "\n".join(lines) + "\n"
-
-
-def state_at_round(trace: RunTrace, t: int) -> tuple[set[Point], set[Point]]:
-    """(burnt, protected) at the end of round t of a trace; t=0 is the start."""
-    if t < 0 or t > trace.final_round():
-        raise ValueError(f"round {t} outside trace range 0..{trace.final_round()}")
-    burnt = set(trace.initial)
-    protected: set[Point] = set()
-    for rec in trace.rounds[:t]:
-        protected.update(rec.placed)
-        burnt.update(rec.ignited)
-    return burnt, protected

@@ -374,7 +374,7 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
             outcome="controlled-found",
             nodes=nodes,
             min_final_perimeter=min_perim,
-            min_burnt=len(witness.burnt_through(witness.final_round())),
+            min_burnt=len(witness.state_at(witness.final_round())[0]),
             witness=witness,
         )
     return SearchResult(

@@ -91,7 +91,7 @@ class ReplayStrategy:
         return placed
 
 
-def parse_strategy(spec: str, replay_loader=None):
+def parse_strategy(spec: str):
     """Build a strategy from a CLI identifier like "contain:m=2,r=1" or "random:seed=7"."""
     from .wallplan import ContainmentStrategy, wall_plan  # local: avoids cycle
 
@@ -114,12 +114,7 @@ def parse_strategy(spec: str, replay_loader=None):
         params = _parse_params(rest)
         if "file" not in params:
             raise ValueError("replay strategy requires a file (replay:file=PATH)")
-        if replay_loader is None:
-            with open(params["file"], encoding="utf-8") as fp:
-                trace = RunTrace.read(fp)
-        else:
-            trace = replay_loader(params["file"])
-        return ReplayStrategy(trace)
+        return ReplayStrategy(RunTrace.load(params["file"]))
     raise ValueError(f"unknown strategy spec: {spec!r}")
 
 

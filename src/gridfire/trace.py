@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Iterator
+from typing import IO
 
 from .grid import Point, Topology
 
@@ -41,12 +41,16 @@ class RunTrace:
     def final_round(self) -> int:
         return self.rounds[-1].t if self.rounds else 0
 
-    def burnt_through(self, t: int) -> set[Point]:
-        """Burnt set at the end of round t (engine clock)."""
-        out = set(self.initial)
+    def state_at(self, t: int) -> tuple[set[Point], set[Point]]:
+        """(burnt, protected) at the end of round t (engine clock); t = 0 is the start."""
+        if not 0 <= t <= self.final_round():
+            raise ValueError(f"round {t} outside trace range 0..{self.final_round()}")
+        burnt = set(self.initial)
+        protected: set[Point] = set()
         for rec in self.rounds[:t]:
-            out.update(rec.ignited)
-        return out
+            protected.update(rec.placed)
+            burnt.update(rec.ignited)
+        return burnt, protected
 
     def write(self, fp: IO[str]) -> None:
         header = {
@@ -115,28 +119,12 @@ class RunTrace:
         return trace
 
     @classmethod
+    def load(cls, path: str) -> "RunTrace":
+        with open(path, encoding="utf-8") as fp:
+            return cls.read(fp)
+
+    @classmethod
     def from_text(cls, text: str) -> "RunTrace":
         import io
 
         return cls.read(io.StringIO(text))
-
-
-def analysis_states(trace: RunTrace) -> Iterator[tuple[int, set[Point], set[Point], int]]:
-    """Snapshots on the analysis clock where squad t is down but spread t is not.
-
-    Yields (t, burnt, protected, cumulative firefighters) for t = 0..N given a
-    trace of N rounds. t = 0 is the pre-ignition grid; at t >= 1 the burnt set
-    reflects spreads 1..t-1 and the protected set squads 1..t. The yielded sets
-    are live working copies; callers must not mutate them.
-    """
-    burnt: set[Point] = set()
-    protected: set[Point] = set()
-    yield 0, burnt, protected, 0
-    burnt = set(trace.initial)
-    f_cum = 0
-    for i, rec in enumerate(trace.rounds):
-        if i > 0:
-            burnt.update(trace.rounds[i - 1].ignited)
-        protected.update(rec.placed)
-        f_cum += rec.f
-        yield rec.t, burnt, protected, f_cum

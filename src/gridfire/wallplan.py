@@ -65,6 +65,27 @@ class WallPlan:
     phase_ends: tuple[int, int, int, int]
     tasks: tuple[WallTask, ...]  # sorted by (deadline, phase, rank)
 
+    @property
+    def round_bound(self) -> int:
+        """12rm^2 + 30rm: the plan controls the fire by this round."""
+        return self.phase_ends[-1]
+
+    @property
+    def width_bound(self) -> int:
+        """6rm^2 + 16rm + 2r: the final fire width the plan is held to."""
+        m, r = self.m, self.r
+        return 6 * r * m * m + 16 * r * m + 2 * r
+
+    @property
+    def height_bound(self) -> int:
+        """12rm^2 + 30rm + 3r - 1: the final fire height the plan is held to."""
+        return self.round_bound + 3 * self.r - 1
+
+    @property
+    def horizon(self) -> int:
+        """Rounds to simulate: the control bound plus five rounds of slack."""
+        return self.round_bound + 5
+
     def targets_by_phase(self) -> dict[int, int]:
         out = {1: 0, 2: 0, 3: 0, 4: 0}
         for task in self.tasks:
@@ -76,16 +97,16 @@ def wall_plan(m: int, r: int) -> WallPlan:
     """Emit the complete deadline-annotated target list for parameters (m, r)."""
     if m < 1 or r < 1:
         raise ValueError("m and r must be positive")
+    phase_ends = (2 * r, 6 * r * m + 1, 6 * r * m * m + 10 * r * m,
+                  12 * r * m * m + 30 * r * m)
     n = 3 * r
     e = 6 * r * m + r + 1
     w = -(6 * r * m * m + 10 * r * m + r + m + 1)
-    s = 1 - (12 * r * m * m + 30 * r * m)
+    s = 1 - phase_ends[-1]
     t_north = 2 * r
     t_east = e - r
     t_west = -r - w
     t_south = -r - s
-    phase_ends = (2 * r, 6 * r * m + 1, 6 * r * m * m + 10 * r * m,
-                  12 * r * m * m + 30 * r * m)
 
     def phase_of(deadline: int) -> int:
         for i, end in enumerate(phase_ends, start=1):

@@ -42,3 +42,13 @@ def origin_cartesian() -> FireState:
 @pytest.fixture
 def origin_strong() -> FireState:
     return single_source(Topology.STRONG)
+
+
+def scan_endangered(burnt, protected, topo: Topology) -> set[Point]:
+    """Full-scan oracle: every unburnt, unprotected neighbor of a burnt point."""
+    return {
+        q
+        for p in burnt
+        for q in neighbors(p, topo)
+        if q not in burnt and q not in protected
+    }

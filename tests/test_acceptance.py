@@ -60,7 +60,7 @@ def test_criterion_1_containment_table():
         if trace.control_round > bound_round:
             failures.append(f"(m={m},r={r}) controlled at {trace.control_round} "
                             f"> {bound_round}")
-        burnt = trace.burnt_through(trace.final_round())
+        burnt = trace.state_at(trace.final_round())[0]
         xs = [p[0] for p in burnt]
         ys = [p[1] for p in burnt]
         width = max(xs) - min(xs) + 1

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from gridfire.cli import ExperimentConfig, main
 from gridfire.trace import RunTrace
 
@@ -255,3 +257,67 @@ def test_identical_config_gives_identical_bytes(tmp_path, capsys):
                 "--horizon", "30", "--seed", "42", "--out", str(path))
         capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def _config_file(tmp_path, drop=(), extra=None) -> str:
+    fields = json.loads(ExperimentConfig().to_json())
+    for key in drop:
+        del fields[key]
+    fields.update(extra or {})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(fields))
+    return str(path)
+
+
+def _trace_file(tmp_path) -> str:
+    path = tmp_path / "t.jsonl"
+    assert run_cli("run", "--horizon", "2", "--out", str(path)) == 0
+    return str(path)
+
+
+PARSE_ERRORS = {
+    "run-config-missing-file":
+        lambda tmp: ["run", "--config", str(tmp / "absent.json")],
+    "run-config-unknown-key":
+        lambda tmp: ["run", "--config", _config_file(tmp, extra={"colour": "red"})],
+    "run-config-missing-key":
+        lambda tmp: ["run", "--config", _config_file(tmp, drop=("center",))],
+    "run-config-zero-horizon":
+        lambda tmp: ["run", "--config", _config_file(tmp, extra={"horizon": 0})],
+    "run-config-not-json":
+        lambda tmp: ["run", "--config", _trace_file(tmp)],
+    "run-horizon-zero": lambda tmp: ["run", "--horizon", "0"],
+    "run-bad-center": lambda tmp: ["run", "--center", "1"],
+    "run-bad-budget": lambda tmp: ["run", "--budget", "const:x"],
+    "search-negative-radius":
+        lambda tmp: ["search", "--radius", "-1", "--budget", "const:1", "--horizon", "1"],
+    "search-horizon-zero":
+        lambda tmp: ["search", "--budget", "const:1", "--horizon", "0"],
+    "render-bad-window":
+        lambda tmp: ["render", "--trace", _trace_file(tmp), "--round", "0",
+                     "--window=a,b,c,d"],
+    "render-missing-trace":
+        lambda tmp: ["render", "--trace", str(tmp / "absent.jsonl"), "--round", "0",
+                     "--window=0,1,0,1"],
+    "monitor-missing-trace":
+        lambda tmp: ["monitor", "--trace", str(tmp / "absent.jsonl")],
+    "sweep-bad-m": lambda tmp: ["sweep", "--m", "a", "--r", "1"],
+    "sweep-zero-r": lambda tmp: ["sweep", "--m", "1", "--r", "0"],
+    "reduce-horizon-zero":
+        lambda tmp: ["reduce", "--strategy", "contain:m=1,r=1", "--budget", "const:4",
+                     "--horizon", "0"],
+    "unknown-option": lambda tmp: ["run", "--colour", "red"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_errors_exit_2_with_one_line(case, tmp_path, capsys):
+    argv = PARSE_ERRORS[case](tmp_path)
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse reports its own errors by exiting
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1, err

@@ -18,7 +18,12 @@ from gridfire.engine import (
     step,
 )
 from gridfire.grid import Topology, ball
-from gridfire.strategies import NullStrategy, RandomStrategy, ReplayStrategy
+from gridfire.strategies import (
+    GreedyNearest,
+    NullStrategy,
+    RandomStrategy,
+    ReplayStrategy,
+)
 from gridfire.trace import MalformedTraceError, RoundRecord, RunTrace
 
 from conftest import bfs_ball, single_source
@@ -102,10 +107,23 @@ def test_endangered_of_ball_is_bfs_sphere():
     assert len(sphere) == 12
 
 
+def test_endangered_and_step_reject_runaway_coordinates():
+    from gridfire.grid import COORD_LIMIT
+
+    far = FireState(
+        burnt=frozenset({(0, 0), (COORD_LIMIT, 0)}), protected=frozenset(),
+        round=0, topology=Topology.CARTESIAN,
+    )
+    with pytest.raises(OverflowError):
+        endangered(far)
+    with pytest.raises(OverflowError):
+        step(far, [], constant(0))
+
+
 def test_run_free_burn_reaches_ball(origin_cartesian):
     trace = run(origin_cartesian, constant(0), NullStrategy(), 10)
     assert trace.status == "horizon"
-    assert trace.burnt_through(10) == ball((0, 0), 10, "l1")
+    assert trace.state_at(10)[0] == ball((0, 0), 10, "l1")
 
 
 def test_run_free_burn_ball_every_round(origin_cartesian, origin_strong):
@@ -113,7 +131,7 @@ def test_run_free_burn_ball_every_round(origin_cartesian, origin_strong):
     for state, metric in ((origin_cartesian, "l1"), (origin_strong, "linf")):
         trace = run(state, constant(0), NullStrategy(), 6)
         for k in range(1, 7):
-            assert trace.burnt_through(k) == ball((0, 0), k, metric)
+            assert trace.state_at(k)[0] == ball((0, 0), k, metric)
 
 
 def test_run_zero_budget_never_controlled(origin_cartesian):
@@ -123,16 +141,10 @@ def test_run_zero_budget_never_controlled(origin_cartesian):
 
 
 def test_run_detects_control(origin_cartesian):
-    class PlugFour:
-        identifier = "plug"
-
-        def next_placements(self, view, available):
-            return [(1, 0), (-1, 0), (0, 1), (0, -1)][:available]
-
     trace = run(origin_cartesian, constant(4), PlugFour(), 10)
     assert trace.status == "controlled"
     assert trace.control_round == 1
-    assert trace.burnt_through(1) == {(0, 0)}
+    assert trace.state_at(1)[0] == {(0, 0)}
 
 
 def test_monotone_and_disjoint_along_trace(origin_cartesian):
@@ -202,6 +214,70 @@ def test_replay_validate_rejects_teleporting_fire(origin_cartesian):
     with pytest.raises(MalformedTraceError) as exc:
         replay_validate(bad)
     assert exc.value.line == 4  # header + two good rounds
+
+
+class PlugFour:
+    identifier = "plug"
+
+    def next_placements(self, view, available):
+        return [(1, 0), (-1, 0), (0, 1), (0, -1)][:available]
+
+
+def _forged(trace: RunTrace, **header) -> RunTrace:
+    forged = RunTrace.from_text(trace.to_text())
+    for name, value in header.items():
+        setattr(forged, name, value)
+    return forged
+
+
+@pytest.mark.parametrize(
+    "strategy,budget,header",
+    [
+        # Every field of the header lies at once.
+        (GreedyNearest(), constant(1),
+         {"status": "controlled", "control_round": 1, "budget_desc": "const:99"}),
+        (GreedyNearest(), constant(1), {"status": "controlled", "control_round": 10}),
+        (GreedyNearest(), constant(1), {"budget_desc": "periodic:1,2"}),
+        (GreedyNearest(), constant(1), {"budget_desc": "prefix:1|0"}),
+        (GreedyNearest(), constant(1), {"control_round": 3}),
+        (PlugFour(), constant(4), {"status": "horizon", "control_round": None}),
+        (PlugFour(), constant(4), {"control_round": 2}),
+        (PlugFour(), constant(4), {"status": "finished"}),
+    ],
+    ids=["all-at-once", "controlled-still-burning", "periodic-budget",
+         "prefix-budget", "uncontrolled-with-round", "controlled-as-horizon",
+         "late-control-round", "unknown-status"],
+)
+def test_replay_validate_rejects_forged_header(origin_cartesian, strategy, budget, header):
+    trace = run(origin_cartesian, budget, strategy, 10)
+    replay_validate(trace)
+    with pytest.raises(MalformedTraceError) as exc:
+        replay_validate(_forged(trace, **header))
+    assert exc.value.line == 1
+
+
+def test_replay_validate_rejects_rounds_after_control(origin_cartesian):
+    trace = run(origin_cartesian, constant(4), PlugFour(), 10)
+    trace.rounds.append(RoundRecord(t=2, f=4, placed=(), ignited=()))
+    trace.control_round = 2
+    with pytest.raises(MalformedTraceError) as exc:
+        replay_validate(trace)
+    assert exc.value.line == 3
+
+
+def test_replay_validate_never_opens_table_budgets(origin_cartesian, tmp_path):
+    trace = run(origin_cartesian, constant(1), GreedyNearest(), 6)
+    replay_validate(_forged(trace, budget_desc=f"table:{tmp_path / 'absent.json'}"))
+
+
+@pytest.mark.parametrize("protected,round_no", [({(0, 1)}, 0), (set(), 3)])
+def test_run_rejects_initial_state_a_trace_cannot_record(protected, round_no):
+    state = FireState(
+        burnt=frozenset({(0, 0)}), protected=frozenset(protected),
+        round=round_no, topology=Topology.CARTESIAN,
+    )
+    with pytest.raises(ValueError):
+        run(state, constant(1), NullStrategy(), 5)
 
 
 def test_trace_read_rejects_garbage():

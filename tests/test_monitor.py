@@ -44,7 +44,7 @@ def test_offsets_free_burn_match_clock():
     # every offset at t and the perimeter at 4t.
     trace = free_trace(10)
     for t in range(1, 11):
-        burnt = trace.burnt_through(t - 1)
+        burnt = trace.state_at(t - 1)[0]
         offs = front_offsets(burnt)
         assert all(c == t for c in offs.values())
         assert perimeter(offs) == 4 * t
@@ -62,7 +62,7 @@ def test_offsets_honor_holes():
 
 def test_front_lengths_identity_and_corner_distance():
     trace = run(single_source(), periodic([2, 1]), RandomStrategy(8), 30)
-    burnt = trace.burnt_through(20)
+    burnt = trace.state_at(20)[0]
     offs = front_offsets(burnt)
     lengths = front_lengths(offs)
     for sx, sy in DIRECTIONS:
@@ -98,8 +98,8 @@ def test_potentials_pending_source_convention():
 def test_activity_free_burn_always_four():
     trace = free_trace(8)
     for t in range(1, 8):
-        now = front_offsets(trace.burnt_through(t - 1))
-        nxt = front_offsets(trace.burnt_through(t))
+        now = front_offsets(trace.state_at(t - 1)[0])
+        nxt = front_offsets(trace.state_at(t)[0])
         act, total = activity(now, nxt)
         assert total == 4
         assert all(v == 1 for v in act.values())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from gridfire.budget import constant, periodic
-from gridfire.engine import SimView, run
+from gridfire.engine import FireState, SimView, endangered, run
 from gridfire.grid import Topology
 from gridfire.strategies import (
     GreedyNearest,
@@ -22,7 +22,9 @@ from conftest import single_source
 def _view(burnt, protected, topo=Topology.CARTESIAN, round_no=0):
     sx = sum(p[0] for p in burnt)
     sy = sum(p[1] for p in burnt)
-    return SimView(topo, set(burnt), set(protected), set(burnt), round_no, (sx, sy))
+    state = FireState(frozenset(burnt), frozenset(protected), round_no, topo)
+    return SimView(topo, set(burnt), set(protected), endangered(state), round_no,
+                   (sx, sy))
 
 
 def test_null_strategy_places_nothing():

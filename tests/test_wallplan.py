@@ -46,6 +46,12 @@ def test_phase_boundaries_formula():
             6 * r * m * m + 10 * r * m,
             12 * r * m * m + 30 * r * m,
         )
+        assert (plan.round_bound, plan.width_bound, plan.height_bound, plan.horizon) == (
+            12 * r * m * m + 30 * r * m,
+            6 * r * m * m + 16 * r * m + 2 * r,
+            12 * r * m * m + 30 * r * m + 3 * r - 1,
+            12 * r * m * m + 30 * r * m + 5,
+        )
 
 
 def test_northern_wall_m1_r1():
