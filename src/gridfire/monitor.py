@@ -61,11 +61,14 @@ def front_offsets(burnt: Iterable[Point]) -> dict[Direction, int]:
     region wins over one just beyond it.
     """
     pts = list(burnt)
+    # x*sx + y*sy is sx*(x + y) when sx == sy and sx*(x - y) otherwise.
+    sums = {x + y for x, y in pts}
+    diffs = {x - y for x, y in pts}
     out: dict[Direction, int] = {}
     for sx, sy in DIRECTIONS:
-        values = {x * sx + y * sy for x, y in pts}
+        values = sums if sx == sy else diffs
         c = 0
-        while c in values:
+        while sx * c in values:
             c += 1
         out[(sx, sy)] = c
     return out

@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budget import Budget
-from .engine import FireState, SimView, run
+from .engine import FireState, run
 from .grid import Point, Topology, ball, skew_map
+from .strategies import ScriptedStrategy
 from .trace import RunTrace
 
 
@@ -33,23 +34,18 @@ def reduced_budget(strong: Budget) -> Budget:
     return Budget(prefix=tuple(prefix), cycle=tuple(cycle))
 
 
-class ReducedStrategy:
+def reduced_strategy(strong_trace: RunTrace) -> ScriptedStrategy:
     """Plays a pre-simulated strong-grid run onto the Cartesian grid."""
-
-    def __init__(self, strong_trace: RunTrace):
-        self.identifier = f"reduced({strong_trace.strategy_id})"
-        self._by_round: dict[int, list[Point]] = {}
-        for rec in strong_trace.rounds:
-            half = rec.f // 2
-            first = [skew_map(p) for p in rec.placed[:half]]
-            rest = [skew_map(p) for p in rec.placed[half:]]
-            if first:
-                self._by_round[2 * rec.t - 1] = first
-            if rest:
-                self._by_round[2 * rec.t] = rest
-
-    def next_placements(self, view: SimView, available: int) -> list[Point]:
-        return list(self._by_round.get(view.round + 1, ()))
+    by_round: dict[int, list[Point]] = {}
+    for rec in strong_trace.rounds:
+        half = rec.f // 2
+        first = [skew_map(p) for p in rec.placed[:half]]
+        rest = [skew_map(p) for p in rec.placed[half:]]
+        if first:
+            by_round[2 * rec.t - 1] = first
+        if rest:
+            by_round[2 * rec.t] = rest
+    return ScriptedStrategy(f"reduced({strong_trace.strategy_id})", by_round)
 
 
 @dataclass
@@ -115,7 +111,7 @@ def run_reduction(
             topology=Topology.CARTESIAN,
         )
         cart_trace = run(
-            cart_initial, g, ReducedStrategy(strong_trace), 2 * horizon + 2
+            cart_initial, g, reduced_strategy(strong_trace), 2 * horizon + 2
         )
         placements_even, parity_ok = audit_parity(cart_trace)
         outcomes.append(

@@ -11,16 +11,28 @@ Control at the next round is decided exactly per node instead of branching a
 final level: a squad seals the fire iff every endangered cell is protected,
 burns as a pocket (a cell whose ignition exposes nothing new), or has its
 entire exposure covered. The rare third form is enumerated explicitly.
+
+Both drivers run on one core, ``_Search``: the window and the supply, the node
+count, the child expansion, the seal test and a transposition table, one
+bucket per depth. Each driver keeps only its own walk. Squads travel as tuples
+of bit indices and are decoded to points only for the witness. A bucket holds
+at most ``_TT_CAP`` positions; once one is full, later duplicates at that depth
+are searched again. That costs nodes, so the node cap may come sooner, but it
+finds nothing different; the result's ``note`` names the depths where it
+happened.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .budget import Budget
 from .engine import FireState, run
 from .grid import Point, Topology
+from .monitor import front_offsets
+from .strategies import ScriptedStrategy
 from .trace import RunTrace
 
 _SYMS = (
@@ -33,6 +45,9 @@ _SYMS = (
     lambda x, y: (y, -x),
     lambda x, y: (-y, -x),
 )
+
+# Positions remembered per depth by the transposition table.
+_TT_CAP = 4_000_000
 
 
 class _Window:
@@ -56,9 +71,7 @@ class _Window:
         tables = []
         for sym in _SYMS:
             table = [0] * self.nbits
-            for i in range(self.nbits):
-                x = i % self.side - self.half
-                y = i // self.side - self.half
+            for i, (x, y) in enumerate(self.points(range(self.nbits))):
                 tx, ty = sym(x, y)
                 table[i] = (ty + self.half) * self.side + (tx + self.half)
             tables.append(table)
@@ -72,22 +85,20 @@ class _Window:
             m |= 1 << ((y + self.half) * self.side + (x + self.half))
         return m
 
-    def decode(self, mask: int) -> list[Point]:
-        out = []
-        while mask:
-            low = mask & -mask
-            i = low.bit_length() - 1
-            out.append((i % self.side - self.half, i // self.side - self.half))
-            mask ^= low
-        return out
-
     def bits(self, mask: int) -> list[int]:
+        """The set bits of ``mask``, lowest first."""
         out = []
         while mask:
             low = mask & -mask
             out.append(low.bit_length() - 1)
             mask ^= low
         return out
+
+    def points(self, bits: Iterable[int]) -> list[Point]:
+        """The cells at bit indices ``bits``, in the order given."""
+        side = self.side
+        half = self.half
+        return [(b % side - half, b // side - half) for b in bits]
 
     def neighbors_mask(self, b: int) -> int:
         side = self.side
@@ -106,6 +117,10 @@ class _Window:
             )
         return out & self.full
 
+    def endangered(self, burnt: int, prot: int) -> int:
+        """Unburnt, unprotected neighbors of ``burnt``: the bitboard spread rule."""
+        return self.neighbors_mask(burnt) & ~burnt & ~prot
+
     def dilate_linf(self, b: int, times: int) -> int:
         side = self.side
         for _ in range(times):
@@ -123,23 +138,13 @@ class _Window:
         return out
 
     def canonical(self, burnt: int, prot: int) -> int:
-        best = None
-        for i in range(8):
-            key = (self.transform(burnt, i) << self.nbits) | self.transform(prot, i)
-            if best is None or key < best:
-                best = key
-        return best
+        return min(
+            (self.transform(burnt, i) << self.nbits) | self.transform(prot, i)
+            for i in range(8)
+        )
 
     def perimeter(self, burnt_mask: int) -> int:
-        cells = self.decode(burnt_mask)
-        total = 0
-        for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            values = {x * sx + y * sy for x, y in cells}
-            c = 0
-            while c in values:
-                c += 1
-            total += c
-        return total
+        return sum(front_offsets(self.points(self.bits(burnt_mask))).values())
 
 
 @dataclass
@@ -170,149 +175,93 @@ class _CapHit(Exception):
     pass
 
 
+Squad = tuple[int, ...]  # bit indices on the search window
+
+
 class _Found(Exception):
-    def __init__(self, squads: list[list[Point]]):
+    def __init__(self, squads: list[Squad]):
         self.squads = squads
 
 
-class _ScriptedSquads:
-    """Plays out a fixed list of squads, then nothing."""
+class _Search:
+    """The part of a search both drivers share; each driver walks it its own way."""
 
-    def __init__(self, squads: list[list[Point]]):
-        self.identifier = "search-witness"
-        self._squads = squads
+    def __init__(self, cfg: SearchConfig):
+        if cfg.horizon < 1:
+            raise ValueError("horizon must be at least 1")
+        self.cfg = cfg
+        reach = max((abs(c) for p in cfg.source for c in p), default=0)
+        d = cfg.candidate_distance if cfg.candidate_distance is not None else 1
+        self.win = _Window(reach + cfg.horizon * max(d, 1) + 2, cfg.topology)
+        self.burnt0 = self.win.encode(cfg.source)
+        self.f = [cfg.budget.at(t) for t in range(1, cfg.horizon + 1)]
+        self.nodes = 0
+        self.seen: list[set[int]] = [set() for _ in range(cfg.horizon + 1)]
+        self.saturated: set[int] = set()  # depths whose bucket filled up
 
-    def next_placements(self, view, available: int) -> list[Point]:
-        t = view.round + 1
-        if t <= len(self._squads):
-            return self._squads[t - 1]
-        return []
+    def enter(self) -> None:
+        """Count one node; past the node cap, abandon the search."""
+        self.nodes += 1
+        if self.nodes > self.cfg.node_cap:
+            raise _CapHit
 
-
-def _window_for(cfg: SearchConfig, horizon: int) -> _Window:
-    reach = max((abs(c) for p in cfg.source for c in p), default=0)
-    d = cfg.candidate_distance if cfg.candidate_distance is not None else 1
-    return _Window(reach + horizon * max(d, 1) + 2, cfg.topology)
-
-
-def _candidates_mask(win: _Window, cfg: SearchConfig, burnt: int, prot: int) -> int:
-    if cfg.candidate_distance is None:
+    def candidates(self, burnt: int, prot: int) -> int:
+        d = self.cfg.candidate_distance
         # Cells farther than the horizon's reach can never interact with the
         # fire in time, so the window edge is a safe stand-in for "anywhere".
-        return win.full & ~burnt & ~prot
-    area = win.dilate_linf(burnt | prot, cfg.candidate_distance)
-    return area & ~burnt & ~prot
+        area = self.win.full if d is None else self.win.dilate_linf(burnt | prot, d)
+        return area & ~burnt & ~prot
 
+    def children(
+        self, burnt: int, prot: int, e_mask: int, cells: int, k: int
+    ) -> Iterator[tuple[Squad, int, int]]:
+        """(squad, burnt', protected') for each squad of min(k, |cells|) cells.
 
-def _find_seal(
-    win: _Window, burnt: int, prot: int, f_next: int, cand: int,
-    e_mask: int | None = None,
-) -> tuple[list[Point], int] | None:
-    """A legal squad after which nothing is endangered, or None.
+        Squads come in lexicographic order of their ascending bit indices.
+        """
+        pool = self.win.bits(cells)
+        for squad in itertools.combinations(pool, min(k, len(pool))):
+            s_mask = 0
+            for b in squad:
+                s_mask |= 1 << b
+            yield squad, burnt | (e_mask & ~s_mask), prot | s_mask
 
-    Returns (squad, cells that still burn); among seals it minimizes the
-    number of cells left to burn.
-    """
-    if e_mask is None:
-        e_mask = win.neighbors_mask(burnt) & ~burnt & ~prot
-    if not e_mask:
-        return [], 0
-    e_bits = win.bits(e_mask)
-    coverable = not (e_mask & ~cand)
-    if coverable and len(e_bits) <= f_next:
-        return win.decode(e_mask), 0
-    # A pocket's ignition exposes nothing new; burning pockets is free.
-    exposed = win.full & ~burnt & ~prot & ~e_mask
-    cell_nbrs = win.cell_nbrs
-    nonpockets = [b for b in e_bits if cell_nbrs[b] & exposed]
-    if coverable and len(nonpockets) <= f_next:
-        squad_bits = list(nonpockets)
-        for b in e_bits:
-            if len(squad_bits) >= f_next:
-                break
-            if cell_nbrs[b] & exposed == 0:
-                squad_bits.append(b)
-        half = win.half
-        side = win.side
-        squad = [(b % side - half, b // side - half) for b in squad_bits]
-        return squad, len(e_bits) - len(squad_bits)
-    # Exotic seals protect a cell's exposure instead of the cell itself; each
-    # protected cell can absorb at most itself plus its neighbors' worth of
-    # exposed cells, so beyond 9 per firefighter nothing can work.
-    if len(nonpockets) > 9 * f_next:
-        return None
-    # Every non-protected nonpocket needs its whole exposure inside the squad.
-    coverable_np = [
-        b
-        for b in nonpockets
-        if bin(cell_nbrs[b] & exposed).count("1") <= f_next
-    ]
-    if len(nonpockets) - len(coverable_np) > f_next:
-        return None
-    pool = 0
-    for b in nonpockets:
-        pool |= 1 << b
-    for b in coverable_np:
-        pool |= cell_nbrs[b] & exposed
-    pool &= cand
-    pool_bits = win.bits(pool)
-    k = min(f_next, len(pool_bits))
-    half = win.half
-    side = win.side
-    best: tuple[list[Point], int] | None = None
-    for combo in itertools.combinations(pool_bits, k):
-        s_mask = 0
-        for b in combo:
-            s_mask |= 1 << b
-        prot2 = prot | s_mask
-        burn_mask = e_mask & ~s_mask
-        burnt2 = burnt | burn_mask
-        if win.neighbors_mask(burnt2) & ~burnt2 & ~prot2:
-            continue
-        n_burn = bin(burn_mask).count("1")
-        if best is None or n_burn < best[1]:
-            squad = [(b % side - half, b // side - half) for b in combo]
-            best = (squad, n_burn)
-    return best
+    def fresh(self, depth: int, burnt: int, prot: int) -> bool:
+        """False when an equivalent position was already entered at ``depth``."""
+        win = self.win
+        if self.cfg.symmetry:
+            key = win.canonical(burnt, prot)
+        else:
+            key = (burnt << win.nbits) | prot
+        bucket = self.seen[depth]
+        if key in bucket:
+            return False
+        if len(bucket) < _TT_CAP:
+            bucket.add(key)
+        else:
+            self.saturated.add(depth)
+        return True
 
+    def seal(
+        self, burnt: int, prot: int, e_mask: int, f_next: int
+    ) -> tuple[Squad, int] | None:
+        """A legal squad after which nothing is endangered, or None.
 
-def _make_witness(cfg: SearchConfig, squads: list[list[Point]]) -> RunTrace:
-    initial = FireState(
-        burnt=frozenset(cfg.source),
-        protected=frozenset(),
-        round=0,
-        topology=cfg.topology,
-    )
-    return run(initial, cfg.budget, _ScriptedSquads(squads), max(len(squads), 1))
-
-
-def exhaustive_search(cfg: SearchConfig) -> SearchResult:
-    """Exhaust play up to the horizon; exact within the candidate rule."""
-    if cfg.horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    last_depth = cfg.horizon - 1
-    win = _window_for(cfg, cfg.horizon)
-    burnt0 = win.encode(cfg.source)
-    nodes = 0
-    min_perim: int | None = None
-    seen: list[set[int]] = [set() for _ in range(cfg.horizon)]
-    f = [cfg.budget.at(t) for t in range(1, cfg.horizon + 1)]
-
-    cell_nbrs = win.cell_nbrs
-
-    def visit(burnt: int, prot: int, depth: int, squads: list[list[Point]]) -> None:
-        nonlocal nodes, min_perim
-        nodes += 1
-        if nodes > cfg.node_cap:
-            raise _CapHit
-        e_mask = win.neighbors_mask(burnt) & ~burnt & ~prot
-        f_next = f[depth]
+        Returns (squad, cells that still burn); among seals it minimizes the
+        number of cells left to burn.
+        """
+        if not e_mask:
+            return (), 0
+        win = self.win
+        cell_nbrs = win.cell_nbrs
+        # A pocket's ignition exposes nothing new; burning pockets is free.
+        exposed = win.full & ~burnt & ~prot & ~e_mask
         # Cheap refutation first: a seal needs few endangered cells, or few
-        # whose ignition would expose anything; only then is it worth pricing.
-        n_e = bin(e_mask).count("1")
-        maybe_seal = n_e <= f_next
-        if not maybe_seal:
-            exposed = win.full & ~burnt & ~prot & ~e_mask
+        # whose ignition would expose anything. Exotic seals protect a cell's
+        # exposure instead of the cell itself; each protected cell can absorb
+        # at most itself plus its neighbors' worth of exposed cells, so beyond
+        # 9 per firefighter nothing can work.
+        if e_mask.bit_count() > f_next:
             n_np = 0
             m = e_mask
             while m:
@@ -320,93 +269,123 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
                 if cell_nbrs[low.bit_length() - 1] & exposed:
                     n_np += 1
                     if n_np > 9 * f_next:
-                        break
+                        return None
                 m ^= low
-            maybe_seal = n_np <= 9 * f_next
-        cand = None
-        if maybe_seal:
-            cand = _candidates_mask(win, cfg, burnt, prot)
-            seal = _find_seal(win, burnt, prot, f_next, cand, e_mask=e_mask)
-            if seal is not None:
-                raise _Found(squads + [seal[0]])
+        cand = self.candidates(burnt, prot)
+        e_bits = win.bits(e_mask)
+        coverable = not (e_mask & ~cand)
+        if coverable and len(e_bits) <= f_next:
+            return tuple(e_bits), 0
+        nonpockets = [b for b in e_bits if cell_nbrs[b] & exposed]
+        if coverable and len(nonpockets) <= f_next:
+            squad = nonpockets
+            for b in e_bits:
+                if len(squad) >= f_next:
+                    break
+                if cell_nbrs[b] & exposed == 0:
+                    squad.append(b)
+            return tuple(squad), len(e_bits) - len(squad)
+        # Every non-protected nonpocket needs its whole exposure inside the squad.
+        coverable_np = [
+            b for b in nonpockets if (cell_nbrs[b] & exposed).bit_count() <= f_next
+        ]
+        if len(nonpockets) - len(coverable_np) > f_next:
+            return None
+        pool = 0
+        for b in nonpockets:
+            pool |= 1 << b
+        for b in coverable_np:
+            pool |= cell_nbrs[b] & exposed
+        best: tuple[Squad, int] | None = None
+        for squad, burnt2, prot2 in self.children(burnt, prot, e_mask, pool & cand, f_next):
+            if win.endangered(burnt2, prot2):
+                continue
+            n_burn = (burnt2 ^ burnt).bit_count()
+            if best is None or n_burn < best[1]:
+                best = (squad, n_burn)
+        return best
+
+    def witness(self, squads: list[Squad]) -> RunTrace:
+        cfg = self.cfg
+        initial = FireState(frozenset(cfg.source), frozenset(), 0, cfg.topology)
+        script = {t: self.win.points(s) for t, s in enumerate(squads, start=1)}
+        strategy = ScriptedStrategy("search-witness", script)
+        return run(initial, cfg.budget, strategy, max(len(squads), 1))
+
+    def result(self, outcome: str, note: str | None = None, **fields) -> SearchResult:
+        notes = [note] if note else []
+        if self.saturated:
+            depths = ", ".join(map(str, sorted(self.saturated)))
+            notes.append(f"transposition table full ({_TT_CAP} positions) at depth "
+                         f"{depths}: later duplicates there were searched again")
+        return SearchResult(
+            outcome=outcome, nodes=self.nodes, note="; ".join(notes) or None, **fields
+        )
+
+
+def exhaustive_search(cfg: SearchConfig) -> SearchResult:
+    """Exhaust play up to the horizon; exact within the candidate rule."""
+    core = _Search(cfg)
+    win = core.win
+    f = core.f
+    last_depth = cfg.horizon - 1
+    min_perim: int | None = None
+
+    def visit(burnt: int, prot: int, depth: int, squads: list[Squad]) -> None:
+        nonlocal min_perim
+        core.enter()
+        e_mask = win.endangered(burnt, prot)
+        f_next = f[depth]
+        seal = core.seal(burnt, prot, e_mask, f_next)
+        if seal is not None:
+            raise _Found(squads + [seal[0]])
         if depth == last_depth:
             perim = win.perimeter(burnt)
             if min_perim is None or perim < min_perim:
                 min_perim = perim
             return
-        if cand is None:
-            cand = _candidates_mask(win, cfg, burnt, prot)
-        cells = win.bits(cand)
-        q = min(f_next, len(cells))
-        side = win.side
-        half = win.half
         dedupe = depth + 1 < last_depth
-        bucket = seen[depth + 1]
-        for squad_bits in itertools.combinations(cells, q):
-            s_mask = 0
-            for b in squad_bits:
-                s_mask |= 1 << b
-            prot2 = prot | s_mask
-            ignited = e_mask & ~s_mask
-            burnt2 = burnt | ignited
-            if dedupe:
-                if cfg.symmetry:
-                    key = win.canonical(burnt2, prot2)
-                else:
-                    key = (burnt2 << win.nbits) | prot2
-                if key in bucket:
-                    continue
-                if len(bucket) < 4_000_000:
-                    bucket.add(key)
-            squad_pts = [(b % side - half, b // side - half) for b in squad_bits]
-            visit(burnt2, prot2, depth + 1, squads + [squad_pts])
+        cand = core.candidates(burnt, prot)
+        for squad, burnt2, prot2 in core.children(burnt, prot, e_mask, cand, f_next):
+            if dedupe and not core.fresh(depth + 1, burnt2, prot2):
+                continue
+            visit(burnt2, prot2, depth + 1, squads + [squad])
 
     try:
-        visit(burnt0, 0, 0, [])
+        visit(core.burnt0, 0, 0, [])
     except _CapHit:
-        return SearchResult(
-            outcome="node-cap-hit", nodes=nodes, min_final_perimeter=min_perim,
-            note="inconclusive: node cap reached",
+        return core.result(
+            "node-cap-hit", "inconclusive: node cap reached", min_final_perimeter=min_perim
         )
     except _Found as found:
-        witness = _make_witness(cfg, found.squads)
-        return SearchResult(
-            outcome="controlled-found",
-            nodes=nodes,
+        witness = core.witness(found.squads)
+        return core.result(
+            "controlled-found",
             min_final_perimeter=min_perim,
             min_burnt=len(witness.state_at(witness.final_round())[0]),
             witness=witness,
         )
-    return SearchResult(
-        outcome="exhausted-no-control", nodes=nodes, min_final_perimeter=min_perim
-    )
+    return core.result("exhausted-no-control", min_final_perimeter=min_perim)
 
 
 def min_burnt_search(cfg: SearchConfig) -> SearchResult:
     """Branch-and-bound for a containment witness with the fewest burnt cells."""
-    if cfg.horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    win = _window_for(cfg, cfg.horizon)
-    burnt0 = win.encode(cfg.source)
-    nodes = 0
+    core = _Search(cfg)
+    win = core.win
+    f = core.f
     best_burnt: int | None = cfg.initial_bound
-    best_squads: list[list[Point]] | None = None
-    f = [cfg.budget.at(t) for t in range(1, cfg.horizon + 1)]
-    seen: list[set[int]] = [set() for _ in range(cfg.horizon + 1)]
+    best_squads: list[Squad] | None = None
 
-    def visit(burnt: int, prot: int, depth: int, squads: list[list[Point]]) -> None:
-        nonlocal nodes, best_burnt, best_squads
-        nodes += 1
-        if nodes > cfg.node_cap:
-            raise _CapHit
-        n_burnt = bin(burnt).count("1")
+    def visit(burnt: int, prot: int, depth: int, squads: list[Squad]) -> None:
+        nonlocal best_burnt, best_squads
+        core.enter()
+        n_burnt = burnt.bit_count()
         if best_burnt is not None and n_burnt >= best_burnt:
             return
-        cand = _candidates_mask(win, cfg, burnt, prot)
-        e_mask = win.neighbors_mask(burnt) & ~burnt & ~prot
-        n_e = bin(e_mask).count("1")
+        e_mask = win.endangered(burnt, prot)
+        n_e = e_mask.bit_count()
         if depth < cfg.horizon:
-            seal = _find_seal(win, burnt, prot, f[depth], cand, e_mask=e_mask)
+            seal = core.seal(burnt, prot, e_mask, f[depth])
             if seal is not None:
                 total = n_burnt + seal[1]
                 if best_burnt is None or total < best_burnt:
@@ -421,56 +400,35 @@ def min_burnt_search(cfg: SearchConfig) -> SearchResult:
         floor = n_burnt + max(0, n_e - f[depth])
         if best_burnt is not None and floor >= best_burnt:
             return
-        cells = win.bits(cand)
-        q = min(f[depth], len(cells))
-        side = win.side
-        half = win.half
         f_after = f[depth + 1] if depth + 1 < len(f) else 0
         # Most promising squads first (smallest one-step burnt lower bound),
         # so incumbents arrive early and the bound prune bites.
         children = []
-        for squad_bits in itertools.combinations(cells, q):
-            s_mask = 0
-            for b in squad_bits:
-                s_mask |= 1 << b
-            prot2 = prot | s_mask
-            ignited = e_mask & ~s_mask
-            burnt2 = burnt | ignited
-            e2 = win.neighbors_mask(burnt2) & ~burnt2 & ~prot2
-            bound2 = bin(burnt2).count("1") + max(0, bin(e2).count("1") - f_after)
-            children.append((bound2, squad_bits, burnt2, prot2))
+        cand = core.candidates(burnt, prot)
+        for squad, burnt2, prot2 in core.children(burnt, prot, e_mask, cand, f[depth]):
+            e2 = win.endangered(burnt2, prot2)
+            bound2 = burnt2.bit_count() + max(0, e2.bit_count() - f_after)
+            children.append((bound2, squad, burnt2, prot2))
         children.sort(key=lambda c: (c[0], c[1]))
-        bucket = seen[depth + 1]
-        for bound2, squad_bits, burnt2, prot2 in children:
+        for bound2, squad, burnt2, prot2 in children:
             if best_burnt is not None and bound2 >= best_burnt:
                 break
-            if cfg.symmetry:
-                key = win.canonical(burnt2, prot2)
-            else:
-                key = (burnt2 << win.nbits) | prot2
-            if key in bucket:
-                continue
-            if len(bucket) < 4_000_000:
-                bucket.add(key)
-            squad_pts = [(b % side - half, b // side - half) for b in squad_bits]
-            visit(burnt2, prot2, depth + 1, squads + [squad_pts])
+            if core.fresh(depth + 1, burnt2, prot2):
+                visit(burnt2, prot2, depth + 1, squads + [squad])
 
     capped = False
     try:
-        visit(burnt0, 0, 0, [])
+        visit(core.burnt0, 0, 0, [])
     except _CapHit:
         capped = True
     if best_squads is None:
-        return SearchResult(
-            outcome="node-cap-hit" if capped else "exhausted-no-control",
-            nodes=nodes,
-            note="no containment found" + (" before node cap" if capped else ""),
+        return core.result(
+            "node-cap-hit" if capped else "exhausted-no-control",
+            "no containment found" + (" before node cap" if capped else ""),
         )
-    witness = _make_witness(cfg, best_squads)
-    return SearchResult(
-        outcome="node-cap-hit" if capped else "controlled-found",
-        nodes=nodes,
+    return core.result(
+        "node-cap-hit" if capped else "controlled-found",
+        "best found before node cap" if capped else None,
         min_burnt=best_burnt,
-        witness=witness,
-        note="best found before node cap" if capped else None,
+        witness=core.witness(best_squads),
     )

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import random
-from typing import Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
-from .engine import SimView, StrategyError
+from .engine import SimView
 from .grid import Point
 from .trace import RunTrace
 
@@ -69,26 +69,28 @@ class RandomStrategy:
         return self._rng.sample(targets, k)
 
 
-class ReplayStrategy:
+class ScriptedStrategy:
+    """Plays fixed squads by round number; nothing in rounds the script omits.
+
+    Legality is left to the engine, which rejects an illegal squad as a
+    strategy error at its round.
+    """
+
+    def __init__(self, identifier: str, squads_by_round: Mapping[int, Sequence[Point]]):
+        self.identifier = identifier
+        self._squads = squads_by_round
+
+    def next_placements(self, view: SimView, available: int) -> list[Point]:
+        return list(self._squads.get(view.round + 1, ()))
+
+
+class ReplayStrategy(ScriptedStrategy):
     """Re-issues the placements recorded in a previous trace."""
 
     def __init__(self, trace: RunTrace):
-        self.identifier = f"replay:{trace.strategy_id}"
-        self._trace = trace
-
-    def next_placements(self, view: SimView, available: int) -> list[Point]:
-        t = view.round + 1
-        if t > len(self._trace.rounds):
-            return []
-        rec = self._trace.rounds[t - 1]
-        placed = list(rec.placed)
-        for p in placed:
-            if p in view.burnt or p in view.protected:
-                raise StrategyError(
-                    f"replayed placement {p} is illegal in the current state",
-                    round_no=t,
-                )
-        return placed
+        super().__init__(
+            f"replay:{trace.strategy_id}", {rec.t: rec.placed for rec in trace.rounds}
+        )
 
 
 def parse_strategy(spec: str):

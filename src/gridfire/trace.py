@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import NoneType
 from typing import IO
 
 from .grid import Point, Topology
@@ -90,26 +91,29 @@ class RunTrace:
             topology = Topology(header["topology"])
             trace = cls(
                 topology=topology,
-                initial=tuple(tuple(p) for p in header["initial"]),
-                budget_desc=header["budget"],
-                strategy_id=header["strategy"],
-                seed=header.get("seed"),
-                status=header.get("status", "horizon"),
-                control_round=header.get("control_round"),
-                error=header.get("error"),
+                initial=_points(header["initial"]),
+                budget_desc=_typed(header["budget"], "budget", str),
+                strategy_id=_typed(header["strategy"], "strategy", str),
+                seed=_typed(header.get("seed"), "seed", int, NoneType),
+                status=_typed(header.get("status", "horizon"), "status", str),
+                control_round=_typed(header.get("control_round"), "control_round",
+                                     int, NoneType),
+                error=_typed(header.get("error"), "error", str, NoneType),
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise MalformedTraceError(f"bad header: {exc}", line=1) from exc
         for i, ln in enumerate(lines[1:], start=2):
             try:
                 obj = json.loads(ln)
                 rec = RoundRecord(
-                    t=obj["t"],
-                    f=obj["f"],
-                    placed=tuple(tuple(p) for p in obj["placed"]),
-                    ignited=tuple(tuple(p) for p in obj["ignited"]),
+                    t=_typed(obj["t"], "t", int),
+                    f=_typed(obj["f"], "f", int),
+                    placed=_points(obj["placed"]),
+                    ignited=_points(obj["ignited"]),
                 )
-            except (KeyError, ValueError, TypeError) as exc:
+                if rec.f < 0:
+                    raise ValueError(f"f must be nonnegative, got {rec.f}")
+            except (KeyError, ValueError, TypeError, RecursionError) as exc:
                 raise MalformedTraceError(f"bad round record: {exc}", line=i) from exc
             if rec.t != i - 1:
                 raise MalformedTraceError(
@@ -128,3 +132,19 @@ class RunTrace:
         import io
 
         return cls.read(io.StringIO(text))
+
+
+def _typed(value, name: str, *kinds: type):
+    # Exact types: JSON true/false load as bools, which Python treats as 1 and 0.
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise TypeError(f"{name} must be {names}, got {value!r}")
+    return value
+
+
+def _points(values) -> tuple[Point, ...]:
+    pts = tuple(map(tuple, _typed(values, "a point list", list)))
+    for x, y in pts:  # ValueError unless each point has two entries
+        if type(x) is not int or type(y) is not int:
+            raise TypeError(f"a point is two integers, got {[x, y]!r}")
+    return pts

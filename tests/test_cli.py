@@ -275,6 +275,23 @@ def _trace_file(tmp_path) -> str:
     return str(path)
 
 
+def _text_file(tmp_path, text: str) -> str:
+    path = tmp_path / "text.jsonl"
+    path.write_text(text)
+    return str(path)
+
+
+def _table_trace_with_fractional_f(tmp_path) -> str:
+    with open(_trace_file(tmp_path)) as fp:
+        lines = fp.read().splitlines()
+    header, first = json.loads(lines[0]), json.loads(lines[1])
+    header["budget"] = "table:b.json"
+    first["f"] = 1.5
+    return _text_file(
+        tmp_path, "\n".join([json.dumps(header), json.dumps(first)] + lines[2:]) + "\n"
+    )
+
+
 PARSE_ERRORS = {
     "run-config-missing-file":
         lambda tmp: ["run", "--config", str(tmp / "absent.json")],
@@ -301,6 +318,10 @@ PARSE_ERRORS = {
                      "--window=0,1,0,1"],
     "monitor-missing-trace":
         lambda tmp: ["monitor", "--trace", str(tmp / "absent.jsonl")],
+    "monitor-deeply-nested-trace":
+        lambda tmp: ["monitor", "--trace", _text_file(tmp, "[" * 100_000)],
+    "monitor-fractional-f":
+        lambda tmp: ["monitor", "--trace", _table_trace_with_fractional_f(tmp)],
     "sweep-bad-m": lambda tmp: ["sweep", "--m", "a", "--r", "1"],
     "sweep-zero-r": lambda tmp: ["sweep", "--m", "1", "--r", "0"],
     "reduce-horizon-zero":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,6 +286,109 @@ def test_trace_read_rejects_garbage():
         RunTrace.read(io.StringIO("not json\n"))
     with pytest.raises(MalformedTraceError):
         RunTrace.read(io.StringIO(""))
+
+
+def _greedy_const1_text() -> str:
+    """Header plus ``{"t":1,"f":1,"placed":[[0,-1]],"ignited":[[-1,0],[1,0],[0,1]]}``."""
+    return run(single_source(Topology.CARTESIAN), constant(1), GreedyNearest(), 3).to_text()
+
+
+def _edit_json(line_no: int, **fields):
+    def edit(text: str) -> str:
+        lines = text.splitlines()
+        obj = json.loads(lines[line_no - 1])
+        obj.update(fields)
+        lines[line_no - 1] = json.dumps(obj)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def _replace_line(line_no: int, new: str):
+    def edit(text: str) -> str:
+        lines = text.splitlines()
+        lines[line_no - 1] = new
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+# Each edit yields a trace the parser must refuse at the given line; before
+# parse-time type checks, every one of them was read without complaint.
+MALFORMED_AT_PARSE = {
+    # JSON booleans are Python ints, so this round replays as t = 1, (0, -1).
+    "bool-round-and-point": (_replace_line(
+        2, '{"t":true,"f":1,"placed":[[false,-1]],"ignited":[[0,1],[-1,0],[1,0]]}'), 2),
+    "bool-f": (_edit_json(2, f=True), 2),
+    "three-coordinates": (_edit_json(2, placed=[[0, 0, 7]]), 2),
+    "string-point": (_edit_json(2, placed=["ab"]), 2),
+    "float-coordinate": (_edit_json(3, ignited=[[-1.0, -1]]), 3),
+    "fractional-f-table-budget": (
+        lambda text: _edit_json(2, f=1.5)(_edit_json(1, budget="table:b.json")(text)), 2),
+    "negative-f": (_edit_json(2, f=-1), 2),
+    "bool-initial-point": (_edit_json(1, initial=[[False, 0]]), 1),
+    "string-seed": (_edit_json(1, seed="7"), 1),
+    "bool-control-round": (_edit_json(1, control_round=True), 1),
+    # A budget label that is not a string would skip the budget check in replay.
+    "list-budget": (_edit_json(1, budget=["const:1"]), 1),
+    "number-strategy": (_edit_json(1, strategy=7), 1),
+    "deep-nesting-header": (lambda text: "[" * 100_000, 1),
+    "deep-nesting-round": (_replace_line(3, "[" * 100_000), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_AT_PARSE))
+def test_trace_read_rejects_malformed_fields(case):
+    edit, line = MALFORMED_AT_PARSE[case]
+    with pytest.raises(MalformedTraceError) as exc:
+        RunTrace.from_text(edit(_greedy_const1_text()))
+    assert exc.value.line == line
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _valid_traces() -> list[str]:
+    return [
+        _greedy_const1_text(),
+        run(single_source(Topology.CARTESIAN), constant(4), PlugFour(), 3).to_text(),
+        run(single_source(Topology.STRONG), periodic([2, 1]), RandomStrategy(3), 4).to_text(),
+        run(single_source(Topology.TRIANGULAR), constant(0), NullStrategy(), 2).to_text(),
+    ]
+
+
+@st.composite
+def _mutated_traces(draw) -> str:
+    text = draw(st.sampled_from(_valid_traces()))
+    if draw(st.booleans()):
+        # Replace one field of one line, or one of its points, with arbitrary JSON.
+        lines = text.splitlines()
+        i = draw(st.integers(0, len(lines) - 1))
+        obj = json.loads(lines[i])
+        key = draw(st.sampled_from(sorted(obj)))
+        if isinstance(obj[key], list) and obj[key] and draw(st.booleans()):
+            obj[key][draw(st.integers(0, len(obj[key]) - 1))] = draw(_JSON)
+        else:
+            obj[key] = draw(_JSON)
+        lines[i] = json.dumps(obj)
+        return "\n".join(lines) + "\n"
+    # Splice arbitrary characters over a stretch of the text.
+    a = draw(st.integers(0, len(text)))
+    b = draw(st.integers(a, min(len(text), a + 8)))
+    return text[:a] + draw(st.text(max_size=6)) + text[b:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=200) | _mutated_traces())
+def test_untrusted_trace_text_fails_only_as_malformed(text):
+    try:
+        replay_validate(RunTrace.from_text(text))
+    except MalformedTraceError:
+        pass
 
 
 def test_strategy_may_place_fewer_than_budget(origin_cartesian):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gridfire.budget import constant, periodic
 from gridfire.engine import run
@@ -58,6 +59,18 @@ def test_offsets_honor_holes():
     # Filling the hole pushes the offset past the burning lines.
     offs = front_offsets({(0, 0), (1, 0), (0, 1)})
     assert offs[(1, 1)] == 2
+
+
+@given(st.sets(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=30))
+def test_offsets_match_the_line_definition(burnt):
+    # Reference: scan each direction's lines x*sx + y*sy = c upward from 0.
+    expected = {}
+    for sx, sy in DIRECTIONS:
+        c = 0
+        while any(x * sx + y * sy == c for x, y in burnt):
+            c += 1
+        expected[(sx, sy)] = c
+    assert front_offsets(burnt) == expected
 
 
 def test_front_lengths_identity_and_corner_distance():

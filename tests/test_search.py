@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gridfire import search
 from gridfire.budget import constant, periodic
-from gridfire.engine import replay_validate
+from gridfire.engine import endangered_near, replay_validate
 from gridfire.grid import Topology
 from gridfire.monitor import check_invariants
 from gridfire.search import SearchConfig, exhaustive_search, min_burnt_search
@@ -124,3 +130,103 @@ def test_min_burnt_two_firefighters_quick_probe():
     assert res.witness.final_round() <= 8
     assert res.witness.status == "controlled"
     replay_validate(res.witness)
+
+
+# Recorded from the search before its drivers shared one core; any change to
+# outcome, node count, perimeter, burnt count or witness bytes shows here.
+# (outcome, nodes, min_final_perimeter, min_burnt, witness SHA-256)
+_SEARCH_GOLDEN = {
+    "exhaustive-periodic21-h3-cartesian-sym": (
+        exhaustive_search, Topology.CARTESIAN, periodic([2, 1]), 3, {},
+        ("exhausted-no-control", 2119, 10, None, None)),
+    "exhaustive-periodic21-h3-cartesian-nosym": (
+        exhaustive_search, Topology.CARTESIAN, periodic([2, 1]), 3, {"symmetry": False},
+        ("exhausted-no-control", 13289, 10, None, None)),
+    "exhaustive-periodic21-h3-strong-sym": (
+        exhaustive_search, Topology.STRONG, periodic([2, 1]), 3, {},
+        ("exhausted-no-control", 2080, 17, None, None)),
+    "exhaustive-periodic21-h3-strong-nosym": (
+        exhaustive_search, Topology.STRONG, periodic([2, 1]), 3, {"symmetry": False},
+        ("exhausted-no-control", 13037, 17, None, None)),
+    "exhaustive-periodic21-h3-triangular-sym": (
+        exhaustive_search, Topology.TRIANGULAR, periodic([2, 1]), 3, {},
+        ("exhausted-no-control", 3823, 11, None, None)),
+    "exhaustive-periodic21-h3-triangular-nosym": (
+        exhaustive_search, Topology.TRIANGULAR, periodic([2, 1]), 3, {"symmetry": False},
+        ("exhausted-no-control", 13163, 11, None, None)),
+    "exhaustive-periodic21-h2-unrestricted": (
+        exhaustive_search, Topology.CARTESIAN, periodic([2, 1]), 2,
+        {"candidate_distance": None},
+        ("exhausted-no-control", 3161, 7, None, None)),
+    "exhaustive-periodic21-h3-node-cap": (
+        exhaustive_search, Topology.CARTESIAN, periodic([2, 1]), 3, {"node_cap": 10},
+        ("node-cap-hit", 11, 12, None, None)),
+    "exhaustive-const4-h1": (
+        exhaustive_search, Topology.CARTESIAN, constant(4), 1, {},
+        ("controlled-found", 1, None, 1,
+         "d3d17921e4a3cdadf606b80e9960d2a3014b4a18d45faf4186201c357669bcb2")),
+    "min-burnt-periodic2223-h8-d2": (
+        min_burnt_search, Topology.CARTESIAN, periodic([2, 2, 2, 3]), 8, {},
+        ("controlled-found", 70, None, 12,
+         "667e29b3bec8ebe7ad17ec125d9f1e6c2603b924cac4d1a07ad36796305fc6d5")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SEARCH_GOLDEN))
+def test_search_golden_table(case):
+    driver, topo, budget, horizon, kw, expected = _SEARCH_GOLDEN[case]
+    res = driver(SearchConfig(topology=topo, source=frozenset({(0, 0)}),
+                              budget=budget, horizon=horizon, **kw))
+    digest = (hashlib.sha256(res.witness.to_text().encode()).hexdigest()
+              if res.witness is not None else None)
+    assert (res.outcome, res.nodes, res.min_final_perimeter, res.min_burnt,
+            digest) == expected
+
+
+_HALF = 5  # window half-width for the bitboard property tests
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    topo=st.sampled_from(list(Topology)),
+    burnt=st.sets(st.tuples(st.integers(-_HALF + 1, _HALF - 1),
+                            st.integers(-_HALF + 1, _HALF - 1)), max_size=25),
+    protected=st.sets(st.tuples(st.integers(-_HALF, _HALF),
+                                st.integers(-_HALF, _HALF)), max_size=25),
+)
+def test_bitboard_spread_matches_engine_kernel(topo, burnt, protected):
+    # Burning cells keep off the window's edge, so no neighbor is clipped.
+    protected -= burnt
+    win = search._Window(_HALF, topo)
+    mask = win.endangered(win.encode(burnt), win.encode(protected))
+    assert set(win.points(win.bits(mask))) == endangered_near(
+        burnt, burnt, protected, topo)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    burnt=st.sets(st.tuples(st.integers(-_HALF, _HALF), st.integers(-_HALF, _HALF)),
+                  max_size=20),
+    protected=st.sets(st.tuples(st.integers(-_HALF, _HALF), st.integers(-_HALF, _HALF)),
+                      max_size=20),
+)
+def test_canonical_key_is_symmetry_invariant(burnt, protected):
+    win = search._Window(_HALF, Topology.CARTESIAN)
+    b, p = win.encode(burnt), win.encode(protected - burnt)
+    key = win.canonical(b, p)
+    for i in range(8):
+        assert win.canonical(win.transform(b, i), win.transform(p, i)) == key
+
+
+def test_transposition_saturation_is_reported(monkeypatch):
+    full = exhaustive_search(cfg_cart(periodic([2, 1]), 4, candidate_distance=1))
+    assert full.note is None
+    monkeypatch.setattr(search, "_TT_CAP", 5)
+    res = exhaustive_search(cfg_cart(periodic([2, 1]), 4, candidate_distance=1))
+    assert (res.outcome, res.min_final_perimeter) == (full.outcome,
+                                                      full.min_final_perimeter)
+    assert res.nodes > full.nodes
+    assert "transposition table full (5 positions) at depth 1, 2" in res.note
+    capped = min_burnt_search(cfg_cart(periodic([2, 2, 2, 3]), 8))
+    assert capped.min_burnt == 12
+    assert "transposition table full" in capped.note
