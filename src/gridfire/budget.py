@@ -77,7 +77,11 @@ def containment_budget(m: int) -> Budget:
 
 
 def parse_budget(spec: str) -> Budget:
-    """Parse "const:c", "periodic:a,b,...", "prefix:a,b|c,d", or "table:file"."""
+    """Parse "const:c", "periodic:a,b,...", "prefix:a,b|c,d", or "table:file".
+
+    Any spec that does not parse, or a table file that cannot be read, raises
+    ValueError.
+    """
     kind, _, rest = spec.partition(":")
     if kind == "const" and rest:
         return constant(int(rest))
@@ -90,8 +94,14 @@ def parse_budget(spec: str) -> Budget:
             cycle=tuple(int(v) for v in tail.split(",")),
         )
     if kind == "table" and rest:
-        values = json.loads(Path(rest).read_text())
-        if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+        try:
+            values = json.loads(Path(rest).read_text())
+        except OSError as exc:
+            raise ValueError(f"cannot read budget table: {exc}") from exc
+        except RecursionError as exc:
+            raise ValueError(f"budget table {rest!r} is nested too deeply") from exc
+        # Exact types: JSON true/false load as bools, which Python treats as 1 and 0.
+        if type(values) is not list or not all(type(v) is int for v in values):
             raise ValueError("budget table file must hold a JSON list of integers")
         # Beyond the table the supply is exhausted.
         return Budget(prefix=tuple(values), cycle=(0,), label=spec)

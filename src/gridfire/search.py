@@ -15,11 +15,15 @@ entire exposure covered. The rare third form is enumerated explicitly.
 Both drivers run on one core, ``_Search``: the window and the supply, the node
 count, the child expansion, the seal test and a transposition table, one
 bucket per depth. Each driver keeps only its own walk. Squads travel as tuples
-of bit indices and are decoded to points only for the witness. A bucket holds
-at most ``_TT_CAP`` positions; once one is full, later duplicates at that depth
-are searched again. That costs nodes, so the node cap may come sooner, but it
-finds nothing different; the result's ``note`` names the depths where it
-happened.
+of single-bit masks and are decoded to points only for the witness. A bucket
+holds at most ``_TT_CAP`` positions; once one is full, later duplicates at that
+depth are searched again. That costs nodes, so the node cap may come sooner,
+but it finds nothing different; the result's ``note`` names the depths where
+it happened.
+
+The window is sized so that neither the fire nor the candidate cells reach its
+outer ring; if either ever does, the search raises RuntimeError rather than
+let the bitboard shifts clip the fire.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from typing import Iterable, Iterator
 from .budget import Budget
 from .engine import FireState, run
 from .grid import Point, Topology
-from .monitor import front_offsets
 from .strategies import ScriptedStrategy
 from .trace import RunTrace
 
@@ -63,26 +66,33 @@ class _Window:
             right |= 1 << (row * self.side + self.side - 1)
         self.not_left = self.full ^ left
         self.not_right = self.full ^ right
+        bottom = (1 << self.side) - 1
+        self.ring = left | right | bottom | (bottom << (self.nbits - self.side))
         self.topology = topology
-        self.sym_tables = self._build_sym_tables()
+        cells = self.points(range(self.nbits))
+        # sym_bits[i][b] is the single-bit mask of cell b under symmetry i.
+        self.sym_bits = [
+            [1 << self.bit(*sym(x, y)) for x, y in cells] for sym in _SYMS
+        ]
+        # lines[d][c]: the cells on front line c of direction d, that is
+        # x + y = c, x + y = -c, x - y = c and x - y = -c for c = 0, 1, ...;
+        # each list ends in an empty line, so every scan stops.
+        self.lines = [[0] * (self.side + 1) for _ in range(4)]
+        for b, (x, y) in enumerate(cells):
+            for lines, value in zip(self.lines, (x + y, -x - y, x - y, y - x)):
+                if value >= 0:
+                    lines[value] |= 1 << b
         self.cell_nbrs = [self.neighbors_mask(1 << i) for i in range(self.nbits)]
 
-    def _build_sym_tables(self) -> list[list[int]]:
-        tables = []
-        for sym in _SYMS:
-            table = [0] * self.nbits
-            for i, (x, y) in enumerate(self.points(range(self.nbits))):
-                tx, ty = sym(x, y)
-                table[i] = (ty + self.half) * self.side + (tx + self.half)
-            tables.append(table)
-        return tables
+    def bit(self, x: int, y: int) -> int:
+        return (y + self.half) * self.side + (x + self.half)
 
     def encode(self, pts) -> int:
         m = 0
         for x, y in pts:
             if abs(x) > self.half or abs(y) > self.half:
                 raise ValueError(f"point {x, y} outside the search window")
-            m |= 1 << ((y + self.half) * self.side + (x + self.half))
+            m |= 1 << self.bit(x, y)
         return m
 
     def bits(self, mask: int) -> list[int]:
@@ -91,6 +101,15 @@ class _Window:
         while mask:
             low = mask & -mask
             out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+
+    def singles(self, mask: int) -> list[int]:
+        """``mask`` split into single-bit masks, lowest first."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low)
             mask ^= low
         return out
 
@@ -129,22 +148,33 @@ class _Window:
         return b
 
     def transform(self, mask: int, sym_index: int) -> int:
-        table = self.sym_tables[sym_index]
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << table[low.bit_length() - 1]
-            mask ^= low
-        return out
+        # Distinct single bits, so their sum is their union.
+        return sum(map(self.sym_bits[sym_index].__getitem__, self.bits(mask)))
 
     def canonical(self, burnt: int, prot: int) -> int:
+        """The least (burnt, protected) key over the eight symmetries."""
+        nbits = self.nbits
+        burnt_bits = self.bits(burnt)
+        prot_bits = self.bits(prot)
         return min(
-            (self.transform(burnt, i) << self.nbits) | self.transform(prot, i)
-            for i in range(8)
+            (sum(map(table.__getitem__, burnt_bits)) << nbits)
+            | sum(map(table.__getitem__, prot_bits))
+            for table in self.sym_bits
         )
 
-    def perimeter(self, burnt_mask: int) -> int:
-        return sum(front_offsets(self.points(self.bits(burnt_mask))).values())
+    def perimeter(self, burnt: int) -> int:
+        """Sum over the four directions of the first front line ``burnt`` misses.
+
+        This is the search's perimeter; ``monitor.front_offsets`` states the
+        same definition on points.
+        """
+        total = 0
+        for lines in self.lines:
+            c = 0
+            while burnt & lines[c]:
+                c += 1
+            total += c
+        return total
 
 
 @dataclass
@@ -175,7 +205,7 @@ class _CapHit(Exception):
     pass
 
 
-Squad = tuple[int, ...]  # bit indices on the search window
+Squad = tuple[int, ...]  # single-bit masks on the search window
 
 
 class _Found(Exception):
@@ -205,26 +235,68 @@ class _Search:
         if self.nodes > self.cfg.node_cap:
             raise _CapHit
 
-    def candidates(self, burnt: int, prot: int) -> int:
+    def endangered(self, depth: int, burnt: int, prot: int) -> int:
+        """The endangered cells; the fire must stay clear of the window's edge,
+        where ``neighbors_mask`` would clip it."""
+        e_mask = self.win.endangered(burnt, prot)
+        if (burnt | e_mask) & self.win.ring:
+            raise RuntimeError(
+                f"search window too small: the fire reaches its edge at depth {depth}")
+        return e_mask
+
+    def candidates(self, depth: int, burnt: int, prot: int) -> int:
         d = self.cfg.candidate_distance
-        # Cells farther than the horizon's reach can never interact with the
-        # fire in time, so the window edge is a safe stand-in for "anywhere".
-        area = self.win.full if d is None else self.win.dilate_linf(burnt | prot, d)
+        if d is None:
+            # Cells farther than the horizon's reach can never interact with
+            # the fire in time, so the window edge is a safe stand-in for
+            # "anywhere".
+            return self.win.full & ~burnt & ~prot
+        area = self.win.dilate_linf(burnt | prot, d)
+        if area & self.win.ring:
+            raise RuntimeError(
+                f"search window too small: candidates reach its edge at depth {depth}")
         return area & ~burnt & ~prot
+
+    def squads(self, cells: int, k: int) -> Iterator[Squad]:
+        """Every squad of min(k, |cells|) cells, in lexicographic order."""
+        pool = self.win.singles(cells)
+        return itertools.combinations(pool, min(k, len(pool)))
 
     def children(
         self, burnt: int, prot: int, e_mask: int, cells: int, k: int
     ) -> Iterator[tuple[Squad, int, int]]:
-        """(squad, burnt', protected') for each squad of min(k, |cells|) cells.
-
-        Squads come in lexicographic order of their ascending bit indices.
-        """
-        pool = self.win.bits(cells)
-        for squad in itertools.combinations(pool, min(k, len(pool))):
-            s_mask = 0
-            for b in squad:
-                s_mask |= 1 << b
+        """(squad, burnt', protected') for each of ``squads(cells, k)``."""
+        for squad in self.squads(cells, k):
+            s_mask = sum(squad)  # distinct single bits: the sum is the union
             yield squad, burnt | (e_mask & ~s_mask), prot | s_mask
+
+    def ranked_children(
+        self, depth: int, burnt: int, prot: int, e_mask: int
+    ) -> list[tuple[int, Squad]]:
+        """Every child as (bound, squad), sorted: the minimum-burnt walk's order.
+
+        The bound is the child's one-step burnt lower bound: its burnt cells
+        plus whatever it leaves endangered beyond the next round's supply.
+        A child's burnt set burnt | (E - S) depends only on S & E, so the
+        cells exposed around each distinct burnt set are found once; a squad
+        then only removes its own cells from them.
+        """
+        f_after = self.f[depth + 1] if depth + 1 < len(self.f) else 0
+        endangered = self.win.endangered
+        exposure: dict[int, tuple[int, int]] = {}  # S & E -> (|burnt'|, base)
+        ranked = []
+        for squad in self.squads(self.candidates(depth, burnt, prot), self.f[depth]):
+            s_mask = sum(squad)
+            hit = s_mask & e_mask
+            group = exposure.get(hit)
+            if group is None:
+                burnt2 = burnt | (e_mask ^ hit)
+                group = exposure[hit] = (burnt2.bit_count(), endangered(burnt2, prot))
+            n_burnt2, base = group
+            over = (base & ~s_mask).bit_count() - f_after
+            ranked.append((n_burnt2 + max(0, over), squad))
+        ranked.sort()  # squads are distinct, so this is (bound, squad) order
+        return ranked
 
     def fresh(self, depth: int, burnt: int, prot: int) -> bool:
         """False when an equivalent position was already entered at ``depth``."""
@@ -243,9 +315,10 @@ class _Search:
         return True
 
     def seal(
-        self, burnt: int, prot: int, e_mask: int, f_next: int
+        self, depth: int, burnt: int, prot: int, e_mask: int
     ) -> tuple[Squad, int] | None:
-        """A legal squad after which nothing is endangered, or None.
+        """A legal squad of round ``depth + 1`` after which nothing is
+        endangered, or None.
 
         Returns (squad, cells that still burn); among seals it minimizes the
         number of cells left to burn.
@@ -254,46 +327,35 @@ class _Search:
             return (), 0
         win = self.win
         cell_nbrs = win.cell_nbrs
+        f_next = self.f[depth]
         # A pocket's ignition exposes nothing new; burning pockets is free.
+        # Neighborhoods are symmetric, so the nonpockets are the endangered
+        # cells next to an exposed one.
         exposed = win.full & ~burnt & ~prot & ~e_mask
-        # Cheap refutation first: a seal needs few endangered cells, or few
-        # whose ignition would expose anything. Exotic seals protect a cell's
-        # exposure instead of the cell itself; each protected cell can absorb
-        # at most itself plus its neighbors' worth of exposed cells, so beyond
-        # 9 per firefighter nothing can work.
-        if e_mask.bit_count() > f_next:
-            n_np = 0
-            m = e_mask
-            while m:
-                low = m & -m
-                if cell_nbrs[low.bit_length() - 1] & exposed:
-                    n_np += 1
-                    if n_np > 9 * f_next:
-                        return None
-                m ^= low
-        cand = self.candidates(burnt, prot)
-        e_bits = win.bits(e_mask)
+        nonpocket = e_mask & win.neighbors_mask(exposed)
+        # Cheap refutation first: a seal needs few nonpockets. Exotic seals
+        # protect a cell's exposure instead of the cell itself; each protected
+        # cell can absorb at most itself plus its neighbors' worth of exposed
+        # cells, so beyond 9 per firefighter nothing can work.
+        if nonpocket.bit_count() > 9 * f_next:
+            return None
+        cand = self.candidates(depth, burnt, prot)
+        n_e = e_mask.bit_count()
+        nonpockets = win.bits(nonpocket)
         coverable = not (e_mask & ~cand)
-        if coverable and len(e_bits) <= f_next:
-            return tuple(e_bits), 0
-        nonpockets = [b for b in e_bits if cell_nbrs[b] & exposed]
+        if coverable and n_e <= f_next:
+            return tuple(win.singles(e_mask)), 0
         if coverable and len(nonpockets) <= f_next:
-            squad = nonpockets
-            for b in e_bits:
-                if len(squad) >= f_next:
-                    break
-                if cell_nbrs[b] & exposed == 0:
-                    squad.append(b)
-            return tuple(squad), len(e_bits) - len(squad)
+            pockets = win.singles(e_mask ^ nonpocket)
+            squad = win.singles(nonpocket) + pockets[: f_next - len(nonpockets)]
+            return tuple(squad), n_e - len(squad)
         # Every non-protected nonpocket needs its whole exposure inside the squad.
         coverable_np = [
             b for b in nonpockets if (cell_nbrs[b] & exposed).bit_count() <= f_next
         ]
         if len(nonpockets) - len(coverable_np) > f_next:
             return None
-        pool = 0
-        for b in nonpockets:
-            pool |= 1 << b
+        pool = nonpocket
         for b in coverable_np:
             pool |= cell_nbrs[b] & exposed
         best: tuple[Squad, int] | None = None
@@ -308,7 +370,10 @@ class _Search:
     def witness(self, squads: list[Squad]) -> RunTrace:
         cfg = self.cfg
         initial = FireState(frozenset(cfg.source), frozenset(), 0, cfg.topology)
-        script = {t: self.win.points(s) for t, s in enumerate(squads, start=1)}
+        script = {
+            t: self.win.points(m.bit_length() - 1 for m in s)
+            for t, s in enumerate(squads, start=1)
+        }
         strategy = ScriptedStrategy("search-witness", script)
         return run(initial, cfg.budget, strategy, max(len(squads), 1))
 
@@ -334,9 +399,8 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
     def visit(burnt: int, prot: int, depth: int, squads: list[Squad]) -> None:
         nonlocal min_perim
         core.enter()
-        e_mask = win.endangered(burnt, prot)
-        f_next = f[depth]
-        seal = core.seal(burnt, prot, e_mask, f_next)
+        e_mask = core.endangered(depth, burnt, prot)
+        seal = core.seal(depth, burnt, prot, e_mask)
         if seal is not None:
             raise _Found(squads + [seal[0]])
         if depth == last_depth:
@@ -345,8 +409,8 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
                 min_perim = perim
             return
         dedupe = depth + 1 < last_depth
-        cand = core.candidates(burnt, prot)
-        for squad, burnt2, prot2 in core.children(burnt, prot, e_mask, cand, f_next):
+        cand = core.candidates(depth, burnt, prot)
+        for squad, burnt2, prot2 in core.children(burnt, prot, e_mask, cand, f[depth]):
             if dedupe and not core.fresh(depth + 1, burnt2, prot2):
                 continue
             visit(burnt2, prot2, depth + 1, squads + [squad])
@@ -371,7 +435,6 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
 def min_burnt_search(cfg: SearchConfig) -> SearchResult:
     """Branch-and-bound for a containment witness with the fewest burnt cells."""
     core = _Search(cfg)
-    win = core.win
     f = core.f
     best_burnt: int | None = cfg.initial_bound
     best_squads: list[Squad] | None = None
@@ -382,10 +445,10 @@ def min_burnt_search(cfg: SearchConfig) -> SearchResult:
         n_burnt = burnt.bit_count()
         if best_burnt is not None and n_burnt >= best_burnt:
             return
-        e_mask = win.endangered(burnt, prot)
+        e_mask = core.endangered(depth, burnt, prot)
         n_e = e_mask.bit_count()
         if depth < cfg.horizon:
-            seal = core.seal(burnt, prot, e_mask, f[depth])
+            seal = core.seal(depth, burnt, prot, e_mask)
             if seal is not None:
                 total = n_burnt + seal[1]
                 if best_burnt is None or total < best_burnt:
@@ -400,19 +463,14 @@ def min_burnt_search(cfg: SearchConfig) -> SearchResult:
         floor = n_burnt + max(0, n_e - f[depth])
         if best_burnt is not None and floor >= best_burnt:
             return
-        f_after = f[depth + 1] if depth + 1 < len(f) else 0
-        # Most promising squads first (smallest one-step burnt lower bound),
-        # so incumbents arrive early and the bound prune bites.
-        children = []
-        cand = core.candidates(burnt, prot)
-        for squad, burnt2, prot2 in core.children(burnt, prot, e_mask, cand, f[depth]):
-            e2 = win.endangered(burnt2, prot2)
-            bound2 = burnt2.bit_count() + max(0, e2.bit_count() - f_after)
-            children.append((bound2, squad, burnt2, prot2))
-        children.sort(key=lambda c: (c[0], c[1]))
-        for bound2, squad, burnt2, prot2 in children:
+        # Most promising squads first, so incumbents arrive early and the
+        # bound prune bites.
+        for bound2, squad in core.ranked_children(depth, burnt, prot, e_mask):
             if best_burnt is not None and bound2 >= best_burnt:
                 break
+            s_mask = sum(squad)
+            burnt2 = burnt | (e_mask & ~s_mask)
+            prot2 = prot | s_mask
             if core.fresh(depth + 1, burnt2, prot2):
                 visit(burnt2, prot2, depth + 1, squads + [squad])
 

@@ -7,7 +7,7 @@ from typing import Mapping, Protocol, Sequence
 
 from .engine import SimView
 from .grid import Point
-from .trace import RunTrace
+from .trace import MalformedTraceError, RunTrace
 
 
 class Strategy(Protocol):
@@ -94,38 +94,52 @@ class ReplayStrategy(ScriptedStrategy):
 
 
 def parse_strategy(spec: str):
-    """Build a strategy from a CLI identifier like "contain:m=2,r=1" or "random:seed=7"."""
+    """Build a strategy from a CLI identifier like "contain:m=2,r=1" or "random:seed=7".
+
+    Any spec that does not parse, or a replay file that cannot be loaded,
+    raises ValueError.
+    """
     from .wallplan import ContainmentStrategy, wall_plan  # local: avoids cycle
 
-    kind, _, rest = spec.partition(":")
-    if kind == "null":
-        return NullStrategy()
-    if kind == "greedy":
-        return GreedyNearest()
+    kind, sep, rest = spec.partition(":")
+    if kind in ("null", "greedy"):
+        if sep:
+            raise ValueError(f"strategy {kind!r} takes no parameters: {spec!r}")
+        return NullStrategy() if kind == "null" else GreedyNearest()
     if kind == "random":
-        params = _parse_params(rest)
+        params = _parse_params(kind, rest, ("seed",))
         if "seed" not in params:
             raise ValueError("random strategy requires an explicit seed (random:seed=N)")
         return RandomStrategy(int(params["seed"]))
     if kind == "contain":
-        params = _parse_params(rest)
+        params = _parse_params(kind, rest, ("m", "r"))
         m = int(params.get("m", 1))
         r = int(params.get("r", 1))
         return ContainmentStrategy(wall_plan(m, r))
     if kind == "replay":
-        params = _parse_params(rest)
+        params = _parse_params(kind, rest, ("file",))
         if "file" not in params:
             raise ValueError("replay strategy requires a file (replay:file=PATH)")
-        return ReplayStrategy(RunTrace.load(params["file"]))
+        try:
+            return ReplayStrategy(RunTrace.load(params["file"]))
+        except OSError as exc:
+            raise ValueError(f"cannot read replay trace: {exc}") from exc
+        except MalformedTraceError as exc:
+            raise ValueError(f"malformed replay trace: {exc}") from exc
     raise ValueError(f"unknown strategy spec: {spec!r}")
 
 
-def _parse_params(rest: str) -> dict[str, str]:
+def _parse_params(kind: str, rest: str, names: tuple[str, ...]) -> dict[str, str]:
     params: dict[str, str] = {}
     if rest:
         for item in rest.split(","):
             key, _, value = item.partition("=")
+            key = key.strip()
             if not value:
                 raise ValueError(f"malformed strategy parameter: {item!r}")
-            params[key.strip()] = value.strip()
+            if key not in names:
+                raise ValueError(f"unknown {kind} strategy parameter: {key!r}")
+            if key in params:
+                raise ValueError(f"{kind} strategy parameter {key!r} given twice")
+            params[key] = value.strip()
     return params

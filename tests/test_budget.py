@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gridfire.budget import (
     Budget,
@@ -85,3 +85,34 @@ def test_bad_specs_rejected():
         Budget(cycle=())
     with pytest.raises(ValueError):
         Budget(cycle=(-1,))
+
+
+@pytest.mark.parametrize("content", ["[1, true]", "[false]", "{}", "[1.5]", "[" * 100000])
+def test_bad_table_files_rejected(tmp_path, content):
+    path = tmp_path / "budget.json"
+    path.write_text(content)
+    with pytest.raises(ValueError):
+        parse_budget(f"table:{path}")
+
+
+def test_unreadable_table_is_a_value_error(tmp_path):
+    for target in (tmp_path / "absent.json", tmp_path):
+        with pytest.raises(ValueError, match="cannot read budget table"):
+            parse_budget(f"table:{target}")
+
+
+_BUDGET_TEXT = st.one_of(
+    st.text(),
+    st.builds(lambda kind, rest: f"{kind}:{rest}",
+              st.sampled_from(["const", "periodic", "prefix", "table", "nope", ""]),
+              st.text(alphabet="0123456789-,| _x.", max_size=12)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_BUDGET_TEXT)
+def test_parse_budget_raises_only_value_error(spec):
+    try:
+        parse_budget(spec)
+    except ValueError:
+        pass

@@ -5,13 +5,13 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridfire import search
 from gridfire.budget import constant, periodic
 from gridfire.engine import endangered_near, replay_validate
 from gridfire.grid import Topology
-from gridfire.monitor import check_invariants
+from gridfire.monitor import check_invariants, front_offsets
 from gridfire.search import SearchConfig, exhaustive_search, min_burnt_search
 
 
@@ -230,3 +230,84 @@ def test_transposition_saturation_is_reported(monkeypatch):
     capped = min_burnt_search(cfg_cart(periodic([2, 2, 2, 3]), 8))
     assert capped.min_burnt == 12
     assert "transposition table full" in capped.note
+
+
+@st.composite
+def _window_points(draw):
+    half = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    coord = st.integers(-half, half)
+    return half, draw(st.sets(st.tuples(coord, coord), max_size=4 * half * half))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_window_points())
+@example(case=(3, set()))
+@example(case=(2, {(x, y) for x in range(-2, 3) for y in range(-2, 3)}))
+@example(case=(3, {(x, y) for x in range(-3, 4) for y in range(-3, 4)
+                   if 3 in (abs(x), abs(y))}))
+@example(case=(5, {(0, 0), (1, 0), (3, 0), (-5, 5), (5, -5)}))
+def test_bitboard_perimeter_matches_front_offsets(case):
+    # Random sets have holes, and they reach the window's edge.
+    half, points = case
+    win = search._Window(half, Topology.CARTESIAN)
+    assert win.perimeter(win.encode(points)) == sum(front_offsets(points).values())
+
+
+def _naive_ranking(core, depth, burnt, prot, e_mask):
+    """Every child's own endangered set, ranked by (bound, squad)."""
+    f_after = core.f[depth + 1] if depth + 1 < len(core.f) else 0
+    ranked = []
+    cand = core.candidates(depth, burnt, prot)
+    for squad, burnt2, prot2 in core.children(burnt, prot, e_mask, cand, core.f[depth]):
+        e2 = core.win.endangered(burnt2, prot2)
+        ranked.append((burnt2.bit_count() + max(0, e2.bit_count() - f_after), squad))
+    # Children come in squad order, so a stable sort on the bound alone
+    # gives (bound, squad) order.
+    ranked.sort(key=lambda child: child[0])
+    return ranked
+
+
+_INNER = 3  # cells the scoring test draws from; the window half is 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    topo=st.sampled_from(list(Topology)),
+    supply=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    depth=st.integers(0, 2),
+    burnt=st.sets(st.tuples(st.integers(-_INNER, _INNER), st.integers(-_INNER, _INNER)),
+                  min_size=1, max_size=12),
+    protected=st.sets(st.tuples(st.integers(-_INNER, _INNER),
+                                st.integers(-_INNER, _INNER)), max_size=8),
+)
+def test_grouped_child_scoring_matches_per_child_scoring(topo, supply, depth, burnt,
+                                                         protected):
+    core = search._Search(SearchConfig(
+        topology=topo, source=frozenset({(0, 0)}), budget=periodic(supply),
+        horizon=3, candidate_distance=1))
+    assert core.win.half == _INNER + 2  # candidates of inner cells stay off the edge
+    b, p = core.win.encode(burnt), core.win.encode(protected - burnt)
+    e_mask = core.win.endangered(b, p)
+    assert core.ranked_children(depth, b, p, e_mask) == _naive_ranking(
+        core, depth, b, p, e_mask)
+
+
+def _shrunk_window(monkeypatch, by):
+    real = search._Window
+    monkeypatch.setattr(search, "_Window", lambda half, topo: real(half - by, topo))
+
+
+def test_fire_at_the_window_edge_is_an_error(monkeypatch):
+    # Unrestricted candidates skip their own check; the fire's check remains.
+    _shrunk_window(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match="the fire reaches its edge at depth 1"):
+        exhaustive_search(cfg_cart(periodic([2, 1]), 3, candidate_distance=None))
+    with pytest.raises(RuntimeError, match="the fire reaches its edge at depth 1"):
+        min_burnt_search(cfg_cart(periodic([2, 1]), 3, candidate_distance=None))
+
+
+def test_candidates_at_the_window_edge_are_an_error(monkeypatch):
+    _shrunk_window(monkeypatch, 5)
+    for driver in (exhaustive_search, min_burnt_search):
+        with pytest.raises(RuntimeError, match="candidates reach its edge at depth 1"):
+            driver(cfg_cart(periodic([2, 1]), 3, candidate_distance=2))

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridfire.budget import constant, periodic
 from gridfire.engine import FireState, SimView, endangered, run
@@ -14,6 +17,7 @@ from gridfire.strategies import (
     ReplayStrategy,
     parse_strategy,
 )
+from gridfire import wallplan
 from gridfire.wallplan import ContainmentStrategy
 
 from conftest import single_source
@@ -102,3 +106,52 @@ def test_parse_replay_round_trips(tmp_path, origin_cartesian):
     strat = parse_strategy(f"replay:file={path}")
     replayed = run(origin_cartesian, constant(1), strat, 8)
     assert replayed.rounds == trace.rounds
+
+
+@pytest.mark.parametrize("spec", [
+    "null:", "null:anything", "greedy:x", "contain:m=1,m=2", "contain:m=2,q=1",
+    "random:seed=1,seed=2", "random:seed=1,extra=2", "replay:file=a,file=b",
+])
+def test_parse_strategy_rejects_ignored_parameters(spec):
+    with pytest.raises(ValueError):
+        parse_strategy(spec)
+
+
+def test_unloadable_replay_is_a_value_error(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not a trace\n")
+    for target, message in ((tmp_path / "absent.jsonl", "cannot read replay trace"),
+                            (tmp_path, "cannot read replay trace"),
+                            (bad, "malformed replay trace")):
+        with pytest.raises(ValueError, match=message):
+            parse_strategy(f"replay:file={target}")
+
+
+_PARAM = st.builds(lambda key, eq, value: key + eq + value,
+                   st.sampled_from(["m", "r", "seed", "file", "x", "", " m"]),
+                   st.sampled_from(["=", ""]),
+                   st.text(alphabet="0123456789- _x", max_size=4))
+_STRATEGY_TEXT = st.one_of(
+    st.text(),
+    st.builds(lambda kind, sep, params: kind + sep + ",".join(params),
+              st.sampled_from(["null", "greedy", "random", "contain", "replay", "x", ""]),
+              st.sampled_from([":", ""]),
+              st.lists(_PARAM, max_size=3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_STRATEGY_TEXT)
+def test_parse_strategy_raises_only_value_error(spec):
+    real = wallplan.wall_plan
+
+    def small_plan(m, r):
+        # A plan grows as r*m^2; build a small one for whatever positive
+        # sizes the text asks for.
+        return real(m if m < 1 else min(m, 2), r if r < 1 else min(r, 2))
+
+    with mock.patch.object(wallplan, "wall_plan", small_plan):
+        try:
+            parse_strategy(spec)
+        except ValueError:
+            pass
