@@ -236,13 +236,17 @@ class _Search:
             raise _CapHit
 
     def endangered(self, depth: int, burnt: int, prot: int) -> int:
-        """The endangered cells; the fire must stay clear of the window's edge,
-        where ``neighbors_mask`` would clip it."""
+        """The endangered cells, checked clear of the window's edge."""
         e_mask = self.win.endangered(burnt, prot)
-        if (burnt | e_mask) & self.win.ring:
+        self.check_edge(depth, burnt | e_mask)
+        return e_mask
+
+    def check_edge(self, depth: int, fire: int) -> None:
+        """The fire (burnt and endangered cells) must stay clear of the
+        window's edge, where ``neighbors_mask`` would clip it."""
+        if fire & self.win.ring:
             raise RuntimeError(
                 f"search window too small: the fire reaches its edge at depth {depth}")
-        return e_mask
 
     def candidates(self, depth: int, burnt: int, prot: int) -> int:
         d = self.cfg.candidate_distance
@@ -271,30 +275,44 @@ class _Search:
             yield squad, burnt | (e_mask & ~s_mask), prot | s_mask
 
     def ranked_children(
-        self, depth: int, burnt: int, prot: int, e_mask: int
+        self, depth: int, burnt: int, prot: int, e_mask: int, cutoff: int | None
     ) -> list[tuple[int, Squad]]:
-        """Every child as (bound, squad), sorted: the minimum-burnt walk's order.
+        """Every child whose bound is below ``cutoff`` as (bound, squad),
+        sorted: the minimum-burnt walk's order. A ``cutoff`` of None keeps
+        every child.
 
         The bound is the child's one-step burnt lower bound: its burnt cells
         plus whatever it leaves endangered beyond the next round's supply.
         A child's burnt set burnt | (E - S) depends only on S & E, so the
-        cells exposed around each distinct burnt set are found once; a squad
-        then only removes its own cells from them.
+        squads are enumerated group by group: the endangered cells they
+        protect, then the rest. Each group's burnt set and the cells exposed
+        around it are found once, and a squad then only removes its own cells
+        from them. A squad removes at most k cells, so a group whose burnt
+        set plus its exposure beyond k and the next supply reaches the
+        cutoff is skipped whole.
         """
         f_after = self.f[depth + 1] if depth + 1 < len(self.f) else 0
+        cand = self.candidates(depth, burnt, prot)
+        hot = self.win.singles(cand & e_mask)
+        cold = self.win.singles(cand & ~e_mask)
+        k = min(self.f[depth], len(hot) + len(cold))
         endangered = self.win.endangered
-        exposure: dict[int, tuple[int, int]] = {}  # S & E -> (|burnt'|, base)
         ranked = []
-        for squad in self.squads(self.candidates(depth, burnt, prot), self.f[depth]):
-            s_mask = sum(squad)
-            hit = s_mask & e_mask
-            group = exposure.get(hit)
-            if group is None:
+        for h in range(max(0, k - len(cold)), min(k, len(hot)) + 1):
+            for hs in itertools.combinations(hot, h):
+                hit = sum(hs)
                 burnt2 = burnt | (e_mask ^ hit)
-                group = exposure[hit] = (burnt2.bit_count(), endangered(burnt2, prot))
-            n_burnt2, base = group
-            over = (base & ~s_mask).bit_count() - f_after
-            ranked.append((n_burnt2 + max(0, over), squad))
+                n_burnt2 = burnt2.bit_count()
+                base = endangered(burnt2, prot)
+                if (cutoff is not None
+                        and n_burnt2 + max(0, base.bit_count() - k - f_after) >= cutoff):
+                    continue
+                for cs in itertools.combinations(cold, k - h):
+                    over = (base & ~(hit + sum(cs))).bit_count() - f_after
+                    bound = n_burnt2 + max(0, over)
+                    if cutoff is None or bound < cutoff:
+                        # hs and cs ascend, so this is the combinations tuple.
+                        ranked.append((bound, tuple(sorted(hs + cs))))
         ranked.sort()  # squads are distinct, so this is (bound, squad) order
         return ranked
 
@@ -397,26 +415,57 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
     min_perim: int | None = None
 
     def visit(burnt: int, prot: int, depth: int, squads: list[Squad]) -> None:
-        nonlocal min_perim
+        """An interior node, above ``last_depth``."""
         core.enter()
         e_mask = core.endangered(depth, burnt, prot)
         seal = core.seal(depth, burnt, prot, e_mask)
         if seal is not None:
             raise _Found(squads + [seal[0]])
-        if depth == last_depth:
-            perim = win.perimeter(burnt)
+        cand = core.candidates(depth, burnt, prot)
+        if depth + 1 == last_depth:
+            leaves(depth + 1, burnt, prot, e_mask, core.squads(cand, f[depth]), squads)
+            return
+        for squad, burnt2, prot2 in core.children(burnt, prot, e_mask, cand, f[depth]):
+            if core.fresh(depth + 1, burnt2, prot2):
+                visit(burnt2, prot2, depth + 1, squads + [squad])
+
+    def leaves(
+        depth: int, burnt: int, prot: int, e_mask: int, options: Iterable[Squad],
+        squads: list[Squad],
+    ) -> None:
+        """The leaves at ``depth`` that ``options`` make of the node (burnt,
+        prot) one level up, reached by ``squads``, in order.
+
+        A leaf's burnt set burnt | (E - S) depends only on S & E, so its
+        perimeter and the cells exposed around it are found once per distinct
+        S & E; the leaf's endangered set is those cells minus its squad.
+        """
+        nonlocal min_perim
+        groups: dict[int, tuple[int, int, int]] = {}  # S & E -> (burnt', perim, base)
+        for squad in options:
+            core.enter()
+            s_mask = sum(squad)
+            hit = s_mask & e_mask
+            group = groups.get(hit)
+            if group is None:
+                burnt2 = burnt | (e_mask ^ hit)
+                group = groups[hit] = (
+                    burnt2, win.perimeter(burnt2), win.endangered(burnt2, prot))
+            burnt2, perim, base = group
+            e2 = base & ~s_mask
+            core.check_edge(depth, burnt2 | e2)
+            seal = core.seal(depth, burnt2, prot | s_mask, e2)
+            if seal is not None:
+                # The root, a leaf when the horizon is 1, is reached by no squad.
+                raise _Found((squads + [squad] if depth else []) + [seal[0]])
             if min_perim is None or perim < min_perim:
                 min_perim = perim
-            return
-        dedupe = depth + 1 < last_depth
-        cand = core.candidates(depth, burnt, prot)
-        for squad, burnt2, prot2 in core.children(burnt, prot, e_mask, cand, f[depth]):
-            if dedupe and not core.fresh(depth + 1, burnt2, prot2):
-                continue
-            visit(burnt2, prot2, depth + 1, squads + [squad])
 
     try:
-        visit(core.burnt0, 0, 0, [])
+        if last_depth == 0:
+            leaves(0, core.burnt0, 0, 0, [()], [])
+        else:
+            visit(core.burnt0, 0, 0, [])
     except _CapHit:
         return core.result(
             "node-cap-hit", "inconclusive: node cap reached", min_final_perimeter=min_perim
@@ -465,7 +514,7 @@ def min_burnt_search(cfg: SearchConfig) -> SearchResult:
             return
         # Most promising squads first, so incumbents arrive early and the
         # bound prune bites.
-        for bound2, squad in core.ranked_children(depth, burnt, prot, e_mask):
+        for bound2, squad in core.ranked_children(depth, burnt, prot, e_mask, best_burnt):
             if best_burnt is not None and bound2 >= best_burnt:
                 break
             s_mask = sum(squad)

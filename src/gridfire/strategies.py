@@ -130,16 +130,22 @@ def parse_strategy(spec: str):
 
 
 def _parse_params(kind: str, rest: str, names: tuple[str, ...]) -> dict[str, str]:
+    """Parse "key=value,..."; a ``file`` value takes the rest of the spec,
+    commas included, because a path may contain them."""
     params: dict[str, str] = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            key = key.strip()
-            if not value:
-                raise ValueError(f"malformed strategy parameter: {item!r}")
-            if key not in names:
-                raise ValueError(f"unknown {kind} strategy parameter: {key!r}")
-            if key in params:
-                raise ValueError(f"{kind} strategy parameter {key!r} given twice")
-            params[key] = value.strip()
+    items = rest.split(",") if rest else []
+    while items:
+        item = items.pop(0)
+        key, _, value = item.partition("=")
+        key = key.strip()
+        if key == "file":
+            value = ",".join([value, *items])
+            items = []
+        if not value:
+            raise ValueError(f"malformed strategy parameter: {item!r}")
+        if key not in names:
+            raise ValueError(f"unknown {kind} strategy parameter: {key!r}")
+        if key in params:
+            raise ValueError(f"{kind} strategy parameter {key!r} given twice")
+        params[key] = value.strip()
     return params

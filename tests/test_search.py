@@ -279,17 +279,23 @@ _INNER = 3  # cells the scoring test draws from; the window half is 5
                   min_size=1, max_size=12),
     protected=st.sets(st.tuples(st.integers(-_INNER, _INNER),
                                 st.integers(-_INNER, _INNER)), max_size=8),
+    data=st.data(),
 )
 def test_grouped_child_scoring_matches_per_child_scoring(topo, supply, depth, burnt,
-                                                         protected):
+                                                         protected, data):
     core = search._Search(SearchConfig(
         topology=topo, source=frozenset({(0, 0)}), budget=periodic(supply),
         horizon=3, candidate_distance=1))
     assert core.win.half == _INNER + 2  # candidates of inner cells stay off the edge
     b, p = core.win.encode(burnt), core.win.encode(protected - burnt)
     e_mask = core.win.endangered(b, p)
-    assert core.ranked_children(depth, b, p, e_mask) == _naive_ranking(
-        core, depth, b, p, e_mask)
+    naive = _naive_ranking(core, depth, b, p, e_mask)
+    # Cutoffs at, just below and just above every bound, so that whole groups
+    # and single children fall on either side of it.
+    near = sorted({bound + step for bound, _ in naive for step in (-1, 0, 1)})
+    cutoff = data.draw(st.none() | st.sampled_from(near), label="cutoff")
+    assert core.ranked_children(depth, b, p, e_mask, cutoff) == [
+        child for child in naive if cutoff is None or child[0] < cutoff]
 
 
 def _shrunk_window(monkeypatch, by):
@@ -304,6 +310,16 @@ def test_fire_at_the_window_edge_is_an_error(monkeypatch):
         exhaustive_search(cfg_cart(periodic([2, 1]), 3, candidate_distance=None))
     with pytest.raises(RuntimeError, match="the fire reaches its edge at depth 1"):
         min_burnt_search(cfg_cart(periodic([2, 1]), 3, candidate_distance=None))
+
+
+def test_fire_at_the_window_edge_is_an_error_at_a_leaf(monkeypatch):
+    # The window's edge is two cells out: the fire first reaches it at depth
+    # 1, the leaf depth of horizon 2, and at the root when that is the leaf.
+    _shrunk_window(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="the fire reaches its edge at depth 1"):
+        exhaustive_search(cfg_cart(periodic([2, 1]), 2, candidate_distance=None))
+    with pytest.raises(RuntimeError, match="the fire reaches its edge at depth 0"):
+        exhaustive_search(cfg_cart(periodic([2, 1]), 1, candidate_distance=None))
 
 
 def test_candidates_at_the_window_edge_are_an_error(monkeypatch):

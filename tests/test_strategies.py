@@ -108,6 +108,17 @@ def test_parse_replay_round_trips(tmp_path, origin_cartesian):
     assert replayed.rounds == trace.rounds
 
 
+def test_replay_path_may_hold_commas(tmp_path, origin_cartesian):
+    trace = run(origin_cartesian, constant(1), GreedyNearest(), 8)
+    path = tmp_path / "runs,1" / "a,file=b.jsonl"
+    path.parent.mkdir()
+    path.write_text(trace.to_text())
+    strat = parse_strategy(f"replay:file={path}")
+    assert run(origin_cartesian, constant(1), strat, 8).rounds == trace.rounds
+    with pytest.raises(ValueError, match="unknown replay strategy parameter: 'x'"):
+        parse_strategy(f"replay:x=1,file={path}")
+
+
 @pytest.mark.parametrize("spec", [
     "null:", "null:anything", "greedy:x", "contain:m=1,m=2", "contain:m=2,q=1",
     "random:seed=1,seed=2", "random:seed=1,extra=2", "replay:file=a,file=b",
