@@ -78,6 +78,14 @@ def _parsed(parse, spec):
         raise _UsageError(exc) from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a usage error."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(exc) from exc
+
+
 def _ints(count: int | None = None, least: int | None = None):
     """An argparse type: ``count`` comma-separated integers (bare if 1), each >= ``least``."""
 
@@ -115,8 +123,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     strategy = _parsed(parse_strategy, cfg.strategy)
     trace = run(initial, budget, strategy, cfg.horizon, seed=cfg.seed)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fp:
-            trace.write(fp)
+        _write_text(cfg.out, trace.to_text())
     burnt, _ = trace.state_at(trace.final_round())
     bbox = bounding_box(burnt)
     if trace.status == "controlled":
@@ -133,7 +140,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_monitor(args: argparse.Namespace) -> int:
     report = _parsed(check_invariants, _parsed(RunTrace.load, args.trace))
     if args.json_out:
-        Path(args.json_out).write_text(json.dumps(report.to_json(), indent=2))
+        _write_text(args.json_out, json.dumps(report.to_json(), indent=2))
     print(report.to_table())
     return 0 if report.ok else 1
 
@@ -200,8 +207,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     }
     print(json.dumps(out))
     if res.witness and args.witness_out:
-        with open(args.witness_out, "w", encoding="utf-8") as fp:
-            res.witness.write(fp)
+        _write_text(args.witness_out, res.witness.to_text())
     return 0
 
 
@@ -254,7 +260,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{row['height']:5d}/{row['height_bound']:<5d}"
         )
     if args.json_out:
-        Path(args.json_out).write_text(json.dumps(rows, indent=2))
+        _write_text(args.json_out, json.dumps(rows, indent=2))
     return 0
 
 
@@ -263,7 +269,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     burnt, protected = _parsed(trace.state_at, args.round)
     window = tuple(args.window)
     if args.pgm:
-        Path(args.pgm).write_text(render_pgm(burnt, protected, window))
+        _write_text(args.pgm, render_pgm(burnt, protected, window))
     else:
         print(render_text(burnt, protected, window))
     return 0
@@ -317,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", type=_ints(1, 0), default=2)
     p.add_argument("--unrestricted", action="store_true")
     p.add_argument("--no-symmetry", action="store_true")
-    p.add_argument("--node-cap", type=int, default=100_000_000)
+    p.add_argument("--node-cap", type=_ints(1, 1), default=100_000_000)
     p.add_argument("--bound", type=int, default=None,
                    help="only look for containments burning fewer cells than this")
     p.add_argument("--objective", choices=["exhaust", "min-burnt"],

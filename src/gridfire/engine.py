@@ -9,10 +9,12 @@ free-burning fire from a single point occupies the metric ball of radius k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 from typing import AbstractSet, Iterable, Sequence
 
 from .budget import Budget, parse_budget
-from .grid import _OFFSETS, Point, Topology, check_range
+from .grid import _OFFSETS, Point, Topology, check_range, columns, row_major
 from .trace import MalformedTraceError, RoundRecord, RunTrace
 
 
@@ -61,14 +63,20 @@ def endangered_near(
     ignited = E - S and E' = endangered_near(ignited) on the updated sets, since
     every other neighbor of an older burnt point was in E. The fire is
     controlled exactly when E is empty.
+
+    The neighbors are built column-wise: each offset zips a shifted copy of
+    the x column with one of the y column, so no Python code runs per cell.
+    Only the neighbor set is walked when burnt and protected are removed, so
+    a round costs O(|cells|) however large the burnt set has grown.
     """
-    offsets = _OFFSETS[topology]
-    return frozenset({
-        q
-        for x, y in cells
-        for dx, dy in offsets
-        if (q := (x + dx, y + dy)) not in burnt and q not in protected
-    })
+    xs, ys = columns(cells)
+    shifted_x = {d: tuple(map(add, xs, repeat(d))) for d in (-1, 1)}
+    shifted_y = {d: tuple(map(add, ys, repeat(d))) for d in (-1, 1)}
+    shifted_x[0], shifted_y[0] = xs, ys
+    near: set[Point] = set()
+    for dx, dy in _OFFSETS[topology]:
+        near.update(zip(shifted_x[dx], shifted_y[dy]))
+    return frozenset((near - burnt) - protected)
 
 
 def endangered(state: FireState) -> frozenset[Point]:
@@ -137,6 +145,12 @@ class SimView:
         return self._endangered
 
 
+def _column_sums(points: Iterable[Point]) -> tuple[int, int]:
+    """(sum of x, sum of y) over ``points``; (0, 0) when there are none."""
+    xs, ys = columns(points)
+    return sum(xs), sum(ys)
+
+
 def run(
     initial: FireState,
     budget: Budget,
@@ -157,7 +171,7 @@ def run(
     topo = initial.topology
     trace = RunTrace(
         topology=topo,
-        initial=tuple(sorted(initial.burnt, key=lambda p: (p[1], p[0]))),
+        initial=tuple(sorted(initial.burnt, key=row_major)),
         budget_desc=budget.describe(),
         strategy_id=getattr(strategy, "identifier", "unknown"),
         seed=seed,
@@ -165,8 +179,7 @@ def run(
     burnt = set(initial.burnt)
     protected: set[Point] = set()
     danger = endangered_near(burnt, burnt, protected, topo)
-    sx = sum(p[0] for p in burnt)
-    sy = sum(p[1] for p in burnt)
+    sx, sy = _column_sums(burnt)
 
     reset = getattr(strategy, "reset", None)
     if reset is not None:
@@ -193,19 +206,14 @@ def run(
             trace.error = f"round {t}: {exc}"
             return trace
         protected.update(placements)
-        ignited = danger.difference(placements)
+        ignited = tuple(sorted(danger.difference(placements), key=row_major))
         burnt.update(ignited)
-        for x, y in ignited:
-            sx += x
-            sy += y
+        ix, iy = _column_sums(ignited)
+        sx += ix
+        sy += iy
         danger = endangered_near(ignited, burnt, protected, topo)
         trace.rounds.append(
-            RoundRecord(
-                t=t,
-                f=f_t,
-                placed=tuple(placements),
-                ignited=tuple(sorted(ignited, key=lambda p: (p[1], p[0]))),
-            )
+            RoundRecord(t=t, f=f_t, placed=tuple(placements), ignited=ignited)
         )
         if not danger:
             trace.status = "controlled"
@@ -254,8 +262,10 @@ def replay_validate(trace: RunTrace) -> None:
                 f"round {rec.t}: recorded ignitions do not match the spread rule",
                 line=line,
             )
-        burnt.update(ignited)
-        danger = endangered_near(ignited, burnt, protected, trace.topology)
+        # The record holds exactly the replay's ignitions now, and the kernel
+        # reads the record's tuple faster than the frozenset.
+        burnt.update(rec.ignited)
+        danger = endangered_near(rec.ignited, burnt, protected, trace.topology)
     final = trace.final_round()
     controlled = trace.status == "controlled"
     # A strategy may fail in reset, before round 1, on a fire with no front.

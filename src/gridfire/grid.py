@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable
 
 Point = tuple[int, int]
@@ -18,6 +19,9 @@ class Topology(Enum):
     TRIANGULAR = "triangular"  # 6-regular, between the other two
 
 
+# Sort key for row-major (y, x) order: how traces list their points.
+row_major = itemgetter(1, 0)
+
 # Offsets sorted row-major by (dy, dx) so neighbor iteration is deterministic.
 _OFFSETS: dict[Topology, tuple[Point, ...]] = {
     Topology.CARTESIAN: ((0, -1), (-1, 0), (1, 0), (0, 1)),
@@ -31,9 +35,24 @@ _OFFSETS: dict[Topology, tuple[Point, ...]] = {
     Topology.TRIANGULAR: ((-1, -1), (0, -1), (-1, 0), (1, 0), (0, 1), (1, 1)),
 }
 _OFFSETS = {
-    topo: tuple(sorted(offs, key=lambda d: (d[1], d[0])))
+    topo: tuple(sorted(offs, key=row_major))
     for topo, offs in _OFFSETS.items()
 }
+
+
+_X = itemgetter(0)
+_Y = itemgetter(1)
+
+
+def columns(points: Iterable[Point]) -> tuple[list[int], list[int]]:
+    """The x column and the y column of ``points``, in iteration order.
+
+    Built with C-level ``map``; ``zip(*points)`` would allocate an iterator
+    per point.
+    """
+    if not isinstance(points, (list, tuple)):
+        points = list(points)
+    return list(map(_X, points)), list(map(_Y, points))
 
 
 def check_range(points: Iterable[Point]) -> None:

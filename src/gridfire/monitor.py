@@ -40,10 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from operator import add, sub
+from typing import Iterable, Sequence
 
 from .engine import endangered_near, replay_validate
-from .grid import Point, Topology
+from .grid import Point, Topology, columns
 from .trace import MalformedTraceError, RunTrace
 
 Direction = tuple[int, int]
@@ -54,24 +55,42 @@ _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
 
+def _diagonals(points: Iterable[Point]) -> tuple[list[int], list[int]]:
+    """The x+y and x-y columns of ``points``.
+
+    x*sx + y*sy is sx*(x + y) when sx == sy and sx*(x - y) otherwise, so
+    these two columns place every point against all four directions' lines.
+    """
+    xs, ys = columns(points)
+    return list(map(add, xs, ys)), list(map(sub, xs, ys))
+
+
+def _advance(
+    offsets: dict[Direction, int], sum_lines: set[int], diff_lines: set[int]
+) -> dict[Direction, int]:
+    """Raise each offset to the first line at or above it with no burning point.
+
+    ``sum_lines`` and ``diff_lines`` hold the x+y and x-y values of the
+    burning points.
+    """
+    out: dict[Direction, int] = {}
+    for sx, sy in DIRECTIONS:
+        lines = sum_lines if sx == sy else diff_lines
+        c = offsets[(sx, sy)]
+        while sx * c in lines:
+            c += 1
+        out[(sx, sy)] = c
+    return out
+
+
 def front_offsets(burnt: Iterable[Point]) -> dict[Direction, int]:
     """Smallest offset per direction whose full line has no burning point.
 
     Scans upward from zero, honoring holes: an empty line below the burning
     region wins over one just beyond it.
     """
-    pts = list(burnt)
-    # x*sx + y*sy is sx*(x + y) when sx == sy and sx*(x - y) otherwise.
-    sums = {x + y for x, y in pts}
-    diffs = {x - y for x, y in pts}
-    out: dict[Direction, int] = {}
-    for sx, sy in DIRECTIONS:
-        values = sums if sx == sy else diffs
-        c = 0
-        while sx * c in values:
-            c += 1
-        out[(sx, sy)] = c
-    return out
+    sums, diffs = _diagonals(burnt)
+    return _advance(dict.fromkeys(DIRECTIONS, 0), set(sums), set(diffs))
 
 
 def front_lengths(offsets: dict[Direction, int]) -> dict[Direction, Fraction]:
@@ -106,35 +125,53 @@ def potentials(
         offsets = front_offsets(burnt)
     if endangered is None:
         endangered = endangered_near(burnt, burnt, protected, Topology.CARTESIAN)
-    return _line_potentials(endangered, offsets)
+    cells = tuple(endangered)
+    return _line_potentials(cells, *_diagonals(cells), offsets)
 
 
 def _line_potentials(
-    endangered: Iterable[Point], offsets: dict[Direction, int]
+    cells: Sequence[Point],
+    sums: list[int],
+    diffs: list[int],
+    offsets: dict[Direction, int],
 ) -> tuple[dict[Direction, Fraction], Fraction]:
+    """Potentials of the endangered ``cells``, whose x+y and x-y columns are
+    ``sums`` and ``diffs``.
+
+    A cell on k front lines gives each of them 4 // k quarters and counts
+    once in the total. Each line's cells are counted with ``list.count``;
+    parallel fronts at offset 0 are one line. Then the corners, the points on
+    a sum line and a diff line at once, are corrected: there are at most
+    four, each counted in ``cells``.
+    """
+    # Front (sx, sy) at offset c is the line sx*c of its column; the fronts
+    # that share a line value are listed under it.
+    sum_fronts: dict[int, list[Direction]] = {}
+    diff_fronts: dict[int, list[Direction]] = {}
+    for sx, sy in DIRECTIONS:
+        fronts_at = sum_fronts if sx == sy else diff_fronts
+        fronts_at.setdefault(sx * offsets[(sx, sy)], []).append((sx, sy))
+    sum_count = {s: sums.count(s) for s in sum_fronts}
+    diff_count = {v: diffs.count(v) for v in diff_fronts}
+    total = sum(sum_count.values()) + sum(diff_count.values())
     # Accumulate in quarter units to stay in integer arithmetic.
     quarters = dict.fromkeys(DIRECTIONS, 0)
-    total = 0
-    c_pp = offsets[(1, 1)]
-    c_pm = offsets[(1, -1)]
-    c_mp = offsets[(-1, 1)]
-    c_mm = offsets[(-1, -1)]
-    for x, y in endangered:
-        on = []
-        if x + y == c_pp:
-            on.append((1, 1))
-        if x - y == c_pm:
-            on.append((1, -1))
-        if -x + y == c_mp:
-            on.append((-1, 1))
-        if -x - y == c_mm:
-            on.append((-1, -1))
-        if not on:
-            continue
-        total += 1
-        share = 4 // len(on)
-        for d in on:
-            quarters[d] += share
+    for fronts_at, count in ((sum_fronts, sum_count), (diff_fronts, diff_count)):
+        for value, fronts in fronts_at.items():
+            for d in fronts:
+                quarters[d] += count[value] * (4 // len(fronts))
+    # A corner cell was counted on its sum line and on its diff line, each
+    # time with the share of that line's fronts alone.
+    for s, s_fronts in sum_fronts.items():
+        for v, v_fronts in diff_fronts.items():
+            if (s + v) % 2 or not (sum_count[s] and diff_count[v]):
+                continue
+            n = cells.count(((s + v) // 2, (s - v) // 2))
+            total -= n
+            share = 4 // (len(s_fronts) + len(v_fronts))
+            for fronts in (s_fronts, v_fronts):
+                for d in fronts:
+                    quarters[d] += n * (share - 4 // len(fronts))
     phi = {d: Fraction(q, 4) for d, q in quarters.items()}
     return phi, Fraction(total)
 
@@ -241,7 +278,9 @@ def check_invariants(trace: RunTrace, validate: bool = True) -> MonitorReport:
         replay_validate(trace)
 
     offsets = dict.fromkeys(DIRECTIONS, 0)
-    burning_lines: dict[Direction, set[int]] = {d: set() for d in DIRECTIONS}
+    # The x+y and x-y values of every burning cell: the lines that burn.
+    sum_lines: set[int] = set()
+    diff_lines: set[int] = set()
     attributed_cum = {d: 0 for d in DIRECTIONS}
     metrics = [
         FrontMetrics(
@@ -257,21 +296,18 @@ def check_invariants(trace: RunTrace, validate: bool = True) -> MonitorReport:
     ]
     unattributed: list[Point] = []
     supply = 0
-    newly_burnt = trace.initial
+    sums, diffs = _diagonals(trace.initial)
     for rec in trace.rounds:
         # Instant t = rec.t: squads 1..t are down, spreads 1..t-1 have burnt.
-        for x, y in newly_burnt:
-            for sx, sy in DIRECTIONS:
-                burning_lines[(sx, sy)].add(x * sx + y * sy)
-        newly_burnt = rec.ignited
+        sum_lines.update(sums)
+        diff_lines.update(diffs)
         # Filling lines never empties one, so each offset only moves up.
-        offsets = dict(offsets)
-        for d in DIRECTIONS:
-            while offsets[d] in burning_lines[d]:
-                offsets[d] += 1
+        offsets = _advance(offsets, sum_lines, diff_lines)
         supply += rec.f
-        # What is endangered now is exactly what spread t ignites.
-        phi, phi_total = _line_potentials(rec.ignited, offsets)
+        # What is endangered now is exactly what spread t ignites; its
+        # columns feed the burning lines at the next instant.
+        sums, diffs = _diagonals(rec.ignited)
+        phi, phi_total = _line_potentials(rec.ignited, sums, diffs, offsets)
         unattributed.extend(rec.placed)
         still: list[Point] = []
         for q in unattributed:

@@ -6,7 +6,7 @@ import random
 from typing import Mapping, Protocol, Sequence
 
 from .engine import SimView
-from .grid import Point
+from .grid import Point, row_major
 from .trace import MalformedTraceError, RunTrace
 
 
@@ -62,7 +62,7 @@ class RandomStrategy:
     def next_placements(self, view: SimView, available: int) -> list[Point]:
         if available == 0:
             return []
-        targets = sorted(view.endangered(), key=lambda p: (p[1], p[0]))
+        targets = sorted(view.endangered(), key=row_major)
         if not targets:
             return []
         k = min(available, len(targets))

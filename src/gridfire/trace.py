@@ -54,9 +54,10 @@ class RunTrace:
         return burnt, protected
 
     def write(self, fp: IO[str]) -> None:
+        # Points go to json as tuples, which it writes as arrays: [x,y].
         header = {
             "topology": self.topology.value,
-            "initial": [list(p) for p in self.initial],
+            "initial": self.initial,
             "budget": self.budget_desc,
             "strategy": self.strategy_id,
             "seed": self.seed,
@@ -69,8 +70,8 @@ class RunTrace:
             obj = {
                 "t": rec.t,
                 "f": rec.f,
-                "placed": [list(p) for p in rec.placed],
-                "ignited": [list(p) for p in rec.ignited],
+                "placed": rec.placed,
+                "ignited": rec.ignited,
             }
             fp.write(json.dumps(obj, separators=(",", ":")) + "\n")
 

@@ -44,11 +44,16 @@ def origin_strong() -> FireState:
     return single_source(Topology.STRONG)
 
 
-def scan_endangered(burnt, protected, topo: Topology) -> set[Point]:
-    """Full-scan oracle: every unburnt, unprotected neighbor of a burnt point."""
+def scan_near(cells, burnt, protected, topo: Topology) -> set[Point]:
+    """Per-cell oracle: every unburnt, unprotected neighbor of one of ``cells``."""
     return {
         q
-        for p in burnt
+        for p in cells
         for q in neighbors(p, topo)
         if q not in burnt and q not in protected
     }
+
+
+def scan_endangered(burnt, protected, topo: Topology) -> set[Point]:
+    """Full-scan oracle: every unburnt, unprotected neighbor of a burnt point."""
+    return scan_near(burnt, burnt, protected, topo)

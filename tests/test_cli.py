@@ -322,6 +322,22 @@ PARSE_ERRORS = {
         lambda tmp: ["monitor", "--trace", _text_file(tmp, "[" * 100_000)],
     "monitor-fractional-f":
         lambda tmp: ["monitor", "--trace", _table_trace_with_fractional_f(tmp)],
+    "search-negative-node-cap":
+        lambda tmp: ["search", "--budget", "const:1", "--horizon", "1", "--node-cap", "-5"],
+    "search-unwritable-witness-out":
+        lambda tmp: ["search", "--budget", "const:4", "--horizon", "1",
+                     "--witness-out", str(tmp / "absent" / "w.jsonl")],
+    "run-unwritable-out":
+        lambda tmp: ["run", "--horizon", "2", "--out", str(tmp / "absent" / "x.jsonl")],
+    "monitor-unwritable-json-out":
+        lambda tmp: ["monitor", "--trace", _trace_file(tmp),
+                     "--json-out", str(tmp / "absent" / "r.json")],
+    "render-unwritable-pgm":
+        lambda tmp: ["render", "--trace", _trace_file(tmp), "--round", "0",
+                     "--window=0,1,0,1", "--pgm", str(tmp / "absent" / "a.pgm")],
+    "sweep-unwritable-json-out":
+        lambda tmp: ["sweep", "--m", "1", "--r", "1",
+                     "--json-out", str(tmp / "absent" / "s.json")],
     "sweep-bad-m": lambda tmp: ["sweep", "--m", "a", "--r", "1"],
     "sweep-zero-r": lambda tmp: ["sweep", "--m", "1", "--r", "0"],
     "reduce-horizon-zero":

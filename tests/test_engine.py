@@ -13,6 +13,7 @@ from gridfire.engine import (
     FireState,
     PlacementError,
     endangered,
+    endangered_near,
     is_controlled,
     replay_validate,
     run,
@@ -27,7 +28,7 @@ from gridfire.strategies import (
 )
 from gridfire.trace import MalformedTraceError, RoundRecord, RunTrace
 
-from conftest import bfs_ball, single_source
+from conftest import bfs_ball, scan_near, single_source
 
 
 def test_step_free_spread_cartesian(origin_cartesian):
@@ -119,6 +120,35 @@ def test_endangered_and_step_reject_runaway_coordinates():
         endangered(far)
     with pytest.raises(OverflowError):
         step(far, [], constant(0))
+
+
+_SMALL_POINTS = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    topo=st.sampled_from(list(Topology)),
+    burnt=st.sets(_SMALL_POINTS, min_size=1, max_size=30),
+    form=st.sampled_from(["empty", "proper-subset", "generator", "all"]),
+    data=st.data(),
+)
+def test_kernel_matches_per_cell_scan(topo, burnt, form, data):
+    """endangered_near equals a per-cell neighbor scan on any iterable of cells."""
+    cells = data.draw(st.sets(st.sampled_from(sorted(burnt)), max_size=len(burnt) - 1))
+    if form == "empty":
+        cells = set()
+    elif form == "all":
+        cells = set(burnt)
+    # Firefighters on the unprotected front and anywhere else off the fire.
+    front = sorted(scan_near(burnt, burnt, set(), topo))
+    protected = data.draw(st.sets(st.sampled_from(front), max_size=len(front)))
+    protected |= data.draw(st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                                   max_size=10)) - burnt
+    want = scan_near(cells, burnt, protected, topo)
+    given_cells = (p for p in sorted(cells)) if form == "generator" else cells
+    got = endangered_near(given_cells, burnt, protected, topo)
+    assert type(got) is frozenset
+    assert got == want
 
 
 def test_run_free_burn_reaches_ball(origin_cartesian):
@@ -341,6 +371,42 @@ def test_trace_read_rejects_malformed_fields(case):
     with pytest.raises(MalformedTraceError) as exc:
         RunTrace.from_text(edit(_greedy_const1_text()))
     assert exc.value.line == line
+
+
+# A malformed point list is named by its first bad point, whichever check
+# fails there. The exact messages are pinned so that a faster reader keeps them.
+MALFORMED_POINT_MESSAGES = {
+    "three-coordinates": (2, "placed", [[0, 0, 7]],
+        "bad round record: too many values to unpack (expected 2) (line 2)"),
+    "one-coordinate": (2, "placed", [[0]],
+        "bad round record: not enough values to unpack (expected 2, got 1) (line 2)"),
+    "bare-number": (2, "placed", [5],
+        "bad round record: 'int' object is not iterable (line 2)"),
+    "string-point": (2, "placed", ["ab"],
+        "bad round record: a point is two integers, got ['a', 'b'] (line 2)"),
+    "bool-coordinate": (3, "ignited", [[1, True]],
+        "bad round record: a point is two integers, got [1, True] (line 3)"),
+    "float-coordinate": (3, "ignited", [[-1.0, -1]],
+        "bad round record: a point is two integers, got [-1.0, -1] (line 3)"),
+    "null-coordinate": (3, "ignited", [[0, 0], [None, 1]],
+        "bad round record: a point is two integers, got [None, 1] (line 3)"),
+    "short-before-string": (3, "ignited", [[0, 0], [1, 2, 3], ["a", 1]],
+        "bad round record: too many values to unpack (expected 2) (line 3)"),
+    "string-before-short": (3, "ignited", [[0, "a"], [1, 2, 3]],
+        "bad round record: a point is two integers, got [0, 'a'] (line 3)"),
+    "not-a-list": (3, "ignited", {"x": 1},
+        "bad round record: a point list must be list, got {'x': 1} (line 3)"),
+    "initial-pair-of-pairs": (1, "initial", [[[0, 0], 1]],
+        "bad header: a point is two integers, got [[0, 0], 1] (line 1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_POINT_MESSAGES))
+def test_malformed_point_messages(case):
+    line, key, value, message = MALFORMED_POINT_MESSAGES[case]
+    with pytest.raises(MalformedTraceError) as exc:
+        RunTrace.from_text(_edit_json(line, **{key: value})(_greedy_const1_text()))
+    assert str(exc.value) == message
 
 
 _JSON = st.recursive(

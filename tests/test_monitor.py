@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gridfire.budget import constant, periodic
 from gridfire.engine import run
@@ -106,6 +106,74 @@ def test_potentials_pending_source_convention():
     phi, total = potentials(set(), set(), pending_source=True)
     assert total == 1
     assert all(v == Fraction(1, 4) for v in phi.values())
+
+
+def per_cell_potentials(endangered, offsets):
+    """Oracle: classify each endangered cell against the four front lines,
+    one cell at a time.
+
+    A cell on k lines gives each 4 // k quarters and counts once in the total.
+    """
+    quarters = dict.fromkeys(DIRECTIONS, 0)
+    total = 0
+    c_pp = offsets[(1, 1)]
+    c_pm = offsets[(1, -1)]
+    c_mp = offsets[(-1, 1)]
+    c_mm = offsets[(-1, -1)]
+    for x, y in endangered:
+        on = []
+        if x + y == c_pp:
+            on.append((1, 1))
+        if x - y == c_pm:
+            on.append((1, -1))
+        if -x + y == c_mp:
+            on.append((-1, 1))
+        if -x - y == c_mm:
+            on.append((-1, -1))
+        if not on:
+            continue
+        total += 1
+        share = 4 // len(on)
+        for d in on:
+            quarters[d] += share
+    return {d: Fraction(q, 4) for d, q in quarters.items()}, Fraction(total)
+
+
+def _corners(offsets):
+    """Every lattice point where a sum front meets a diff front."""
+    sums = (offsets[(1, 1)], -offsets[(-1, -1)])
+    diffs = (offsets[(1, -1)], -offsets[(-1, 1)])
+    return [((s + v) // 2, (s - v) // 2) for s in sums for v in diffs if (s + v) % 2 == 0]
+
+
+def test_potentials_off_diagonal_source_all_fronts_meet():
+    # From {(1, 0)} every offset is 0: parallel fronts coincide, and (0, 0)
+    # lies on all four fronts with a quarter each.
+    offsets = dict.fromkeys(DIRECTIONS, 0)
+    phi, total = potentials({(1, 0)}, set(), offsets=offsets)
+    assert total == 3
+    assert all(v == Fraction(3, 4) for v in phi.values())
+    assert (phi, total) == per_cell_potentials([(0, 0), (1, -1), (1, 1), (2, 0)], offsets)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    offsets=st.fixed_dictionaries({d: st.integers(0, 3) for d in DIRECTIONS}),
+    cells=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=40),
+    with_corners=st.booleans(),
+    as_generator=st.booleans(),
+)
+def test_potentials_match_per_cell_loop(offsets, cells, with_corners, as_generator):
+    """Line counts with corner and coinciding-line corrections equal the per-cell loop.
+
+    Offsets of 0 make parallel fronts one line; corner points lie on two or
+    more fronts; cells may repeat, as an unvalidated trace's may.
+    """
+    if with_corners:
+        cells = cells + _corners(offsets)
+    endangered = iter(cells) if as_generator else cells
+    got = potentials({(0, 0)}, set(), offsets=offsets, endangered=endangered)
+    assert got == per_cell_potentials(cells, offsets)
 
 
 def test_activity_free_burn_always_four():
