@@ -9,12 +9,14 @@ free-burning fire from a single point occupies the metric ball of radius k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add
+from itertools import compress, repeat
+from operator import add, floordiv, mod, mul, not_, sub
 from typing import AbstractSet, Iterable, Sequence
 
 from .budget import Budget, parse_budget
-from .grid import _OFFSETS, Point, Topology, check_range, columns, row_major
+from .grid import (
+    _OFFSETS, Point, Topology, bounding_box, check_range, columns, row_major,
+)
 from .trace import MalformedTraceError, RoundRecord, RunTrace
 
 
@@ -51,6 +53,57 @@ class FireState:
             raise SimulationError("burnt and protected sets overlap")
 
 
+class _CodeBox:
+    """Integer codes for the cells within ``reach`` steps of ``cells``.
+
+    The box is the bounding box of ``cells`` grown by ``reach`` on every side;
+    a cell (x, y) in it has code ``y*W + (x - x0)``, where W is the box width
+    and x0 its left edge. Each code names one cell, integer order is
+    row-major (y, x) order, and a neighbor offset (dx, dy) is the constant
+    ``dy*W + dx``. A fire from ``cells`` moves at most one cell a round, so in
+    ``reach - 1`` rounds it burns and endangers only cells of the box. A point
+    outside the box is never encoded, because its code could alias a cell
+    inside.
+    """
+
+    __slots__ = ("x0", "x1", "y0", "y1", "width", "steps")
+
+    def __init__(self, cells: Sequence[Point], reach: int, topology: Topology):
+        xmin, xmax, ymin, ymax = bounding_box(cells) if cells else (0, 0, 0, 0)
+        self.x0, self.x1 = xmin - reach, xmax + reach
+        self.y0, self.y1 = ymin - reach, ymax + reach
+        self.width = width = self.x1 - self.x0 + 1
+        self.steps = tuple(dy * width + dx for dx, dy in _OFFSETS[topology])
+
+    def encode(self, cells: Sequence[Point]) -> list[int]:
+        """Codes of ``cells``, which must all lie in the box."""
+        xs, ys = columns(cells)
+        return list(map(add, map(mul, ys, repeat(self.width)),
+                        map(sub, xs, repeat(self.x0))))
+
+    def encode_in_box(self, points: Iterable[Point]) -> set[int]:
+        """Codes of those of ``points`` that lie in the box."""
+        x0, x1, y0, y1, width = self.x0, self.x1, self.y0, self.y1, self.width
+        return {y * width + x - x0 for x, y in points
+                if x0 <= x <= x1 and y0 <= y <= y1}
+
+    def decode(self, codes: Sequence[int]) -> tuple[Point, ...]:
+        """The cells of ``codes``, in the same order."""
+        width = self.width
+        xs = map(add, map(mod, codes, repeat(width)), repeat(self.x0))
+        return tuple(zip(xs, map(floordiv, codes, repeat(width))))
+
+    def near(self, codes: Sequence[int]) -> set[int]:
+        """Codes of every neighbor of ``codes``: the spread rule in code space.
+
+        One C-level ``map`` per neighbor offset, so no Python code runs per cell.
+        """
+        near: set[int] = set()
+        for step in self.steps:
+            near.update(map(add, codes, repeat(step)))
+        return near
+
+
 def endangered_near(
     cells: Iterable[Point],
     burnt: AbstractSet[Point],
@@ -64,19 +117,61 @@ def endangered_near(
     every other neighbor of an older burnt point was in E. The fire is
     controlled exactly when E is empty.
 
-    The neighbors are built column-wise: each offset zips a shifted copy of
-    the x column with one of the y column, so no Python code runs per cell.
-    Only the neighbor set is walked when burnt and protected are removed, so
-    a round costs O(|cells|) however large the burnt set has grown.
+    The neighbors come from ``_CodeBox.near`` in a code box one cell wider than
+    ``cells``; only the decoded neighbor set is checked against burnt and
+    protected, so the cost is O(|cells|) however large the burnt set is.
     """
-    xs, ys = columns(cells)
-    shifted_x = {d: tuple(map(add, xs, repeat(d))) for d in (-1, 1)}
-    shifted_y = {d: tuple(map(add, ys, repeat(d))) for d in (-1, 1)}
-    shifted_x[0], shifted_y[0] = xs, ys
-    near: set[Point] = set()
-    for dx, dy in _OFFSETS[topology]:
-        near.update(zip(shifted_x[dx], shifted_y[dy]))
+    if not isinstance(cells, (list, tuple)):
+        cells = list(cells)
+    box = _CodeBox(cells, 1, topology)
+    near = set(box.decode(list(box.near(box.encode(cells)))))
     return frozenset((near - burnt) - protected)
+
+
+class _Front:
+    """The endangered set E of a run from ``initial``, held as integer codes.
+
+    ``reach`` is one more than the number of rounds the run may last, so
+    every cell the fire can reach, and every cell it can endanger, has a
+    code. E's codes are kept sorted, and ``cells`` decodes them once a round
+    into a row-major tuple of points, which serves as the strategies' view
+    of E and, less the squad, as the round's ``ignited`` record.
+
+    No burnt code set is kept. A burnt neighbor of a cell ignited in round t
+    was itself ignited in round t or t - 1 (round 0 being the initial fire),
+    or the cell would have burnt a round earlier; so E' is the neighbors of
+    this round's ignitions less those ignitions, the previous round's, and
+    the protected cells in the box.
+    """
+
+    __slots__ = ("_box", "_layer", "_protected", "codes", "cells")
+
+    def __init__(self, initial: Sequence[Point], reach: int, topology: Topology):
+        self._box = _CodeBox(initial, reach, topology)
+        self._layer = self._box.encode(initial)
+        self._protected: set[int] = set()
+        self._set_endangered(self._box.near(self._layer).difference(self._layer))
+
+    def _set_endangered(self, near: set[int]) -> None:
+        self.codes = sorted(near)
+        self.cells = self._box.decode(self.codes)
+
+    def advance(self, squad: Iterable[Point]) -> tuple[Point, ...]:
+        """Protect ``squad`` (already validated), burn the rest of E and find
+        the next E. Returns the ignited cells in row-major order."""
+        codes, cells = self.codes, self.cells
+        held = self._box.encode_in_box(squad)
+        if held:
+            self._protected |= held
+            keep = list(map(not_, map(held.__contains__, codes)))
+            codes = list(compress(codes, keep))
+            cells = tuple(compress(cells, keep))
+        near = self._box.near(codes)
+        near.difference_update(codes)
+        near.difference_update(self._layer)
+        self._layer = codes
+        self._set_endangered(near - self._protected)
+        return cells
 
 
 def endangered(state: FireState) -> frozenset[Point]:
@@ -127,21 +222,28 @@ class SimView:
     """Read-only window onto a running simulation, handed to strategies."""
 
     __slots__ = ("topology", "round", "burnt", "protected", "_endangered",
-                 "burnt_count", "burnt_sum")
+                 "_endangered_set", "burnt_count", "burnt_sum")
 
     def __init__(self, topology: Topology, burnt: set[Point], protected: set[Point],
-                 endangered: frozenset[Point], round_no: int,
+                 endangered: tuple[Point, ...], round_no: int,
                  burnt_sum: tuple[int, int]):
         self.topology = topology
         self.burnt = burnt
         self.protected = protected
-        self._endangered = endangered
+        self._endangered = endangered  # row-major
+        self._endangered_set: frozenset[Point] | None = None
         self.round = round_no
         self.burnt_count = len(burnt)
         self.burnt_sum = burnt_sum
 
     def endangered(self) -> frozenset[Point]:
         """The cells that burn next round unless this squad protects them."""
+        if self._endangered_set is None:
+            self._endangered_set = frozenset(self._endangered)
+        return self._endangered_set
+
+    def endangered_row_major(self) -> tuple[Point, ...]:
+        """The same cells as ``endangered()``, in row-major (y, x) order."""
         return self._endangered
 
 
@@ -176,9 +278,9 @@ def run(
         strategy_id=getattr(strategy, "identifier", "unknown"),
         seed=seed,
     )
-    burnt = set(initial.burnt)
+    burnt = set(trace.initial)
     protected: set[Point] = set()
-    danger = endangered_near(burnt, burnt, protected, topo)
+    front = _Front(trace.initial, horizon + 1, topo)
     sx, sy = _column_sums(burnt)
 
     reset = getattr(strategy, "reset", None)
@@ -190,14 +292,14 @@ def run(
             trace.error = f"round 0: {exc}"
             return trace
 
-    if not danger:
+    if not front.codes:
         trace.status = "controlled"
         trace.control_round = 0
         return trace
 
     for t in range(1, horizon + 1):
         f_t = budget.at(t)
-        view = SimView(topo, burnt, protected, danger, t - 1, (sx, sy))
+        view = SimView(topo, burnt, protected, front.cells, t - 1, (sx, sy))
         try:
             placements = list(strategy.next_placements(view, f_t))
             _validate_placements(placements, burnt, protected, f_t)
@@ -206,16 +308,15 @@ def run(
             trace.error = f"round {t}: {exc}"
             return trace
         protected.update(placements)
-        ignited = tuple(sorted(danger.difference(placements), key=row_major))
+        ignited = front.advance(placements)
         burnt.update(ignited)
         ix, iy = _column_sums(ignited)
         sx += ix
         sy += iy
-        danger = endangered_near(ignited, burnt, protected, topo)
         trace.rounds.append(
             RoundRecord(t=t, f=f_t, placed=tuple(placements), ignited=ignited)
         )
-        if not danger:
+        if not front.codes:
             trace.status = "controlled"
             trace.control_round = t
             return trace
@@ -228,7 +329,10 @@ def replay_validate(trace: RunTrace) -> None:
 
     Raises MalformedTraceError (with the offending line) when the recorded
     ignitions do not match the process dynamics, e.g. a teleporting fire, or
-    when the header's status, control round or budget contradicts them.
+    when the header's status, control round or budget contradicts them. The
+    line is the record's position in the trace as ``RunTrace.write`` lays it
+    out (header on line 1, round t on line t + 1), which can differ from the
+    file it was read from if that file held blank lines.
     """
     desc, budget = trace.budget_desc, None
     # A "table:" label names a file, which checking an untrusted trace must never open.
@@ -239,10 +343,10 @@ def replay_validate(trace: RunTrace) -> None:
             raise MalformedTraceError(f"bad header budget: {exc}", line=1) from exc
     burnt = set(trace.initial)
     protected: set[Point] = set()
-    danger = endangered_near(burnt, burnt, protected, trace.topology)
+    front = _Front(trace.initial, len(trace.rounds) + 1, trace.topology)
     for i, rec in enumerate(trace.rounds):
         line = i + 2  # header is line 1
-        if not danger:
+        if not front.codes:
             raise MalformedTraceError(
                 f"round {rec.t}: recorded after the fire was controlled", line=line
             )
@@ -256,27 +360,29 @@ def replay_validate(trace: RunTrace) -> None:
         except PlacementError as exc:
             raise MalformedTraceError(str(exc), line=line) from exc
         protected.update(rec.placed)
-        ignited = danger.difference(rec.placed)
-        if ignited != set(rec.ignited) or len(ignited) != len(rec.ignited):
+        ignited = front.advance(rec.placed)
+        # A trace written by ``run`` lists the ignitions in row-major order,
+        # exactly as the replay holds them; any other order is still valid.
+        if ignited != rec.ignited and (
+            len(ignited) != len(rec.ignited) or set(ignited) != set(rec.ignited)
+        ):
             raise MalformedTraceError(
                 f"round {rec.t}: recorded ignitions do not match the spread rule",
                 line=line,
             )
-        # The record holds exactly the replay's ignitions now, and the kernel
-        # reads the record's tuple faster than the frozenset.
         burnt.update(rec.ignited)
-        danger = endangered_near(rec.ignited, burnt, protected, trace.topology)
+    spreading = bool(front.codes)
     final = trace.final_round()
     controlled = trace.status == "controlled"
     # A strategy may fail in reset, before round 1, on a fire with no front.
     if (
         trace.status not in ("controlled", "horizon", "strategy-error")
-        or (not danger) != controlled and (trace.rounds or trace.status == "horizon")
+        or spreading == controlled and (trace.rounds or trace.status == "horizon")
         or trace.control_round != (final if controlled else None)
     ):
         raise MalformedTraceError(
             f"header status {trace.status!r} with control_round "
             f"{trace.control_round} contradicts the replay, after whose round "
-            f"{final} the fire is " + ("still spreading" if danger else "controlled"),
+            f"{final} the fire is " + ("still spreading" if spreading else "controlled"),
             line=1,
         )

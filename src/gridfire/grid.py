@@ -106,5 +106,5 @@ def is_even_point(p: Point) -> bool:
 
 def bounding_box(points: Iterable[Point]) -> tuple[int, int, int, int]:
     """(xmin, xmax, ymin, ymax) of a non-empty point set."""
-    xs, ys = zip(*points)
+    xs, ys = columns(points)
     return min(xs), max(xs), min(ys), max(ys)

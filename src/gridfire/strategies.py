@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+from heapq import nsmallest
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Mapping, Protocol, Sequence
 
 from .engine import SimView
-from .grid import Point, row_major
+from .grid import Point, columns
 from .trace import MalformedTraceError, RunTrace
 
 
@@ -38,18 +41,18 @@ class GreedyNearest:
     def next_placements(self, view: SimView, available: int) -> list[Point]:
         if available == 0:
             return []
-        targets = view.endangered()
+        targets = view.endangered_row_major()
         if not targets:
             return []
+        # Rank (|n*p - burnt_sum|², y, x) triples built column-wise; they are
+        # distinct, so the order is the same as sorting E by that key.
         n = view.burnt_count
         sx, sy = view.burnt_sum
-
-        def key(p: Point) -> tuple[int, int, int]:
-            dx = n * p[0] - sx
-            dy = n * p[1] - sy
-            return (dx * dx + dy * dy, p[1], p[0])
-
-        return sorted(targets, key=key)[:available]
+        xs, ys = columns(targets)
+        dx = list(map(sub, map(mul, xs, repeat(n)), repeat(sx)))
+        dy = list(map(sub, map(mul, ys, repeat(n)), repeat(sy)))
+        dist = map(add, map(mul, dx, dx), map(mul, dy, dy))
+        return [(x, y) for _, y, x in nsmallest(available, zip(dist, ys, xs))]
 
 
 class RandomStrategy:
@@ -62,7 +65,7 @@ class RandomStrategy:
     def next_placements(self, view: SimView, available: int) -> list[Point]:
         if available == 0:
             return []
-        targets = sorted(view.endangered(), key=row_major)
+        targets = view.endangered_row_major()
         if not targets:
             return []
         k = min(available, len(targets))

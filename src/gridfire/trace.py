@@ -9,6 +9,10 @@ from typing import IO
 
 from .grid import Point, Topology
 
+# Points are tuples of ints, which hold no containers, so the encoder's cycle
+# bookkeeping could never find a cycle; one encoder serves every line.
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
 
 class MalformedTraceError(Exception):
     """Raised when a trace file cannot be parsed or fails replay validation."""
@@ -65,7 +69,7 @@ class RunTrace:
             "control_round": self.control_round,
             "error": self.error,
         }
-        fp.write(json.dumps(header, separators=(",", ":")) + "\n")
+        fp.write(_encode(header) + "\n")
         for rec in self.rounds:
             obj = {
                 "t": rec.t,
@@ -73,7 +77,7 @@ class RunTrace:
                 "placed": rec.placed,
                 "ignited": rec.ignited,
             }
-            fp.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            fp.write(_encode(obj) + "\n")
 
     def to_text(self) -> str:
         import io
@@ -84,11 +88,14 @@ class RunTrace:
 
     @classmethod
     def read(cls, fp: IO[str]) -> "RunTrace":
-        lines = [ln for ln in fp.read().splitlines() if ln.strip()]
+        # (physical line number, text) of every non-blank line
+        lines = [(n, ln) for n, ln in enumerate(fp.read().splitlines(), start=1)
+                 if ln.strip()]
         if not lines:
             raise MalformedTraceError("empty trace file", line=1)
+        head_line, head = lines[0]
         try:
-            header = json.loads(lines[0])
+            header = json.loads(head)
             topology = Topology(header["topology"])
             trace = cls(
                 topology=topology,
@@ -102,8 +109,8 @@ class RunTrace:
                 error=_typed(header.get("error"), "error", str, NoneType),
             )
         except (KeyError, ValueError, TypeError, RecursionError) as exc:
-            raise MalformedTraceError(f"bad header: {exc}", line=1) from exc
-        for i, ln in enumerate(lines[1:], start=2):
+            raise MalformedTraceError(f"bad header: {exc}", line=head_line) from exc
+        for t, (n, ln) in enumerate(lines[1:], start=1):
             try:
                 obj = json.loads(ln)
                 rec = RoundRecord(
@@ -115,10 +122,10 @@ class RunTrace:
                 if rec.f < 0:
                     raise ValueError(f"f must be nonnegative, got {rec.f}")
             except (KeyError, ValueError, TypeError, RecursionError) as exc:
-                raise MalformedTraceError(f"bad round record: {exc}", line=i) from exc
-            if rec.t != i - 1:
+                raise MalformedTraceError(f"bad round record: {exc}", line=n) from exc
+            if rec.t != t:
                 raise MalformedTraceError(
-                    f"round numbers must be consecutive from 1, got {rec.t}", line=i
+                    f"round numbers must be consecutive from 1, got {rec.t}", line=n
                 )
             trace.rounds.append(rec)
         return trace

@@ -247,6 +247,64 @@ def test_replay_validate_rejects_teleporting_fire(origin_cartesian):
     assert exc.value.line == 4  # header + two good rounds
 
 
+class FarDecoys:
+    """In round 1, protects (1 + w, -1) for w = 8..40, all far out of reach.
+
+    A run from (0, 0) holds cells as integer codes ``y*W + (x - x0)`` in a box
+    W cells wide, and (1 + W, -1) would share the code of (1, 0), which the
+    fire endangers in round 1. Whatever W is, one decoy is such an alias
+    unless points outside the box are never encoded.
+    """
+
+    identifier = "decoys"
+
+    def next_placements(self, view, available):
+        return [(1 + w, -1) for w in range(8, 41)] if view.round == 0 else []
+
+
+@pytest.mark.parametrize("topo", list(Topology), ids=lambda t: t.value)
+def test_placements_outside_the_code_box_change_nothing(topo):
+    start = single_source(topo)
+    decoyed = run(start, constant(33), FarDecoys(), 6)
+    plain = run(start, constant(33), NullStrategy(), 6)
+    assert [r.ignited for r in decoyed.rounds] == [r.ignited for r in plain.rounds]
+    replay_validate(decoyed)
+    replay_validate(RunTrace.from_text(decoyed.to_text()))
+
+
+def test_replay_validate_rejects_ignitions_aliasing_in_box_cells(origin_cartesian):
+    """An ignition far outside the code box fails as any other wrong ignition
+    does, whichever in-box cell its code would alias."""
+    trace = run(origin_cartesian, constant(0), NullStrategy(), 6)
+    assert trace.rounds[0].ignited == ((0, -1), (-1, 0), (1, 0), (0, 1))
+    for w in range(8, 41):
+        forged = RunTrace.from_text(trace.to_text())
+        rec = forged.rounds[0]
+        forged.rounds[0] = RoundRecord(
+            t=rec.t, f=rec.f, placed=rec.placed,
+            ignited=((0, -1), (-1, 0), (1 + w, -1), (0, 1)),
+        )
+        with pytest.raises(MalformedTraceError,
+                           match="round 1: recorded ignitions do not match") as exc:
+            replay_validate(forged)
+        assert exc.value.line == 2
+
+
+def test_replay_validate_rejects_rounds_of_an_empty_fire(origin_cartesian):
+    trace = run(origin_cartesian, constant(1), GreedyNearest(), 4)
+    forged = RunTrace.from_text(trace.to_text())
+    forged.initial = ()
+    with pytest.raises(MalformedTraceError,
+                       match="round 1: recorded after the fire was controlled") as exc:
+        replay_validate(forged)
+    assert exc.value.line == 2
+    # With no rounds, an empty fire is controlled at round 0, and says so.
+    empty = FireState(frozenset(), frozenset(), 0, Topology.CARTESIAN)
+    trace = run(empty, constant(1), NullStrategy(), 4)
+    assert (trace.status, trace.control_round, trace.rounds) == ("controlled", 0, [])
+    replay_validate(trace)
+
+
 class PlugFour:
     identifier = "plug"
 
@@ -316,6 +374,23 @@ def test_trace_read_rejects_garbage():
         RunTrace.read(io.StringIO("not json\n"))
     with pytest.raises(MalformedTraceError):
         RunTrace.read(io.StringIO(""))
+
+
+def test_trace_read_reports_physical_line_numbers():
+    lines = _greedy_const1_text().splitlines()
+    bad_round = json.dumps({"t": 3, "f": 1, "placed": [], "ignited": [[0, "x"]]})
+    text = "\n".join([lines[0], "", *lines[1:3], bad_round]) + "\n"
+    with pytest.raises(MalformedTraceError, match=r"\(line 5\)") as exc:
+        RunTrace.read(io.StringIO(text))
+    assert exc.value.line == 5
+    skipped = json.dumps({"t": 4, "f": 1, "placed": [], "ignited": []})
+    text = "\n".join(["", lines[0], "  ", "", lines[1], skipped]) + "\n"
+    with pytest.raises(MalformedTraceError, match="got 4") as exc:
+        RunTrace.read(io.StringIO(text))
+    assert exc.value.line == 6
+    with pytest.raises(MalformedTraceError, match="bad header") as exc:
+        RunTrace.read(io.StringIO("\n\n{}\n" + "\n".join(lines[1:])))
+    assert exc.value.line == 3
 
 
 def _greedy_const1_text() -> str:

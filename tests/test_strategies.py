@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridfire.budget import constant, periodic
 from gridfire.engine import FireState, SimView, endangered, run
-from gridfire.grid import Topology
+from gridfire.grid import Topology, row_major
 from gridfire.strategies import (
     GreedyNearest,
     NullStrategy,
@@ -27,8 +27,8 @@ def _view(burnt, protected, topo=Topology.CARTESIAN, round_no=0):
     sx = sum(p[0] for p in burnt)
     sy = sum(p[1] for p in burnt)
     state = FireState(frozenset(burnt), frozenset(protected), round_no, topo)
-    return SimView(topo, set(burnt), set(protected), endangered(state), round_no,
-                   (sx, sy))
+    danger = tuple(sorted(endangered(state), key=row_major))
+    return SimView(topo, set(burnt), set(protected), danger, round_no, (sx, sy))
 
 
 def test_null_strategy_places_nothing():
@@ -56,6 +56,34 @@ def test_greedy_respects_budget_and_legality():
     picks = GreedyNearest().next_placements(view, 10)
     assert len(picks) == 3
     assert (0, 1) not in picks
+
+
+def per_cell_greedy(view, available):
+    """The former GreedyNearest: sort E by a per-cell Python key."""
+    n = view.burnt_count
+    sx, sy = view.burnt_sum
+
+    def key(p):
+        dx = n * p[0] - sx
+        dy = n * p[1] - sy
+        return (dx * dx + dy * dy, p[1], p[0])
+
+    return sorted(view.endangered(), key=key)[:available]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    topo=st.sampled_from(list(Topology)),
+    burnt=st.sets(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+                  min_size=1, max_size=40),
+    protected=st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=12),
+    available=st.integers(0, 50),
+)
+def test_greedy_matches_per_cell_key(topo, burnt, protected, available):
+    view = _view(burnt, protected - burnt, topo)
+    assert GreedyNearest().next_placements(view, available) == per_cell_greedy(
+        view, available
+    )
 
 
 def test_random_is_seed_deterministic():
