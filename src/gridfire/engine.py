@@ -128,50 +128,105 @@ def endangered_near(
     return frozenset((near - burnt) - protected)
 
 
-class _Front:
-    """The endangered set E of a run from ``initial``, held as integer codes.
+def _column_sums(points: Iterable[Point]) -> tuple[int, int]:
+    """(sum of x, sum of y) over ``points``; (0, 0) when there are none."""
+    xs, ys = columns(points)
+    return sum(xs), sum(ys)
 
-    ``reach`` is one more than the number of rounds the run may last, so
+
+class SimView:
+    """The state of one run, and the one place a round is played.
+
+    ``SimView(state, rounds)`` starts from ``state`` and may play up to
+    ``rounds`` rounds. Strategies read ``topology``, ``round``, ``burnt``,
+    ``protected``, ``burnt_sum`` (the x and y sums over ``burnt``) and E;
+    ``play`` places a squad and spreads the fire.
+
+    E is held as integer codes in a ``_CodeBox`` grown by ``rounds + 1``, so
     every cell the fire can reach, and every cell it can endanger, has a
-    code. E's codes are kept sorted, and ``cells`` decodes them once a round
-    into a row-major tuple of points, which serves as the strategies' view
-    of E and, less the squad, as the round's ``ignited`` record.
+    code. E's codes are kept sorted and decoded once a round into a
+    row-major tuple of points, which is the strategies' view of E and, less
+    the squad, the round's ignitions. No burnt code set is kept. A burnt
+    neighbor of a cell ignited in round t was itself ignited in round t or
+    t - 1 (the state's whole burnt set standing in for round 0), or the cell
+    would have burnt a round earlier; so E' is the neighbors of this round's
+    ignitions less those ignitions, the previous layer, and the protected
+    cells in the box.
 
-    No burnt code set is kept. A burnt neighbor of a cell ignited in round t
-    was itself ignited in round t or t - 1 (round 0 being the initial fire),
-    or the cell would have burnt a round earlier; so E' is the neighbors of
-    this round's ignitions less those ignitions, the previous round's, and
-    the protected cells in the box.
+    ``play`` adds nothing to ``burnt``: the caller adds the ignitions it
+    records, and keeps ``burnt_sum``. So the burnt set shares the record's
+    point tuples; if the view added its own decoded tuples, a replayed trace
+    would be held in memory twice.
     """
 
-    __slots__ = ("_box", "_layer", "_protected", "codes", "cells")
+    __slots__ = ("topology", "round", "burnt", "protected", "burnt_sum",
+                 "_box", "_layer", "_held", "_codes", "_endangered",
+                 "_endangered_set")
 
-    def __init__(self, initial: Sequence[Point], reach: int, topology: Topology):
-        self._box = _CodeBox(initial, reach, topology)
-        self._layer = self._box.encode(initial)
-        self._protected: set[int] = set()
-        self._set_endangered(self._box.near(self._layer).difference(self._layer))
+    def __init__(self, state: FireState, rounds: int):
+        cells = list(state.burnt)
+        self.topology = state.topology
+        self.round = state.round
+        self.burnt = set(cells)
+        self.protected = set(state.protected)
+        self.burnt_sum = _column_sums(cells)
+        self._box = _CodeBox(cells, rounds + 1, state.topology)
+        self._held = self._box.encode_in_box(state.protected)
+        self._layer: list[int] = []
+        self._spread(self._box.encode(cells))
 
-    def _set_endangered(self, near: set[int]) -> None:
-        self.codes = sorted(near)
-        self.cells = self._box.decode(self.codes)
+    def _spread(self, codes: list[int]) -> None:
+        """Set E to the neighbors of the newly burnt ``codes`` outside the
+        last two layers and the protected codes."""
+        near = self._box.near(codes)
+        near.difference_update(codes, self._layer, self._held)
+        self._layer = codes
+        self._codes = sorted(near)
+        self._endangered = self._box.decode(self._codes)
+        self._endangered_set: frozenset[Point] | None = None
 
-    def advance(self, squad: Iterable[Point]) -> tuple[Point, ...]:
-        """Protect ``squad`` (already validated), burn the rest of E and find
-        the next E. Returns the ignited cells in row-major order."""
-        codes, cells = self.codes, self.cells
+    def play(self, squad: Sequence[Point], available: int) -> tuple[Point, ...]:
+        """Play one round: protect ``squad``, then burn the rest of E.
+
+        Raises PlacementError, changing nothing, when ``squad`` exceeds
+        ``available`` or repeats, or lands on a burnt or protected point.
+        Returns the ignited cells in row-major order; see the class docstring
+        for why they are not added to ``burnt`` here.
+        """
+        if len(squad) > available:
+            raise PlacementError(
+                f"{len(squad)} placements exceed the {available} available"
+            )
+        seen: set[Point] = set()
+        for p in squad:
+            if p in seen:
+                raise PlacementError("duplicate placement", p)
+            if p in self.burnt:
+                raise PlacementError("placement on a burnt point", p)
+            if p in self.protected:
+                raise PlacementError("placement on a protected point", p)
+            seen.add(p)
+        self.protected.update(squad)
+        codes, cells = self._codes, self._endangered
         held = self._box.encode_in_box(squad)
         if held:
-            self._protected |= held
+            self._held |= held
             keep = list(map(not_, map(held.__contains__, codes)))
             codes = list(compress(codes, keep))
             cells = tuple(compress(cells, keep))
-        near = self._box.near(codes)
-        near.difference_update(codes)
-        near.difference_update(self._layer)
-        self._layer = codes
-        self._set_endangered(near - self._protected)
+        self._spread(codes)
+        self.round += 1
         return cells
+
+    def endangered(self) -> frozenset[Point]:
+        """The cells that burn next round unless this squad protects them."""
+        if self._endangered_set is None:
+            self._endangered_set = frozenset(self._endangered)
+        return self._endangered_set
+
+    def endangered_row_major(self) -> tuple[Point, ...]:
+        """The same cells as ``endangered()``, in row-major (y, x) order."""
+        return self._endangered
 
 
 def endangered(state: FireState) -> frozenset[Point]:
@@ -185,72 +240,17 @@ def is_controlled(state: FireState) -> bool:
     return not endangered(state)
 
 
-def _validate_placements(
-    placements: Sequence[Point],
-    burnt: AbstractSet[Point],
-    protected: AbstractSet[Point],
-    available: int,
-) -> None:
-    if len(placements) > available:
-        raise PlacementError(
-            f"{len(placements)} placements exceed the {available} available"
-        )
-    seen: set[Point] = set()
-    for p in placements:
-        if p in seen:
-            raise PlacementError("duplicate placement", p)
-        if p in burnt:
-            raise PlacementError("placement on a burnt point", p)
-        if p in protected:
-            raise PlacementError("placement on a protected point", p)
-        seen.add(p)
-
-
 def step(state: FireState, placements: Sequence[Point], budget: Budget) -> FireState:
     """Advance one round: place the next squad, then spread the fire."""
-    t_next = state.round + 1
-    _validate_placements(placements, state.burnt, state.protected, budget.at(t_next))
+    check_range(state.burnt)
+    view = SimView(state, 1)
+    view.burnt.update(view.play(placements, budget.at(state.round + 1)))
     return FireState(
-        burnt=state.burnt | endangered(state).difference(placements),
-        protected=state.protected.union(placements),
-        round=t_next,
-        topology=state.topology,
+        burnt=frozenset(view.burnt),
+        protected=frozenset(view.protected),
+        round=view.round,
+        topology=view.topology,
     )
-
-
-class SimView:
-    """Read-only window onto a running simulation, handed to strategies."""
-
-    __slots__ = ("topology", "round", "burnt", "protected", "_endangered",
-                 "_endangered_set", "burnt_count", "burnt_sum")
-
-    def __init__(self, topology: Topology, burnt: set[Point], protected: set[Point],
-                 endangered: tuple[Point, ...], round_no: int,
-                 burnt_sum: tuple[int, int]):
-        self.topology = topology
-        self.burnt = burnt
-        self.protected = protected
-        self._endangered = endangered  # row-major
-        self._endangered_set: frozenset[Point] | None = None
-        self.round = round_no
-        self.burnt_count = len(burnt)
-        self.burnt_sum = burnt_sum
-
-    def endangered(self) -> frozenset[Point]:
-        """The cells that burn next round unless this squad protects them."""
-        if self._endangered_set is None:
-            self._endangered_set = frozenset(self._endangered)
-        return self._endangered_set
-
-    def endangered_row_major(self) -> tuple[Point, ...]:
-        """The same cells as ``endangered()``, in row-major (y, x) order."""
-        return self._endangered
-
-
-def _column_sums(points: Iterable[Point]) -> tuple[int, int]:
-    """(sum of x, sum of y) over ``points``; (0, 0) when there are none."""
-    xs, ys = columns(points)
-    return sum(xs), sum(ys)
 
 
 def run(
@@ -270,18 +270,14 @@ def run(
         raise ValueError("horizon must be at least 1")
     if initial.round != 0 or initial.protected:
         raise ValueError("a trace starts at round 0 with nothing protected")
-    topo = initial.topology
     trace = RunTrace(
-        topology=topo,
+        topology=initial.topology,
         initial=tuple(sorted(initial.burnt, key=row_major)),
         budget_desc=budget.describe(),
         strategy_id=getattr(strategy, "identifier", "unknown"),
         seed=seed,
     )
-    burnt = set(trace.initial)
-    protected: set[Point] = set()
-    front = _Front(trace.initial, horizon + 1, topo)
-    sx, sy = _column_sums(burnt)
+    view = SimView(initial, horizon)
 
     reset = getattr(strategy, "reset", None)
     if reset is not None:
@@ -292,31 +288,28 @@ def run(
             trace.error = f"round 0: {exc}"
             return trace
 
-    if not front.codes:
+    if not view.endangered_row_major():
         trace.status = "controlled"
         trace.control_round = 0
         return trace
 
     for t in range(1, horizon + 1):
         f_t = budget.at(t)
-        view = SimView(topo, burnt, protected, front.cells, t - 1, (sx, sy))
         try:
             placements = list(strategy.next_placements(view, f_t))
-            _validate_placements(placements, burnt, protected, f_t)
+            ignited = view.play(placements, f_t)
         except SimulationError as exc:
             trace.status = "strategy-error"
             trace.error = f"round {t}: {exc}"
             return trace
-        protected.update(placements)
-        ignited = front.advance(placements)
-        burnt.update(ignited)
+        view.burnt.update(ignited)
+        sx, sy = view.burnt_sum
         ix, iy = _column_sums(ignited)
-        sx += ix
-        sy += iy
+        view.burnt_sum = (sx + ix, sy + iy)
         trace.rounds.append(
             RoundRecord(t=t, f=f_t, placed=tuple(placements), ignited=ignited)
         )
-        if not front.codes:
+        if not view.endangered_row_major():
             trace.status = "controlled"
             trace.control_round = t
             return trace
@@ -341,12 +334,11 @@ def replay_validate(trace: RunTrace) -> None:
             budget = parse_budget(desc)
         except ValueError as exc:
             raise MalformedTraceError(f"bad header budget: {exc}", line=1) from exc
-    burnt = set(trace.initial)
-    protected: set[Point] = set()
-    front = _Front(trace.initial, len(trace.rounds) + 1, trace.topology)
+    initial = FireState(frozenset(trace.initial), frozenset(), 0, trace.topology)
+    view = SimView(initial, len(trace.rounds))
     for i, rec in enumerate(trace.rounds):
         line = i + 2  # header is line 1
-        if not front.codes:
+        if not view.endangered_row_major():
             raise MalformedTraceError(
                 f"round {rec.t}: recorded after the fire was controlled", line=line
             )
@@ -356,11 +348,9 @@ def replay_validate(trace: RunTrace) -> None:
                 line=1,
             )
         try:
-            _validate_placements(rec.placed, burnt, protected, rec.f)
+            ignited = view.play(rec.placed, rec.f)
         except PlacementError as exc:
             raise MalformedTraceError(str(exc), line=line) from exc
-        protected.update(rec.placed)
-        ignited = front.advance(rec.placed)
         # A trace written by ``run`` lists the ignitions in row-major order,
         # exactly as the replay holds them; any other order is still valid.
         if ignited != rec.ignited and (
@@ -370,8 +360,8 @@ def replay_validate(trace: RunTrace) -> None:
                 f"round {rec.t}: recorded ignitions do not match the spread rule",
                 line=line,
             )
-        burnt.update(rec.ignited)
-    spreading = bool(front.codes)
+        view.burnt.update(rec.ignited)
+    spreading = bool(view.endangered_row_major())
     final = trace.final_round()
     controlled = trace.status == "controlled"
     # A strategy may fail in reset, before round 1, on a fire with no front.

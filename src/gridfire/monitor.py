@@ -323,7 +323,7 @@ def check_invariants(trace: RunTrace, validate: bool = True) -> MonitorReport:
                 t=rec.t,
                 offsets=offsets,
                 lengths=front_lengths(offsets),
-                perimeter=sum(offsets.values()),
+                perimeter=perimeter(offsets),
                 phi=phi,
                 phi_total=phi_total,
                 supply=supply,

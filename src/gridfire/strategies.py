@@ -46,7 +46,7 @@ class GreedyNearest:
             return []
         # Rank (|n*p - burnt_sum|², y, x) triples built column-wise; they are
         # distinct, so the order is the same as sorting E by that key.
-        n = view.burnt_count
+        n = len(view.burnt)
         sx, sy = view.burnt_sum
         xs, ys = columns(targets)
         dx = list(map(sub, map(mul, xs, repeat(n)), repeat(sx)))

@@ -51,11 +51,6 @@ class PlanGeometry:
     west_col: int
     south_row: int
 
-    def fire_box(self) -> tuple[int, int, int, int]:
-        """(xmin, xmax, ymin, ymax) of the region the fire can reach."""
-        return (self.west_col + 1, self.east_col - 1,
-                self.south_row + 1, self.north_row - 1)
-
 
 @dataclass(frozen=True)
 class WallPlan:

@@ -1,8 +1,9 @@
 """Acceptance suite: one criterion per test, one printed PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the full suite takes a few minutes, dominated by the exhaustive
-search of criterion 4.
+lines. On a 2-vCPU machine the whole test suite takes about 70 s. The
+longest test is criterion 2's 200-round lower-bound suite, at about 22 s;
+criterion 4's exhaustive search comes next, at about 9 s.
 """
 
 from __future__ import annotations

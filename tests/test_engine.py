@@ -12,6 +12,7 @@ from gridfire.budget import constant, periodic
 from gridfire.engine import (
     FireState,
     PlacementError,
+    SimView,
     endangered,
     endangered_near,
     is_controlled,
@@ -19,7 +20,7 @@ from gridfire.engine import (
     run,
     step,
 )
-from gridfire.grid import Topology, ball
+from gridfire.grid import Topology, ball, row_major
 from gridfire.strategies import (
     GreedyNearest,
     NullStrategy,
@@ -28,7 +29,7 @@ from gridfire.strategies import (
 )
 from gridfire.trace import MalformedTraceError, RoundRecord, RunTrace
 
-from conftest import bfs_ball, scan_near, single_source
+from conftest import bfs_ball, scan_endangered, scan_near, single_source
 
 
 def test_step_free_spread_cartesian(origin_cartesian):
@@ -123,6 +124,90 @@ def test_endangered_and_step_reject_runaway_coordinates():
 
 
 _SMALL_POINTS = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@st.composite
+def _fire_states(draw) -> FireState:
+    """Any state: a burnt set with holes, firefighters on and off its front,
+    any round number, any topology."""
+    topo = draw(st.sampled_from(list(Topology)))
+    burnt = draw(st.sets(_SMALL_POINTS, max_size=30))
+    protected = draw(st.sets(st.tuples(st.integers(-7, 7), st.integers(-7, 7)),
+                             max_size=15)) - burnt
+    return FireState(frozenset(burnt), frozenset(protected),
+                     draw(st.integers(0, 100)), topo)
+
+
+@st.composite
+def _legal_squads(draw, burnt, protected) -> list:
+    """A duplicate-free squad off the burnt and protected sets, mostly on the
+    front but possibly well ahead of it."""
+    front = sorted(scan_near(burnt, burnt, protected, Topology.STRONG))
+    ahead = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+    squad = draw(st.lists(st.sampled_from(front) if front else ahead, max_size=6)
+                 | st.lists(ahead, max_size=4))
+    return list(dict.fromkeys(p for p in squad
+                              if p not in burnt and p not in protected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=_fire_states(), data=st.data())
+def test_step_is_the_spread_rule_on_any_state(state, data):
+    squad = data.draw(_legal_squads(state.burnt, state.protected))
+    slack = data.draw(st.integers(0, 2))
+    after = step(state, squad, constant(len(squad) + slack))
+    danger = scan_endangered(state.burnt, state.protected, state.topology)
+    assert after.burnt == state.burnt | (danger - set(squad))
+    assert after.protected == state.protected | set(squad)
+    assert after.round == state.round + 1
+    assert after.topology is state.topology
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=_fire_states(), rounds=st.integers(1, 5), data=st.data())
+def test_view_plays_any_state_like_a_full_scan(state, rounds, data):
+    """Over several rounds from any state, E stays the full scan of the view's
+    burnt and protected sets, and the state's burnt set serves as round 0's
+    ignitions."""
+    view = SimView(state, rounds)
+    for _ in range(rounds):
+        danger = scan_endangered(view.burnt, view.protected, view.topology)
+        assert view.endangered() == danger
+        squad = data.draw(_legal_squads(view.burnt, view.protected))
+        ignited = view.play(squad, len(squad))
+        assert ignited == tuple(sorted(danger - set(squad), key=row_major))
+        view.burnt.update(ignited)
+    assert view.round == state.round + rounds
+    assert view.endangered() == scan_endangered(
+        view.burnt, view.protected, view.topology)
+
+
+@pytest.mark.parametrize("topo", list(Topology), ids=lambda t: t.value)
+def test_play_rejects_bad_squads_and_changes_nothing(topo):
+    state = FireState(
+        burnt=frozenset({(0, 0), (2, 0), (1, 1)}),  # (1, 0) is a hole
+        protected=frozenset({(3, 0), (0, 5)}),
+        round=7,
+        topology=topo,
+    )
+    view = SimView(state, 2)
+    before = (set(view.burnt), set(view.protected), view.round,
+              view.endangered_row_major())
+    cases = [
+        ([(1, 0), (0, 1)], 1, "2 placements exceed the 1 available"),
+        ([(1, 0), (0, 1), (1, 0)], 3, "duplicate placement: (1, 0)"),
+        ([(1, 0), (2, 0)], 2, "placement on a burnt point: (2, 0)"),
+        ([(1, 0), (3, 0)], 2, "placement on a protected point: (3, 0)"),
+    ]
+    for squad, available, message in cases:
+        with pytest.raises(PlacementError) as exc:
+            view.play(squad, available)
+        assert str(exc.value) == message
+        assert (set(view.burnt), set(view.protected), view.round,
+                view.endangered_row_major()) == before
+    ignited = view.play([(1, 0)], 1)
+    assert set(ignited) == scan_endangered(state.burnt, state.protected, topo) - {(1, 0)}
+    assert view.round == 8
 
 
 @settings(max_examples=200, deadline=None)

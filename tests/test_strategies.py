@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridfire.budget import constant, periodic
-from gridfire.engine import FireState, SimView, endangered, run
-from gridfire.grid import Topology, row_major
+from gridfire.engine import FireState, SimView, run
+from gridfire.grid import Topology
 from gridfire.strategies import (
     GreedyNearest,
     NullStrategy,
@@ -24,11 +24,7 @@ from conftest import single_source
 
 
 def _view(burnt, protected, topo=Topology.CARTESIAN, round_no=0):
-    sx = sum(p[0] for p in burnt)
-    sy = sum(p[1] for p in burnt)
-    state = FireState(frozenset(burnt), frozenset(protected), round_no, topo)
-    danger = tuple(sorted(endangered(state), key=row_major))
-    return SimView(topo, set(burnt), set(protected), danger, round_no, (sx, sy))
+    return SimView(FireState(frozenset(burnt), frozenset(protected), round_no, topo), 1)
 
 
 def test_null_strategy_places_nothing():
@@ -60,8 +56,9 @@ def test_greedy_respects_budget_and_legality():
 
 def per_cell_greedy(view, available):
     """The former GreedyNearest: sort E by a per-cell Python key."""
-    n = view.burnt_count
-    sx, sy = view.burnt_sum
+    n = len(view.burnt)
+    sx = sum(p[0] for p in view.burnt)
+    sy = sum(p[1] for p in view.burnt)
 
     def key(p):
         dx = n * p[0] - sx
