@@ -10,7 +10,9 @@ import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
+from types import NoneType
 
 from .budget import containment_budget, parse_budget
 from .engine import FireState, run
@@ -20,7 +22,7 @@ from .reduction import run_reduction
 from .render import render_pgm, render_text
 from .search import SearchConfig, exhaustive_search, min_burnt_search
 from .strategies import parse_strategy
-from .trace import MalformedTraceError, RunTrace
+from .trace import MalformedTraceError, RunTrace, _typed
 from .wallplan import ContainmentStrategy, wall_plan
 
 
@@ -37,6 +39,15 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        # A config file can hold any JSON type, and true would pass for 1.
+        for name, *kinds in (("topology", str), ("radius", int),
+                             ("source_metric", str, NoneType), ("budget", str),
+                             ("strategy", str), ("horizon", int),
+                             ("seed", int, NoneType), ("out", str, NoneType)):
+            _typed(getattr(self, name), name, *kinds)
+        center = _typed(self.center, "center", tuple)
+        if len(center) != 2 or any(type(v) is not int for v in center):
+            raise TypeError(f"center must be two ints, got {center!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
 
@@ -269,9 +280,9 @@ def cmd_render(args: argparse.Namespace) -> int:
     burnt, protected = _parsed(trace.state_at, args.round)
     window = tuple(args.window)
     if args.pgm:
-        _write_text(args.pgm, render_pgm(burnt, protected, window))
+        _write_text(args.pgm, _parsed(partial(render_pgm, burnt, protected), window))
     else:
-        print(render_text(burnt, protected, window))
+        print(_parsed(partial(render_text, burnt, protected), window))
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import add, floordiv, mod, mul, not_, sub
-from typing import AbstractSet, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .budget import Budget, parse_budget
 from .grid import (
@@ -104,30 +104,6 @@ class _CodeBox:
         return near
 
 
-def endangered_near(
-    cells: Iterable[Point],
-    burnt: AbstractSet[Point],
-    protected: AbstractSet[Point],
-    topology: Topology,
-) -> frozenset[Point]:
-    """Unburnt, unprotected neighbors of ``cells``: the one spread rule.
-
-    Over the whole burnt set this is the endangered set E. After squad S,
-    ignited = E - S and E' = endangered_near(ignited) on the updated sets, since
-    every other neighbor of an older burnt point was in E. The fire is
-    controlled exactly when E is empty.
-
-    The neighbors come from ``_CodeBox.near`` in a code box one cell wider than
-    ``cells``; only the decoded neighbor set is checked against burnt and
-    protected, so the cost is O(|cells|) however large the burnt set is.
-    """
-    if not isinstance(cells, (list, tuple)):
-        cells = list(cells)
-    box = _CodeBox(cells, 1, topology)
-    near = set(box.decode(list(box.near(box.encode(cells)))))
-    return frozenset((near - burnt) - protected)
-
-
 def _column_sums(points: Iterable[Point]) -> tuple[int, int]:
     """(sum of x, sum of y) over ``points``; (0, 0) when there are none."""
     xs, ys = columns(points)
@@ -138,9 +114,10 @@ class SimView:
     """The state of one run, and the one place a round is played.
 
     ``SimView(state, rounds)`` starts from ``state`` and may play up to
-    ``rounds`` rounds. Strategies read ``topology``, ``round``, ``burnt``,
-    ``protected``, ``burnt_sum`` (the x and y sums over ``burnt``) and E;
-    ``play`` places a squad and spreads the fire.
+    ``rounds`` rounds; ``SimView(state, 0)`` only answers E. Strategies read
+    ``topology``, ``round``, ``burnt``, ``protected``, ``burnt_sum`` (the x
+    and y sums over ``burnt``) and E; ``play`` places a squad and spreads the
+    fire.
 
     E is held as integer codes in a ``_CodeBox`` grown by ``rounds + 1``, so
     every cell the fire can reach, and every cell it can endanger, has a
@@ -160,8 +137,7 @@ class SimView:
     """
 
     __slots__ = ("topology", "round", "burnt", "protected", "burnt_sum",
-                 "_box", "_layer", "_held", "_codes", "_endangered",
-                 "_endangered_set")
+                 "_last", "_box", "_layer", "_held", "_codes", "_endangered")
 
     def __init__(self, state: FireState, rounds: int):
         cells = list(state.burnt)
@@ -170,6 +146,7 @@ class SimView:
         self.burnt = set(cells)
         self.protected = set(state.protected)
         self.burnt_sum = _column_sums(cells)
+        self._last = state.round + rounds
         self._box = _CodeBox(cells, rounds + 1, state.topology)
         self._held = self._box.encode_in_box(state.protected)
         self._layer: list[int] = []
@@ -183,16 +160,20 @@ class SimView:
         self._layer = codes
         self._codes = sorted(near)
         self._endangered = self._box.decode(self._codes)
-        self._endangered_set: frozenset[Point] | None = None
 
     def play(self, squad: Sequence[Point], available: int) -> tuple[Point, ...]:
         """Play one round: protect ``squad``, then burn the rest of E.
 
         Raises PlacementError, changing nothing, when ``squad`` exceeds
-        ``available`` or repeats, or lands on a burnt or protected point.
+        ``available`` or repeats, or lands on a burnt or protected point; and
+        RuntimeError, changing nothing, once the view has played the rounds
+        it was built for, because its box may not hold the fire's next layer.
         Returns the ignited cells in row-major order; see the class docstring
         for why they are not added to ``burnt`` here.
         """
+        if self.round == self._last:
+            raise RuntimeError(
+                f"view box too small: it was built to play up to round {self._last}")
         if len(squad) > available:
             raise PlacementError(
                 f"{len(squad)} placements exceed the {available} available"
@@ -220,9 +201,7 @@ class SimView:
 
     def endangered(self) -> frozenset[Point]:
         """The cells that burn next round unless this squad protects them."""
-        if self._endangered_set is None:
-            self._endangered_set = frozenset(self._endangered)
-        return self._endangered_set
+        return frozenset(self._endangered)
 
     def endangered_row_major(self) -> tuple[Point, ...]:
         """The same cells as ``endangered()``, in row-major (y, x) order."""
@@ -232,7 +211,7 @@ class SimView:
 def endangered(state: FireState) -> frozenset[Point]:
     """Unburnt, unprotected points adjacent to a burning point."""
     check_range(state.burnt)
-    return endangered_near(state.burnt, state.burnt, state.protected, state.topology)
+    return SimView(state, 0).endangered()
 
 
 def is_controlled(state: FireState) -> bool:

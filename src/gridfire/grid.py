@@ -22,7 +22,7 @@ class Topology(Enum):
 # Sort key for row-major (y, x) order: how traces list their points.
 row_major = itemgetter(1, 0)
 
-# Offsets sorted row-major by (dy, dx) so neighbor iteration is deterministic.
+# Offsets listed row-major by (dy, dx) so neighbor iteration is deterministic.
 _OFFSETS: dict[Topology, tuple[Point, ...]] = {
     Topology.CARTESIAN: ((0, -1), (-1, 0), (1, 0), (0, 1)),
     Topology.STRONG: (
@@ -33,10 +33,6 @@ _OFFSETS: dict[Topology, tuple[Point, ...]] = {
     # Cartesian offsets plus one diagonal pair; this embedding keeps integer
     # coordinates and sits between the Cartesian and strong neighborhoods.
     Topology.TRIANGULAR: ((-1, -1), (0, -1), (-1, 0), (1, 0), (0, 1), (1, 1)),
-}
-_OFFSETS = {
-    topo: tuple(sorted(offs, key=row_major))
-    for topo, offs in _OFFSETS.items()
 }
 
 

@@ -43,7 +43,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Sequence
 
-from .engine import endangered_near, replay_validate
+from .engine import FireState, endangered as _endangered, replay_validate
 from .grid import Point, Topology, columns
 from .trace import MalformedTraceError, RunTrace
 
@@ -124,7 +124,8 @@ def potentials(
     if offsets is None:
         offsets = front_offsets(burnt)
     if endangered is None:
-        endangered = endangered_near(burnt, burnt, protected, Topology.CARTESIAN)
+        endangered = _endangered(FireState(
+            frozenset(burnt), frozenset(protected), 0, Topology.CARTESIAN))
     cells = tuple(endangered)
     return _line_potentials(cells, *_diagonals(cells), offsets)
 

@@ -13,6 +13,9 @@ def _rows(
 ) -> list[list[str]]:
     """Window rows from ymax down, each cell marked burnt, protected or empty."""
     xmin, xmax, ymin, ymax = window
+    if xmin > xmax or ymin > ymax:
+        raise ValueError(
+            f"window must have xmin <= xmax and ymin <= ymax, got {window}")
     burnt_mark, protected_mark, empty_mark = marks
     return [
         [

@@ -41,7 +41,6 @@ class WallTask:
     target: Point
     deadline: int  # last round by which the target must be protected
     phase: int  # 1..4, by which nominal phase window the deadline falls in
-    rank: int  # tie-break among equal deadlines; follows wall contiguity
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class WallPlan:
     r: int
     geometry: PlanGeometry
     phase_ends: tuple[int, int, int, int]
-    tasks: tuple[WallTask, ...]  # sorted by (deadline, phase, rank)
+    tasks: tuple[WallTask, ...]  # by deadline, then in wall order
 
     @property
     def round_bound(self) -> int:
@@ -137,17 +136,16 @@ def wall_plan(m: int, r: int) -> WallPlan:
     for x in range(w, e + 1):
         raw.append(((x, s), t_south))
 
-    tasks = [
-        WallTask(target=p, deadline=d, phase=phase_of(d), rank=i)
-        for i, (p, d) in enumerate(raw)
-    ]
-    tasks.sort(key=lambda task: (task.deadline, task.phase, task.rank))
+    # Earliest deadline first; the stable sort keeps wall contiguity among
+    # equal deadlines, which share a phase.
+    raw.sort(key=lambda entry: entry[1])
     return WallPlan(
         m=m,
         r=r,
         geometry=PlanGeometry(north_row=n, east_col=e, west_col=w, south_row=s),
         phase_ends=phase_ends,
-        tasks=tuple(tasks),
+        tasks=tuple(WallTask(target=p, deadline=d, phase=phase_of(d))
+                    for p, d in raw),
     )
 
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from gridfire.cli import ExperimentConfig, main
+from gridfire.cli import ExperimentConfig, build_parser, main
 from gridfire.trace import RunTrace
 
 
@@ -303,6 +305,22 @@ PARSE_ERRORS = {
         lambda tmp: ["run", "--config", _config_file(tmp, extra={"horizon": 0})],
     "run-config-not-json":
         lambda tmp: ["run", "--config", _trace_file(tmp)],
+    "run-config-int-budget":
+        lambda tmp: ["run", "--config", _config_file(tmp, extra={"budget": 5})],
+    "run-config-int-strategy":
+        lambda tmp: ["run", "--config", _config_file(tmp, extra={"strategy": 5})],
+    "run-config-fractional-horizon":
+        lambda tmp: ["run", "--config", _config_file(tmp, extra={"horizon": 1.5})],
+    "run-config-bool-horizon":
+        lambda tmp: ["run", "--config", _config_file(tmp, extra={"horizon": True})],
+    "run-config-int-out":
+        lambda tmp: ["run", "--config", _config_file(tmp, extra={"out": 5})],
+    "run-config-string-seed":
+        lambda tmp: ["run", "--config", _config_file(tmp, extra={"seed": "x"})],
+    "run-config-fractional-center":
+        lambda tmp: ["run", "--config", _config_file(tmp, extra={"center": [0, 0.5]})],
+    "run-config-three-center":
+        lambda tmp: ["run", "--config", _config_file(tmp, extra={"center": [0, 0, 0]})],
     "run-horizon-zero": lambda tmp: ["run", "--horizon", "0"],
     "run-bad-center": lambda tmp: ["run", "--center", "1"],
     "run-bad-budget": lambda tmp: ["run", "--budget", "const:x"],
@@ -313,6 +331,12 @@ PARSE_ERRORS = {
     "render-bad-window":
         lambda tmp: ["render", "--trace", _trace_file(tmp), "--round", "0",
                      "--window=a,b,c,d"],
+    "render-inverted-window":
+        lambda tmp: ["render", "--trace", _trace_file(tmp), "--round", "0",
+                     "--window=5,0,0,0"],
+    "render-inverted-window-pgm":
+        lambda tmp: ["render", "--trace", _trace_file(tmp), "--round", "0",
+                     "--window=0,0,1,0", "--pgm", str(tmp / "a.pgm")],
     "render-missing-trace":
         lambda tmp: ["render", "--trace", str(tmp / "absent.jsonl"), "--round", "0",
                      "--window=0,1,0,1"],
@@ -358,3 +382,23 @@ def test_parse_errors_exit_2_with_one_line(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1, err
+
+
+def test_readme_commands_parse():
+    """Every ``gridfire`` command in README's code blocks parses, so a renamed
+    or removed flag cannot leave the README stale. Nothing is run."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["gridfire"]:
+                commands.append(words[1:])
+    assert len(commands) >= 6, commands
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: gridfire {shlex.join(argv)}")

@@ -14,7 +14,6 @@ from gridfire.engine import (
     PlacementError,
     SimView,
     endangered,
-    endangered_near,
     is_controlled,
     replay_validate,
     run,
@@ -210,30 +209,31 @@ def test_play_rejects_bad_squads_and_changes_nothing(topo):
     assert view.round == 8
 
 
+@pytest.mark.parametrize("rounds", [0, 1, 3])
+def test_play_refuses_rounds_past_its_box(rounds):
+    """Played past its ``rounds``, a view's box would clip the fire: from one
+    source, a view built for one round and played four times burnt 33 cells,
+    not the 41 of the radius-4 ball. It raises instead, changing nothing."""
+    source = single_source()
+    view = SimView(FireState(source.burnt, frozenset(), 5, source.topology), rounds)
+    for _ in range(rounds):
+        view.burnt.update(view.play([], 0))
+    assert view.burnt == ball((0, 0), rounds, "l1")
+    before = (set(view.burnt), set(view.protected), view.round,
+              view.endangered_row_major())
+    with pytest.raises(RuntimeError, match=f"up to round {5 + rounds}$"):
+        view.play([(9, 9)], 1)
+    assert (set(view.burnt), set(view.protected), view.round,
+            view.endangered_row_major()) == before
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    topo=st.sampled_from(list(Topology)),
-    burnt=st.sets(_SMALL_POINTS, min_size=1, max_size=30),
-    form=st.sampled_from(["empty", "proper-subset", "generator", "all"]),
-    data=st.data(),
-)
-def test_kernel_matches_per_cell_scan(topo, burnt, form, data):
-    """endangered_near equals a per-cell neighbor scan on any iterable of cells."""
-    cells = data.draw(st.sets(st.sampled_from(sorted(burnt)), max_size=len(burnt) - 1))
-    if form == "empty":
-        cells = set()
-    elif form == "all":
-        cells = set(burnt)
-    # Firefighters on the unprotected front and anywhere else off the fire.
-    front = sorted(scan_near(burnt, burnt, set(), topo))
-    protected = data.draw(st.sets(st.sampled_from(front), max_size=len(front)))
-    protected |= data.draw(st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
-                                   max_size=10)) - burnt
-    want = scan_near(cells, burnt, protected, topo)
-    given_cells = (p for p in sorted(cells)) if form == "generator" else cells
-    got = endangered_near(given_cells, burnt, protected, topo)
+@given(state=_fire_states())
+def test_kernel_matches_per_cell_scan(state):
+    """endangered(state) equals a per-cell neighbor scan on any state."""
+    got = endangered(state)
     assert type(got) is frozenset
-    assert got == want
+    assert got == scan_endangered(state.burnt, state.protected, state.topology)
 
 
 def test_run_free_burn_reaches_ball(origin_cartesian):

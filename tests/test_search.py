@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gridfire import search
 from gridfire.budget import constant, periodic
-from gridfire.engine import endangered_near, replay_validate
+from gridfire.engine import FireState, endangered, replay_validate
 from gridfire.grid import Topology
 from gridfire.monitor import check_invariants, front_offsets
 from gridfire.search import SearchConfig, exhaustive_search, min_burnt_search
@@ -199,8 +199,8 @@ def test_bitboard_spread_matches_engine_kernel(topo, burnt, protected):
     protected -= burnt
     win = search._Window(_HALF, topo)
     mask = win.endangered(win.encode(burnt), win.encode(protected))
-    assert set(win.points(win.bits(mask))) == endangered_near(
-        burnt, burnt, protected, topo)
+    assert set(win.points(win.bits(mask))) == endangered(
+        FireState(frozenset(burnt), frozenset(protected), 0, topo))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,12 +1,12 @@
 """A brute-force reference for the game-tree search.
 
-It plays the game on point sets through the engine's spread kernel and
-quantifies over every squad of at most f(t) cells, partial squads included,
-drawn from the search's candidate rule. It uses no symmetry, no table, no seal
-shortcut and no pruning, so it shares none of the search's own shortcuts:
-full squads only, the seal's pocket and exotic forms, symmetry, the
-transposition table and the minimum-burnt prunes. Only instances small enough
-to brute-force are checked, and few of them control.
+It plays the game on point sets through a per-cell neighbor scan that does
+not use the engine, and quantifies over every squad of at most f(t) cells,
+partial squads included, drawn from the search's candidate rule. It uses no
+symmetry, no table, no seal shortcut and no pruning, so it shares none of the
+search's own shortcuts: full squads only, the seal's pocket and exotic forms,
+symmetry, the transposition table and the minimum-burnt prunes. Only
+instances small enough to brute-force are checked, and few of them control.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import math
 import pytest
 
 from gridfire.budget import Budget, constant, periodic
-from gridfire.engine import endangered_near
 from gridfire.grid import Topology, ball
 from gridfire.monitor import front_offsets
 from gridfire.search import SearchConfig, exhaustive_search, min_burnt_search
+
+from conftest import scan_near
 
 
 def _oracle(topo: Topology, source: frozenset, budget: Budget, horizon: int, d: int):
@@ -29,7 +30,7 @@ def _oracle(topo: Topology, source: frozenset, budget: Budget, horizon: int, d: 
     least_perim = math.inf
     least_burnt = math.inf
 
-    def play(burnt: frozenset, prot: frozenset, e: frozenset, t: int) -> None:
+    def play(burnt: frozenset, prot: frozenset, e: set, t: int) -> None:
         nonlocal least_perim, least_burnt
         if not e:
             least_burnt = min(least_burnt, len(burnt))
@@ -43,13 +44,13 @@ def _oracle(topo: Topology, source: frozenset, budget: Budget, horizon: int, d: 
                        for dx in range(-d, d + 1) for dy in range(-d, d + 1)} - occupied)
         for k in range(budget.at(t + 1) + 1):
             for squad in itertools.combinations(cand, k):
-                # As in the engine's round: the unprotected endangered cells
-                # ignite, and the next endangered cells are their neighbors.
+                # The unprotected endangered cells ignite, and the next
+                # endangered cells are their unburnt, unprotected neighbors.
                 ignited = e.difference(squad)
                 burnt2, prot2 = burnt | ignited, prot.union(squad)
-                play(burnt2, prot2, endangered_near(ignited, burnt2, prot2, topo), t + 1)
+                play(burnt2, prot2, scan_near(ignited, burnt2, prot2, topo), t + 1)
 
-    play(source, frozenset(), endangered_near(source, source, frozenset(), topo), 0)
+    play(source, frozenset(), scan_near(source, source, frozenset(), topo), 0)
     controlled = least_burnt < math.inf
     return controlled, least_perim, least_burnt if controlled else None
 
