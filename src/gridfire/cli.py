@@ -45,8 +45,9 @@ class ExperimentConfig:
                              ("strategy", str), ("horizon", int),
                              ("seed", int, NoneType), ("out", str, NoneType)):
             _typed(getattr(self, name), name, *kinds)
-        center = _typed(self.center, "center", tuple)
-        if len(center) != 2 or any(type(v) is not int for v in center):
+        center = self.center
+        if (type(center) is not tuple or len(center) != 2
+                or any(type(v) is not int for v in center)):
             raise TypeError(f"center must be two ints, got {center!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
@@ -62,7 +63,8 @@ class ExperimentConfig:
         names = {f.name for f in dataclasses.fields(cls)}
         if not isinstance(d, dict) or d.keys() != names:
             raise ValueError(f"config must hold exactly the keys {sorted(names)}")
-        d["center"] = tuple(d["center"])
+        if type(d["center"]) is list:  # JSON has no tuples
+            d["center"] = tuple(d["center"])
         return cls(**d)
 
     def initial_state(self) -> FireState:

@@ -44,8 +44,8 @@ from operator import add, sub
 from typing import Iterable, Sequence
 
 from .engine import FireState, endangered as _endangered, replay_validate
-from .grid import Point, Topology, columns
-from .trace import MalformedTraceError, RunTrace
+from .grid import Point, Topology, columns, row_major
+from .trace import RunTrace
 
 Direction = tuple[int, int]
 
@@ -178,16 +178,27 @@ def _line_potentials(
 
 
 def activity(
-    offsets_now: dict[Direction, int], offsets_next: dict[Direction, int]
+    offsets_now: dict[Direction, int], offsets_next: dict[Direction, int],
+    source: Iterable[Point],
 ) -> tuple[dict[Direction, int], int]:
-    """Per-front active indicators between consecutive instants, and their sum."""
+    """Per-front active indicators between consecutive instants, and their sum.
+
+    The walk's fronts start at the origin and advance by at most one line per
+    round. A fire from ``source`` may break that even on a valid trace: from a
+    cell off the diagonals through the origin, a front stays at 0 until the
+    hole fills and then jumps, and a source of more than one cell starts some
+    front beyond line 1. That raises ValueError naming the source.
+    """
     act: dict[Direction, int] = {}
     for d in DIRECTIONS:
         diff = offsets_next[d] - offsets_now[d]
         if diff not in (0, 1):
-            raise MalformedTraceError(
-                f"front offset for {d} moved by {diff}; traces advance fronts "
-                "by at most one per round"
+            cells = sorted(source, key=row_major)
+            shown = ", ".join(map(str, cells[:4])) + (", ..." if len(cells) > 4 else "")
+            raise ValueError(
+                f"monitor precondition: front offset for {d} moved by {diff}; "
+                f"checks A-E assume fronts that start at the origin, and the "
+                f"fire from source {{{shown}}} does not"
             )
         act[d] = diff
     return act, sum(act.values())
@@ -333,7 +344,7 @@ def check_invariants(trace: RunTrace, validate: bool = True) -> MonitorReport:
         )
 
     for i in range(len(metrics) - 1):
-        act, _ = activity(metrics[i].offsets, metrics[i + 1].offsets)
+        act, _ = activity(metrics[i].offsets, metrics[i + 1].offsets, trace.initial)
         metrics[i].active = act
 
     checks = {

@@ -10,7 +10,12 @@ control question and the minimum final perimeter).
 Control at the next round is decided exactly per node instead of branching a
 final level: a squad seals the fire iff every endangered cell is protected,
 burns as a pocket (a cell whose ignition exposes nothing new), or has its
-entire exposure covered. The rare third form is enumerated explicitly.
+entire exposure covered. So a seal exists iff a small cover exists: a set
+holding every nonpocket or its whole exposure, found by a bounded search tree
+over the nonpockets (``_Search.cover``). The seal tries squads only once a
+cover of at most f cells is known to exist. At the exhaustive driver's last
+level the same test, with room for the leaf's squad as well, refutes whole
+groups of leaves, which are then counted without being walked.
 
 Both drivers run on one core, ``_Search``: the window and the supply, the node
 count, the child expansion, the seal test and a transposition table, one
@@ -29,6 +34,7 @@ let the bitboard shifts clip the fire.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -83,6 +89,8 @@ class _Window:
                 if value >= 0:
                     lines[value] |= 1 << b
         self.cell_nbrs = [self.neighbors_mask(1 << i) for i in range(self.nbits)]
+        # Neighbors per cell away from the edge, such as the center.
+        self.degree = self.cell_nbrs[self.nbits // 2].bit_count()
 
     def bit(self, x: int, y: int) -> int:
         return (y + self.half) * self.side + (x + self.half)
@@ -274,6 +282,29 @@ class _Search:
             s_mask = sum(squad)  # distinct single bits: the sum is the union
             yield squad, burnt | (e_mask & ~s_mask), prot | s_mask
 
+    def groups(
+        self, burnt: int, prot: int, e_mask: int, cand: int, k: int
+    ) -> Iterator[tuple[Squad, int, int, int]]:
+        """The squads of ``k`` cells from ``cand``, group by group, as
+        (hs, burnt', base, count).
+
+        A child's burnt set burnt | (E - S) depends only on S & E, so the
+        squads are grouped by the endangered cells they protect, ``hs``, in
+        ascending order; the rest of a squad is drawn from the cold
+        candidates, those outside E. ``burnt'`` is the group's burnt set,
+        ``base`` the cells endangered around it before a squad protects its
+        own cells (a squad S leaves base - S endangered) and ``count`` =
+        C(|cold|, k - |hs|) the number of squads in the group.
+        """
+        hot = self.win.singles(cand & e_mask)
+        n_cold = (cand & ~e_mask).bit_count()
+        endangered = self.win.endangered
+        for h in range(max(0, k - n_cold), min(k, len(hot)) + 1):
+            count = math.comb(n_cold, k - h)
+            for hs in itertools.combinations(hot, h):
+                burnt2 = burnt | (e_mask ^ sum(hs))
+                yield hs, burnt2, endangered(burnt2, prot), count
+
     def ranked_children(
         self, depth: int, burnt: int, prot: int, e_mask: int, cutoff: int | None
     ) -> list[tuple[int, Squad]]:
@@ -283,36 +314,28 @@ class _Search:
 
         The bound is the child's one-step burnt lower bound: its burnt cells
         plus whatever it leaves endangered beyond the next round's supply.
-        A child's burnt set burnt | (E - S) depends only on S & E, so the
-        squads are enumerated group by group: the endangered cells they
-        protect, then the rest. Each group's burnt set and the cells exposed
-        around it are found once, and a squad then only removes its own cells
-        from them. A squad removes at most k cells, so a group whose burnt
-        set plus its exposure beyond k and the next supply reaches the
-        cutoff is skipped whole.
+        The squads come group by group from ``groups``, and a squad only
+        removes its own cells from its group's ``base``. A squad removes at
+        most k cells, so a group whose burnt set plus its exposure beyond k
+        and the next supply reaches the cutoff is skipped whole.
         """
         f_after = self.f[depth + 1] if depth + 1 < len(self.f) else 0
         cand = self.candidates(depth, burnt, prot)
-        hot = self.win.singles(cand & e_mask)
         cold = self.win.singles(cand & ~e_mask)
-        k = min(self.f[depth], len(hot) + len(cold))
-        endangered = self.win.endangered
+        k = min(self.f[depth], cand.bit_count())
         ranked = []
-        for h in range(max(0, k - len(cold)), min(k, len(hot)) + 1):
-            for hs in itertools.combinations(hot, h):
-                hit = sum(hs)
-                burnt2 = burnt | (e_mask ^ hit)
-                n_burnt2 = burnt2.bit_count()
-                base = endangered(burnt2, prot)
-                if (cutoff is not None
-                        and n_burnt2 + max(0, base.bit_count() - k - f_after) >= cutoff):
-                    continue
-                for cs in itertools.combinations(cold, k - h):
-                    over = (base & ~(hit + sum(cs))).bit_count() - f_after
-                    bound = n_burnt2 + max(0, over)
-                    if cutoff is None or bound < cutoff:
-                        # hs and cs ascend, so this is the combinations tuple.
-                        ranked.append((bound, tuple(sorted(hs + cs))))
+        for hs, burnt2, base, _ in self.groups(burnt, prot, e_mask, cand, k):
+            n_burnt2 = burnt2.bit_count()
+            if (cutoff is not None
+                    and n_burnt2 + max(0, base.bit_count() - k - f_after) >= cutoff):
+                continue
+            hit = sum(hs)
+            for cs in itertools.combinations(cold, k - len(hs)):
+                over = (base & ~(hit + sum(cs))).bit_count() - f_after
+                bound = n_burnt2 + max(0, over)
+                if cutoff is None or bound < cutoff:
+                    # hs and cs ascend, so this is the combinations tuple.
+                    ranked.append((bound, tuple(sorted(hs + cs))))
         ranked.sort()  # squads are distinct, so this is (bound, squad) order
         return ranked
 
@@ -340,6 +363,13 @@ class _Search:
 
         Returns (squad, cells that still burn); among seals it minimizes the
         number of cells left to burn.
+
+        A squad S seals exactly when it holds every nonpocket e, or e's whole
+        exposure N(e) & exposed. The two cheap forms are answered directly;
+        otherwise ``cover`` decides, in a search tree at most f deep, whether
+        any squad of candidates seals, and only then are the squads drawn from
+        the nonpockets and their small exposures tried in order for the one
+        that burns fewest.
         """
         if not e_mask:
             return (), 0
@@ -351,31 +381,26 @@ class _Search:
         # cells next to an exposed one.
         exposed = win.full & ~burnt & ~prot & ~e_mask
         nonpocket = e_mask & win.neighbors_mask(exposed)
-        # Cheap refutation first: a seal needs few nonpockets. Exotic seals
-        # protect a cell's exposure instead of the cell itself; each protected
-        # cell can absorb at most itself plus its neighbors' worth of exposed
-        # cells, so beyond 9 per firefighter nothing can work.
-        if nonpocket.bit_count() > 9 * f_next:
-            return None
         cand = self.candidates(depth, burnt, prot)
         n_e = e_mask.bit_count()
-        nonpockets = win.bits(nonpocket)
+        n_np = nonpocket.bit_count()
         coverable = not (e_mask & ~cand)
         if coverable and n_e <= f_next:
             return tuple(win.singles(e_mask)), 0
-        if coverable and len(nonpockets) <= f_next:
+        if coverable and n_np <= f_next:
             pockets = win.singles(e_mask ^ nonpocket)
-            squad = win.singles(nonpocket) + pockets[: f_next - len(nonpockets)]
+            squad = win.singles(nonpocket) + pockets[: f_next - n_np]
             return tuple(squad), n_e - len(squad)
-        # Every non-protected nonpocket needs its whole exposure inside the squad.
-        coverable_np = [
-            b for b in nonpockets if (cell_nbrs[b] & exposed).bit_count() <= f_next
-        ]
-        if len(nonpockets) - len(coverable_np) > f_next:
+        # Exact refutation. Protecting more never unseals, and a cover lies
+        # inside the pool below, so padded to a full squad it is one of the
+        # squads tried there.
+        if not self.cover(nonpocket, exposed, f_next, cand):
             return None
         pool = nonpocket
-        for b in coverable_np:
-            pool |= cell_nbrs[b] & exposed
+        for b in win.bits(nonpocket):
+            exposure = cell_nbrs[b] & exposed
+            if exposure.bit_count() <= f_next:
+                pool |= exposure
         best: tuple[Squad, int] | None = None
         for squad, burnt2, prot2 in self.children(burnt, prot, e_mask, pool & cand, f_next):
             if win.endangered(burnt2, prot2):
@@ -384,6 +409,53 @@ class _Search:
             if best is None or n_burn < best[1]:
                 best = (squad, n_burn)
         return best
+
+    def cover(self, nonpocket: int, exposed: int, cap: int, allowed: int) -> bool:
+        """Whether a set U of at most ``cap`` cells, all in ``allowed``, holds
+        every cell e of ``nonpocket`` or its whole exposure N(e) & ``exposed``.
+
+        A bounded search tree: branch over the first nonpocket U does not yet
+        meet, adding either the cell or its exposure. Every branch adds a
+        cell, so the tree is at most ``cap`` deep. A nonpocket not yet met
+        needs a new cell of U that is either itself or an exposed neighbor,
+        so one new cell meets at most ``degree`` of them; a branch with more
+        than that per cell of room left is cut.
+        """
+        win = self.win
+        cell_nbrs = win.cell_nbrs
+        degree = win.degree
+        if nonpocket.bit_count() > degree * cap:  # the root's cut, before any needs
+            return False
+
+        def grow(u: int, needs: list[tuple[int, int]]) -> bool:
+            needs = [need for need in needs if not u & need[0] and need[1] & ~u]
+            if not needs:
+                return True
+            if len(needs) > degree * (cap - u.bit_count()):
+                return False
+            (cell, exposure), rest = needs[0], needs[1:]
+            for more in (cell, exposure):
+                v = u | more
+                if v.bit_count() <= cap and not v & ~allowed and grow(v, rest):
+                    return True
+            return False
+
+        return grow(0, [(1 << b, cell_nbrs[b] & exposed) for b in win.bits(nonpocket)])
+
+    def group_refuted(self, depth: int, burnt2: int, prot: int, base: int, k: int) -> bool:
+        """True when no leaf at ``depth`` of a group of ``groups`` (burnt',
+        base), made by squads of ``k`` cells, is sealed by a squad of round
+        ``depth + 1``.
+
+        A leaf's squad S and a seal S' of it together hold every nonpocket e
+        of base or its whole exposure: e's leaf exposure is its exposure here
+        minus S. So if no cover of k + f cells exists, with no candidate rule,
+        no leaf of the group seals.
+        """
+        win = self.win
+        exposed = win.full & ~burnt2 & ~prot & ~base
+        nonpocket = base & win.neighbors_mask(exposed)
+        return not self.cover(nonpocket, exposed, k + self.f[depth], win.full)
 
     def witness(self, squads: list[Squad]) -> RunTrace:
         cfg = self.cfg
@@ -423,35 +495,50 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
             raise _Found(squads + [seal[0]])
         cand = core.candidates(depth, burnt, prot)
         if depth + 1 == last_depth:
-            leaves(depth + 1, burnt, prot, e_mask, core.squads(cand, f[depth]), squads)
+            k = min(f[depth], cand.bit_count())
+            leaves(depth + 1, burnt, prot, e_mask, cand, k, squads)
             return
         for squad, burnt2, prot2 in core.children(burnt, prot, e_mask, cand, f[depth]):
             if core.fresh(depth + 1, burnt2, prot2):
                 visit(burnt2, prot2, depth + 1, squads + [squad])
 
     def leaves(
-        depth: int, burnt: int, prot: int, e_mask: int, options: Iterable[Squad],
+        depth: int, burnt: int, prot: int, e_mask: int, cand: int, k: int,
         squads: list[Squad],
     ) -> None:
-        """The leaves at ``depth`` that ``options`` make of the node (burnt,
-        prot) one level up, reached by ``squads``, in order.
+        """The leaves at ``depth`` that the squads of ``k`` cells from
+        ``cand`` make of the node (burnt, prot) one level up, reached by
+        ``squads``.
 
-        A leaf's burnt set burnt | (E - S) depends only on S & E, so its
-        perimeter and the cells exposed around it are found once per distinct
-        S & E; the leaf's endangered set is those cells minus its squad.
+        A leaf's perimeter and the cells exposed around it are found once per
+        group of ``core.groups``; the leaf's endangered set is the group's
+        base minus its squad. When every group is refuted, the fire stays
+        clear of the window's edge and the node cap holds, the leaves are
+        counted and their perimeters folded without a walk, since none of
+        them seals. Otherwise they are walked one by one in squad order, so
+        the first sealing leaf, the edge error and the node cap are met where
+        a walk meets them.
         """
         nonlocal min_perim
         groups: dict[int, tuple[int, int, int]] = {}  # S & E -> (burnt', perim, base)
-        for squad in options:
+        count = 0
+        clear = True
+        for hs, burnt2, base, n in core.groups(burnt, prot, e_mask, cand, k):
+            groups[sum(hs)] = (burnt2, win.perimeter(burnt2), base)
+            count += n
+            clear = clear and not (burnt2 | base) & win.ring
+        if (clear and core.nodes + count <= cfg.node_cap
+                and all(core.group_refuted(depth, burnt2, prot, base, k)
+                        for burnt2, _, base in groups.values())):
+            core.nodes += count
+            least = min(group[1] for group in groups.values())
+            if min_perim is None or least < min_perim:
+                min_perim = least
+            return
+        for squad in core.squads(cand, k):
             core.enter()
             s_mask = sum(squad)
-            hit = s_mask & e_mask
-            group = groups.get(hit)
-            if group is None:
-                burnt2 = burnt | (e_mask ^ hit)
-                group = groups[hit] = (
-                    burnt2, win.perimeter(burnt2), win.endangered(burnt2, prot))
-            burnt2, perim, base = group
+            burnt2, perim, base = groups[s_mask & e_mask]
             e2 = base & ~s_mask
             core.check_edge(depth, burnt2 | e2)
             seal = core.seal(depth, burnt2, prot | s_mask, e2)
@@ -463,7 +550,7 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
 
     try:
         if last_depth == 0:
-            leaves(0, core.burnt0, 0, 0, [()], [])
+            leaves(0, core.burnt0, 0, 0, 0, 0, [])
         else:
             visit(core.burnt0, 0, 0, [])
     except _CapHit:

@@ -7,7 +7,7 @@ from collections import deque
 import pytest
 
 from gridfire.engine import FireState
-from gridfire.grid import Point, Topology, neighbors
+from gridfire.grid import _OFFSETS, Point, Topology, neighbors
 
 
 def bfs_ball(center: Point, radius: int, topo: Topology) -> set[Point]:
@@ -46,11 +46,12 @@ def origin_strong() -> FireState:
 
 def scan_near(cells, burnt, protected, topo: Topology) -> set[Point]:
     """Per-cell oracle: every unburnt, unprotected neighbor of one of ``cells``."""
+    offsets = _OFFSETS[topo]
     return {
         q
-        for p in cells
-        for q in neighbors(p, topo)
-        if q not in burnt and q not in protected
+        for x, y in cells
+        for dx, dy in offsets
+        if (q := (x + dx, y + dy)) not in burnt and q not in protected
     }
 
 

@@ -321,6 +321,10 @@ PARSE_ERRORS = {
         lambda tmp: ["run", "--config", _config_file(tmp, extra={"center": [0, 0.5]})],
     "run-config-three-center":
         lambda tmp: ["run", "--config", _config_file(tmp, extra={"center": [0, 0, 0]})],
+    "run-config-int-center":
+        lambda tmp: ["run", "--config", _config_file(tmp, extra={"center": 5})],
+    "run-config-string-center":
+        lambda tmp: ["run", "--config", _config_file(tmp, extra={"center": "ab"})],
     "run-horizon-zero": lambda tmp: ["run", "--horizon", "0"],
     "run-bad-center": lambda tmp: ["run", "--center", "1"],
     "run-bad-budget": lambda tmp: ["run", "--budget", "const:x"],
@@ -382,6 +386,12 @@ def test_parse_errors_exit_2_with_one_line(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("center", [5, "ab"])
+def test_config_center_error_names_the_field(center, tmp_path, capsys):
+    assert main(["run", "--config", _config_file(tmp_path, extra={"center": center})]) == 2
+    assert capsys.readouterr().err == f"error: center must be two ints, got {center!r}\n"
 
 
 def test_readme_commands_parse():

@@ -181,20 +181,20 @@ def test_activity_free_burn_always_four():
     for t in range(1, 8):
         now = front_offsets(trace.state_at(t - 1)[0])
         nxt = front_offsets(trace.state_at(t)[0])
-        act, total = activity(now, nxt)
+        act, total = activity(now, nxt, {(0, 0)})
         assert total == 4
         assert all(v == 1 for v in act.values())
 
 
 def test_activity_zero_when_surrounded():
     offs = front_offsets({(0, 0)})
-    act, total = activity(offs, offs)
+    act, total = activity(offs, offs, {(0, 0)})
     assert total == 0
 
 
 def test_activity_rejects_jumps():
-    with pytest.raises(Exception):
-        activity({d: 0 for d in DIRECTIONS}, {d: 2 for d in DIRECTIONS})
+    with pytest.raises(ValueError, match=r"moved by 2; .* source \{\(1, 0\)\} does not"):
+        activity({d: 0 for d in DIRECTIONS}, {d: 2 for d in DIRECTIONS}, {(1, 0)})
 
 
 def test_check_invariants_free_burn():

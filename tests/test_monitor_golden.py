@@ -7,10 +7,11 @@ not print. A change to the walk's arithmetic, its corner weights or its
 attribution shows up here as a mismatch.
 
 From the off-diagonal source {(1, 0)} every front starts at offset 0, so
-parallel fronts coincide and (0, 0) lies on all four. ``check_invariants``
-rejects these traces once the hole at offset 0 fills and an offset jumps by
-3; those cases pin that message and, per instant on the walk's clock, the
-potentials of the recorded ignitions against the offsets of the burnt set.
+parallel fronts coincide and (0, 0) lies on all four. Once the hole at
+offset 0 fills, an offset jumps by 3 and ``check_invariants`` rejects these
+valid traces with a precondition error that names the source; those cases pin
+that message and, per instant on the walk's clock, the potentials of the
+recorded ignitions against the offsets of the burnt set.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from gridfire.engine import FireState, run
 from gridfire.grid import Topology
 from gridfire.monitor import check_invariants, front_offsets, potentials
 from gridfire.strategies import parse_strategy
-from gridfire.trace import MalformedTraceError
 
 # (budget, strategy, horizon) from source (0, 0) -> (report, instants) digests
 GOLDEN_REPORTS = {
@@ -64,13 +64,16 @@ GOLDEN_REPORTS = {
 # (budget, strategy, horizon) from source (1, 0) -> (monitor error, potentials digest)
 GOLDEN_OFF_DIAGONAL = {
     ("const:0", "null", 12): (
-        "front offset for (1, 1) moved by 3; traces advance fronts by at most one per round",
+        "monitor precondition: front offset for (1, 1) moved by 3; checks A-E assume "
+        "fronts that start at the origin, and the fire from source {(1, 0)} does not",
         "12cc39950460498c0a07be5f0e5e904a0667596b57092f26e85a841f5991b998"),
     ("periodic:2,1", "greedy", 40): (
-        "front offset for (1, -1) moved by 3; traces advance fronts by at most one per round",
+        "monitor precondition: front offset for (1, -1) moved by 3; checks A-E assume "
+        "fronts that start at the origin, and the fire from source {(1, 0)} does not",
         "305aabafefb4ca9027984db7c90dd211c3314402ef91b1e8d5a4dbff2a4435ec"),
     ("const:1", "random:seed=1", 40): (
-        "front offset for (1, 1) moved by 3; traces advance fronts by at most one per round",
+        "monitor precondition: front offset for (1, 1) moved by 3; checks A-E assume "
+        "fronts that start at the origin, and the fire from source {(1, 0)} does not",
         "2eb3a1a1d31de68e46c710f5a72acbc659266d0cfc67ae5ec7819337463f1700"),
 }
 
@@ -103,7 +106,7 @@ def report_digests(budget, strategy, horizon) -> tuple[str, str]:
 
 def off_diagonal_record(budget, strategy, horizon) -> tuple[str, str]:
     trace = _trace((1, 0), budget, strategy, horizon)
-    with pytest.raises(MalformedTraceError) as err:
+    with pytest.raises(ValueError) as err:
         check_invariants(trace)
     instants = []
     for rec in trace.rounds:

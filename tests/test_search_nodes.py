@@ -1,0 +1,169 @@
+"""Node-level oracles for the search's seal, its cover test and the group
+refutation of the exhaustive last level.
+
+Whole games from small balls (``test_search_oracle.py``) never reach the
+positions where a seal needs its exotic form, so these tests draw
+near-enclosed positions directly: a 3x3 burnt blob at density 0.6 around the
+origin, its second ring protected with 10-35% of it left open as gaps, and 15%
+of its first ring protected. Random dense blobs without the wall rarely reach
+such positions.
+
+The brute forces use only the bitboard spread rule, which
+``test_search.py`` checks against the engine's kernel. Only a squad's cells in
+E | N(E) can change what burns (E - S) or what is endangered after it (a
+subset of N(E)), so a full squad is enumerated by its part there, padded with
+other candidates.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gridfire import search
+from gridfire.budget import periodic
+from gridfire.grid import Topology
+from gridfire.search import SearchConfig
+
+
+def _ring(r: int) -> list[tuple[int, int]]:
+    return [(x, y) for y in range(-r, r + 1) for x in range(-r, r + 1)
+            if max(abs(x), abs(y)) == r]
+
+
+_BLOB = _ring(0) + _ring(1)
+_FIRST = _ring(2)
+_SECOND = _ring(3)
+
+
+@st.composite
+def near_enclosed(draw):
+    """(topology, burnt points, protected points) of a near-enclosed fire."""
+    topo = draw(st.sampled_from(list(Topology)))
+    rng = draw(st.randoms(use_true_random=False))
+    burnt = {p for p in _BLOB if rng.random() < 0.6} or {(0, 0)}
+    gaps = rng.randint(round(0.10 * len(_SECOND)), round(0.35 * len(_SECOND)))
+    wall = rng.sample(_SECOND, len(_SECOND) - gaps)
+    prot = set(wall) | {p for p in _FIRST if rng.random() < 0.15}
+    return topo, burnt, prot
+
+
+def _position(topo, burnt, prot, f, f_next):
+    """A search core whose rounds 1 and 2 have supply ``f`` and ``f_next``,
+    and the position as (burnt, protected, endangered) bitboards. Its window
+    is 8 cells out, so the candidates of a leaf below the position stay off
+    its edge."""
+    core = search._Search(SearchConfig(
+        topology=topo, source=frozenset({(0, 0)}), budget=periodic([f, f_next]),
+        horizon=3, candidate_distance=2))
+    assert core.win.half == 8
+    win = core.win
+    b, p = win.encode(burnt), win.encode(prot)
+    return core, b, p, win.endangered(b, p)
+
+
+def _near_squads(core, cells: int, near: int, k: int):
+    """The parts inside ``near`` of every squad of min(k, |cells|) cells from
+    ``cells``."""
+    k = min(k, cells.bit_count())
+    spare = (cells & ~near).bit_count()
+    pool = core.win.singles(cells & near)
+    for j in range(max(0, k - spare), min(k, len(pool)) + 1):
+        yield from itertools.combinations(pool, j)
+
+
+def _least_burn(core, depth, burnt, prot, e_mask):
+    """The fewest cells left to burn, |E - S|, over every full squad S of
+    round ``depth + 1`` that leaves nothing endangered; None if none does."""
+    win = core.win
+    cand = core.candidates(depth, burnt, prot)
+    near = e_mask | win.neighbors_mask(e_mask)
+    best = None
+    for part in _near_squads(core, cand, near, core.f[depth]):
+        s_mask = sum(part)
+        if not win.endangered(burnt | (e_mask & ~s_mask), prot | s_mask):
+            n_burn = (e_mask & ~s_mask).bit_count()
+            best = n_burn if best is None else min(best, n_burn)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=near_enclosed(), f=st.integers(1, 4))
+def test_seal_matches_brute_force(state, f):
+    core, b, p, e_mask = _position(*state, f, f)
+    got = core.seal(0, b, p, e_mask)
+    want = _least_burn(core, 0, b, p, e_mask)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    squad, n_burn = got
+    assert n_burn == want
+    s_mask = sum(squad)
+    assert len(squad) <= f and all(cell.bit_count() == 1 for cell in squad)
+    assert s_mask.bit_count() == len(squad)
+    assert not s_mask & ~core.candidates(0, b, p)
+    burnt2 = b | (e_mask & ~s_mask)
+    assert not core.win.endangered(burnt2, p | s_mask)
+    assert (burnt2 ^ b).bit_count() == n_burn
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=near_enclosed(), cap=st.integers(0, 4), data=st.data())
+def test_cover_matches_brute_force(state, cap, data):
+    core, b, p, e_mask = _position(*state, 1, 1)
+    win = core.win
+    exposed = win.full & ~b & ~p & ~e_mask
+    nonpocket = e_mask & win.neighbors_mask(exposed)
+    needs = [(cell, win.neighbors_mask(cell) & exposed) for cell in win.singles(nonpocket)]
+    pool = nonpocket | (win.neighbors_mask(nonpocket) & exposed)
+    cells = win.singles(pool)
+    banned = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)),
+                       label="banned")
+    allowed = win.full ^ sum(cell for cell, ban in zip(cells, banned) if ban)
+    want = any(
+        all(u & cell or not exposure & ~u for cell, exposure in needs)
+        for j in range(cap + 1)
+        for u in map(sum, itertools.combinations(win.singles(pool & allowed), j))
+    )
+    assert core.cover(nonpocket, exposed, cap, allowed) == want
+
+
+@pytest.mark.parametrize("topo", list(Topology))
+def test_one_cell_meets_a_whole_neighborhood(topo):
+    # A burnt ring two out, walled in one further out: the origin is the only
+    # exposed cell, and each of its neighbors is a nonpocket exposed only to
+    # it. So one cell meets ``degree`` nonpockets, as many as the cover's
+    # counting cut allows.
+    core, b, p, e_mask = _position(topo, set(_FIRST), set(_SECOND), 1, 1)
+    win = core.win
+    exposed = win.full & ~b & ~p & ~e_mask
+    nonpocket = e_mask & win.neighbors_mask(exposed)
+    origin = win.encode({(0, 0)})
+    assert nonpocket == win.neighbors_mask(origin)
+    assert nonpocket.bit_count() == win.degree
+    assert core.cover(nonpocket, exposed, 1, win.full)
+    assert core.seal(0, b, p, e_mask) == ((origin,), e_mask.bit_count())
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=near_enclosed(), k=st.integers(1, 2), f_next=st.integers(1, 4))
+def test_refuted_group_holds_no_sealing_leaf(state, k, f_next):
+    # The node is the position at depth 0; its leaves are at depth 1, where
+    # round 2's squad would seal. Within a group only the cold cells near its
+    # base can change a leaf. Each leaf is settled by ``seal``, which the
+    # first test holds to brute force.
+    core, b, p, e_mask = _position(*state, k, f_next)
+    win = core.win
+    cand = core.candidates(0, b, p)
+    k = min(k, cand.bit_count())
+    cold = cand & ~e_mask
+    for hs, burnt2, base, _ in core.groups(b, p, e_mask, cand, k):
+        if not core.group_refuted(1, burnt2, p, base, k):
+            continue
+        near = base | win.neighbors_mask(base)
+        hit = sum(hs)
+        for part in _near_squads(core, cold, near, k - len(hs)):
+            s_mask = hit + sum(part)
+            assert core.seal(1, burnt2, p | s_mask, base & ~s_mask) is None
