@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unrestricted", action="store_true")
     p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--node-cap", type=_ints(1, 1), default=100_000_000)
-    p.add_argument("--bound", type=int, default=None,
+    p.add_argument("--bound", type=_ints(1, 1), default=None,
                    help="only look for containments burning fewer cells than this")
     p.add_argument("--objective", choices=["exhaust", "min-burnt"],
                    default="exhaust")
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="containment parameter sweep")
     p.add_argument("--m", type=_ints(least=1), default="1,2,3")
     p.add_argument("--r", type=_ints(least=1), default="1,2,3")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_ints(1, 1), default=1)
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_sweep)
 

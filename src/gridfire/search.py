@@ -17,6 +17,15 @@ cover of at most f cells is known to exist. At the exhaustive driver's last
 level the same test, with room for the leaf's squad as well, refutes whole
 groups of leaves, which are then counted without being walked.
 
+The minimum-burnt driver walks a node's children in order of a one-step
+burnt bound and stops at the first one whose bound reaches the best
+containment found so far. Before any child is scored, a count over the
+endangered set's second ring shows whether any child could have a bound below
+that (``_Search.refuted``); most nodes have none. Otherwise the children are
+scored per group of squads, since within a group the bound depends only on
+how many of the group's endangered cells the squad's other cells protect, and
+the squads of a bound are built only once the walk reaches it.
+
 Both drivers run on one core, ``_Search``: the window and the supply, the node
 count, the child expansion, the seal test and a transposition table, one
 bucket per depth. Each driver keeps only its own walk. Squads travel as tuples
@@ -33,6 +42,7 @@ let the bitboard shifts clip the fire.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,7 +50,7 @@ from typing import Iterable, Iterator
 
 from .budget import Budget
 from .engine import FireState, run
-from .grid import Point, Topology
+from .grid import Point, Topology, neighbors
 from .strategies import ScriptedStrategy
 from .trace import RunTrace
 
@@ -76,10 +86,13 @@ class _Window:
         self.ring = left | right | bottom | (bottom << (self.nbits - self.side))
         self.topology = topology
         cells = self.points(range(self.nbits))
+        # Only a symmetry that maps the neighborhood onto itself commutes with
+        # the spread: all eight on the square grids, four on the triangular
+        # one, whose diagonals run one way only.
+        around = set(neighbors((0, 0), topology))
+        syms = [sym for sym in _SYMS if {sym(*p) for p in around} == around]
         # sym_bits[i][b] is the single-bit mask of cell b under symmetry i.
-        self.sym_bits = [
-            [1 << self.bit(*sym(x, y)) for x, y in cells] for sym in _SYMS
-        ]
+        self.sym_bits = [[1 << self.bit(*sym(x, y)) for x, y in cells] for sym in syms]
         # lines[d][c]: the cells on front line c of direction d, that is
         # x + y = c, x + y = -c, x - y = c and x - y = -c for c = 0, 1, ...;
         # each list ends in an empty line, so every scan stops.
@@ -160,7 +173,7 @@ class _Window:
         return sum(map(self.sym_bits[sym_index].__getitem__, self.bits(mask)))
 
     def canonical(self, burnt: int, prot: int) -> int:
-        """The least (burnt, protected) key over the eight symmetries."""
+        """The least (burnt, protected) key over the grid's symmetries."""
         nbits = self.nbits
         burnt_bits = self.bits(burnt)
         prot_bits = self.bits(prot)
@@ -305,39 +318,113 @@ class _Search:
                 burnt2 = burnt | (e_mask ^ sum(hs))
                 yield hs, burnt2, endangered(burnt2, prot), count
 
+    def floor(self, depth: int, burnt: int, e_mask: int) -> int:
+        """The fewest cells any continuation of the node burns: everything
+        endangered beyond round ``depth + 1``'s supply burns in it."""
+        return burnt.bit_count() + max(0, e_mask.bit_count() - self.f[depth])
+
+    def refuted(
+        self, depth: int, burnt: int, prot: int, e_mask: int, cand: int, cutoff: int
+    ) -> bool:
+        """True when no child of the node (burnt, prot), its squads drawn
+        from ``cand``, has a ``ranked_children`` bound below ``cutoff``.
+
+        Let R2 = N(E) - burnt - E - prot be the second ring of the endangered
+        set E, and let a squad S of k cells protect hs = S & E, h cells. Its
+        burnt set is burnt | (E - hs). Around it, hs stays endangered, and a
+        cell of R2 does too unless all its neighbors in E lie in hs; nothing
+        else is newly endangered. So the group's base is hs plus R2 less
+        ``drop`` such enclosed cells, and the squad's other k - h cells remove
+        at most k - h more of it. The child's bound is therefore at least
+        |burnt| + |E| - h, and at least |burnt| + |E| + |R2| - drop - k -
+        f_after.
+
+        An enclosed cell is next to a cell of hs. Each cell of hs is
+        endangered, so it has a burnt neighbor and at most degree - 1 others:
+        drop <= h * (degree - 1). More tightly, an enclosed cell c has m <= h
+        neighbors in E, all hot (in ``cand``); count 1/m of it at each of
+        them. Then drop is the sum over hs of what its cells count, which is
+        at most the sum of the h largest weights w(e), w(e) being what e
+        counts over every cell of R2 with at most h neighbors in E, all hot.
+        Both lower bounds fall as h grows, since the weights only grow with
+        h, so the least over the groups is the one at the largest h,
+        min(k, |hot|). The cheap form is tried first; the weights are scaled
+        by lcm(1..h) to stay integers.
+        """
+        win = self.win
+        k = min(self.f[depth], cand.bit_count())
+        f_after = self.f[depth + 1] if depth + 1 < len(self.f) else 0
+        hot = cand & e_mask
+        h = min(k, hot.bit_count())
+        burns = burnt.bit_count() + e_mask.bit_count()
+        if burns - h >= cutoff:
+            return True
+        ring = win.neighbors_mask(e_mask) & ~burnt & ~e_mask & ~prot
+        spare = burns + ring.bit_count() - k - f_after  # the second bound plus drop
+        if spare - h * (win.degree - 1) >= cutoff:
+            return True
+        if spare < cutoff:
+            return False
+        cell_nbrs = win.cell_nbrs
+        scale = math.lcm(*range(1, h + 1))
+        weights: dict[int, int] = {}
+        for b in win.bits(ring):
+            near = cell_nbrs[b] & e_mask
+            m = near.bit_count()
+            if m <= h and not near & ~hot:
+                for e in win.bits(near):
+                    weights[e] = weights.get(e, 0) + scale // m
+        return spare - sum(heapq.nlargest(h, weights.values())) // scale >= cutoff
+
     def ranked_children(
         self, depth: int, burnt: int, prot: int, e_mask: int, cutoff: int | None
-    ) -> list[tuple[int, Squad]]:
-        """Every child whose bound is below ``cutoff`` as (bound, squad),
-        sorted: the minimum-burnt walk's order. A ``cutoff`` of None keeps
-        every child.
+    ) -> Iterator[tuple[int, Squad]]:
+        """Every child whose bound is below ``cutoff`` as (bound, squad), in
+        (bound, squad) order: the minimum-burnt walk's order. A ``cutoff`` of
+        None keeps every child.
 
         The bound is the child's one-step burnt lower bound: its burnt cells
         plus whatever it leaves endangered beyond the next round's supply.
-        The squads come group by group from ``groups``, and a squad only
-        removes its own cells from its group's ``base``. A squad removes at
-        most k cells, so a group whose burnt set plus its exposure beyond k
-        and the next supply reaches the cutoff is skipped whole.
+        When ``refuted`` shows that no bound is below the cutoff, nothing is
+        scored. Otherwise the squads come group by group from ``groups``. A
+        squad of a group protects its h hot cells, all in the group's base,
+        and j cold cells of base, and leaves the rest of base endangered, so
+        its bound depends on j alone: |burnt'| + max(0, |base| - h - j -
+        f_after). Each (group, j) is recorded under its bound, and a bound's
+        squads are built and sorted only once the caller has taken every
+        child of the bounds below it; a walk that stops early builds no more.
         """
-        f_after = self.f[depth + 1] if depth + 1 < len(self.f) else 0
         cand = self.candidates(depth, burnt, prot)
-        cold = self.win.singles(cand & ~e_mask)
+        if cutoff is not None and self.refuted(depth, burnt, prot, e_mask, cand, cutoff):
+            return
+        f_after = self.f[depth + 1] if depth + 1 < len(self.f) else 0
         k = min(self.f[depth], cand.bit_count())
-        ranked = []
+        cold = cand & ~e_mask
+        n_cold = cold.bit_count()
+        levels: dict[int, list[tuple[Squad, int, int]]] = {}  # bound -> (hs, base, j)
         for hs, burnt2, base, _ in self.groups(burnt, prot, e_mask, cand, k):
+            rest = k - len(hs)
+            n_in = (cold & base).bit_count()
             n_burnt2 = burnt2.bit_count()
-            if (cutoff is not None
-                    and n_burnt2 + max(0, base.bit_count() - k - f_after) >= cutoff):
-                continue
-            hit = sum(hs)
-            for cs in itertools.combinations(cold, k - len(hs)):
-                over = (base & ~(hit + sum(cs))).bit_count() - f_after
-                bound = n_burnt2 + max(0, over)
+            over = base.bit_count() - len(hs) - f_after
+            for j in range(max(0, rest - n_cold + n_in), min(rest, n_in) + 1):
+                bound = n_burnt2 + max(0, over - j)
                 if cutoff is None or bound < cutoff:
-                    # hs and cs ascend, so this is the combinations tuple.
-                    ranked.append((bound, tuple(sorted(hs + cs))))
-        ranked.sort()  # squads are distinct, so this is (bound, squad) order
-        return ranked
+                    levels.setdefault(bound, []).append((hs, base, j))
+        singles = self.win.singles
+        combinations = itertools.combinations
+        for bound in sorted(levels):
+            # hs and each part ascend, so a sorted union is the combinations
+            # tuple; squads are distinct, so sorting them gives squad order.
+            squads = []
+            for hs, base, j in levels[bound]:
+                outside = singles(cold & ~base)
+                for a in combinations(singles(cold & base), j):
+                    squads.extend(tuple(sorted(hs + a + c))
+                                  for c in combinations(outside, k - len(hs) - j))
+            squads.sort()
+            for squad in squads:
+                yield bound, squad
 
     def fresh(self, depth: int, burnt: int, prot: int) -> bool:
         """False when an equivalent position was already entered at ``depth``."""
@@ -565,13 +652,16 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
             min_burnt=len(witness.state_at(witness.final_round())[0]),
             witness=witness,
         )
+    finally:
+        # The walk calls itself, a reference cycle that would keep the core
+        # and its transposition table alive until the next full collection.
+        del visit
     return core.result("exhausted-no-control", min_final_perimeter=min_perim)
 
 
 def min_burnt_search(cfg: SearchConfig) -> SearchResult:
     """Branch-and-bound for a containment witness with the fewest burnt cells."""
     core = _Search(cfg)
-    f = core.f
     best_burnt: int | None = cfg.initial_bound
     best_squads: list[Squad] | None = None
 
@@ -582,22 +672,15 @@ def min_burnt_search(cfg: SearchConfig) -> SearchResult:
         if best_burnt is not None and n_burnt >= best_burnt:
             return
         e_mask = core.endangered(depth, burnt, prot)
-        n_e = e_mask.bit_count()
-        if depth < cfg.horizon:
-            seal = core.seal(depth, burnt, prot, e_mask)
-            if seal is not None:
-                total = n_burnt + seal[1]
-                if best_burnt is None or total < best_burnt:
-                    best_burnt = total
-                    best_squads = squads + [seal[0]]
-                # Any continuation burns at least everything a best seal burns.
-                if n_e - f[depth] >= seal[1]:
-                    return
         if depth >= cfg.horizon:
             return
-        # Everything endangered beyond this round's protection burns next.
-        floor = n_burnt + max(0, n_e - f[depth])
-        if best_burnt is not None and floor >= best_burnt:
+        seal = core.seal(depth, burnt, prot, e_mask)
+        if seal is not None and (best_burnt is None or n_burnt + seal[1] < best_burnt):
+            best_burnt = n_burnt + seal[1]
+            best_squads = squads + [seal[0]]
+        # No continuation beats the incumbent; this also ends a node whose
+        # continuations cannot beat its own seal.
+        if best_burnt is not None and core.floor(depth, burnt, e_mask) >= best_burnt:
             return
         # Most promising squads first, so incumbents arrive early and the
         # bound prune bites.
@@ -615,6 +698,8 @@ def min_burnt_search(cfg: SearchConfig) -> SearchResult:
         visit(core.burnt0, 0, 0, [])
     except _CapHit:
         capped = True
+    finally:
+        del visit  # see exhaustive_search
     if best_squads is None:
         return core.result(
             "node-cap-hit" if capped else "exhausted-no-control",

@@ -58,3 +58,18 @@ def scan_near(cells, burnt, protected, topo: Topology) -> set[Point]:
 def scan_endangered(burnt, protected, topo: Topology) -> set[Point]:
     """Full-scan oracle: every unburnt, unprotected neighbor of a burnt point."""
     return scan_near(burnt, burnt, protected, topo)
+
+
+def naive_ranking(core, depth, burnt, prot, e_mask):
+    """Every child of a search node with its own endangered set, ranked by
+    (bound, squad): the reference for ``_Search.ranked_children``."""
+    f_after = core.f[depth + 1] if depth + 1 < len(core.f) else 0
+    ranked = []
+    cand = core.candidates(depth, burnt, prot)
+    for squad, burnt2, prot2 in core.children(burnt, prot, e_mask, cand, core.f[depth]):
+        e2 = core.win.endangered(burnt2, prot2)
+        ranked.append((burnt2.bit_count() + max(0, e2.bit_count() - f_after), squad))
+    # Children come in squad order, so a stable sort on the bound alone
+    # gives (bound, squad) order.
+    ranked.sort(key=lambda child: child[0])
+    return ranked

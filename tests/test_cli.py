@@ -352,6 +352,8 @@ PARSE_ERRORS = {
         lambda tmp: ["monitor", "--trace", _table_trace_with_fractional_f(tmp)],
     "search-negative-node-cap":
         lambda tmp: ["search", "--budget", "const:1", "--horizon", "1", "--node-cap", "-5"],
+    "search-negative-bound":
+        lambda tmp: ["search", "--budget", "const:1", "--horizon", "1", "--bound", "-3"],
     "search-unwritable-witness-out":
         lambda tmp: ["search", "--budget", "const:4", "--horizon", "1",
                      "--witness-out", str(tmp / "absent" / "w.jsonl")],
@@ -368,6 +370,8 @@ PARSE_ERRORS = {
                      "--json-out", str(tmp / "absent" / "s.json")],
     "sweep-bad-m": lambda tmp: ["sweep", "--m", "a", "--r", "1"],
     "sweep-zero-r": lambda tmp: ["sweep", "--m", "1", "--r", "0"],
+    "sweep-zero-jobs": lambda tmp: ["sweep", "--m", "1", "--r", "1", "--jobs", "0"],
+    "sweep-negative-jobs": lambda tmp: ["sweep", "--m", "1", "--r", "1", "--jobs", "-2"],
     "reduce-horizon-zero":
         lambda tmp: ["reduce", "--strategy", "contain:m=1,r=1", "--budget", "const:4",
                      "--horizon", "0"],

@@ -14,6 +14,8 @@ from gridfire.grid import Topology
 from gridfire.monitor import check_invariants, front_offsets
 from gridfire.search import SearchConfig, exhaustive_search, min_burnt_search
 
+from conftest import naive_ranking
+
 
 def cfg_cart(budget, horizon, **kw):
     return SearchConfig(
@@ -132,7 +134,8 @@ def test_min_burnt_two_firefighters_quick_probe():
     replay_validate(res.witness)
 
 
-# Recorded from the search before its drivers shared one core; any change to
+# Recorded from the search before its drivers shared one core, and the last
+# two rows before its minimum-burnt children were ranked lazily; any change to
 # outcome, node count, perimeter, burnt count or witness bytes shows here.
 # (outcome, nodes, min_final_perimeter, min_burnt, witness SHA-256)
 _SEARCH_GOLDEN = {
@@ -169,6 +172,14 @@ _SEARCH_GOLDEN = {
         min_burnt_search, Topology.CARTESIAN, periodic([2, 2, 2, 3]), 8, {},
         ("controlled-found", 70, None, 12,
          "667e29b3bec8ebe7ad17ec125d9f1e6c2603b924cac4d1a07ad36796305fc6d5")),
+    "min-burnt-const4-h3-d1-strong-bound30": (
+        min_burnt_search, Topology.STRONG, constant(4), 3,
+        {"candidate_distance": 1, "initial_bound": 30, "node_cap": 20_000},
+        ("exhausted-no-control", 6547, None, None, None)),
+    "min-burnt-periodic23-h4-d1-triangular-bound25": (
+        min_burnt_search, Topology.TRIANGULAR, periodic([2, 3]), 4,
+        {"candidate_distance": 1, "initial_bound": 25},
+        ("exhausted-no-control", 751, None, None, None)),
 }
 
 
@@ -218,6 +229,40 @@ def test_canonical_key_is_symmetry_invariant(burnt, protected):
         assert win.canonical(win.transform(b, i), win.transform(p, i)) == key
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    topo=st.sampled_from(list(Topology)),
+    cells=st.sets(st.tuples(st.integers(-_HALF + 1, _HALF - 1),
+                            st.integers(-_HALF + 1, _HALF - 1)), max_size=25),
+)
+def test_symmetry_tables_commute_with_the_spread(topo, cells):
+    # Cells keep off the window's edge, so no neighbor is clipped. The square
+    # grids have all eight symmetries of the square; the triangular grid's
+    # diagonals run one way, so it keeps the four that fix them.
+    win = search._Window(_HALF, topo)
+    b = win.encode(cells)
+    assert len(win.sym_bits) == (4 if topo is Topology.TRIANGULAR else 8)
+    for i in range(len(win.sym_bits)):
+        assert win.neighbors_mask(win.transform(b, i)) == win.transform(win.neighbors_mask(b), i)
+
+
+@pytest.mark.parametrize("topo", list(Topology))
+@pytest.mark.parametrize("symmetry", [True, False])
+def test_fresh_tells_protection_apart(topo, symmetry):
+    core = search._Search(SearchConfig(topology=topo, source=frozenset({(0, 0)}),
+                                       budget=constant(1), horizon=2, symmetry=symmetry))
+    win = core.win
+    b = win.encode({(0, 0), (1, 0)})
+    for prot in ({(0, 1)}, {(0, 2)}, set(), {(0, 1), (0, 2)}):
+        assert core.fresh(1, b, win.encode(prot))
+    assert not core.fresh(1, b, win.encode({(0, 2)}))
+    # The reflection y -> -y fixes the burnt cells and maps this protection
+    # onto {(0, 1)}, already entered. It is a symmetry of the square grids but
+    # not of the triangular one.
+    mirrored = core.fresh(1, b, win.encode({(0, -1)}))
+    assert mirrored is not (symmetry and topo is not Topology.TRIANGULAR)
+
+
 def test_transposition_saturation_is_reported(monkeypatch):
     full = exhaustive_search(cfg_cart(periodic([2, 1]), 4, candidate_distance=1))
     assert full.note is None
@@ -253,20 +298,6 @@ def test_bitboard_perimeter_matches_front_offsets(case):
     assert win.perimeter(win.encode(points)) == sum(front_offsets(points).values())
 
 
-def _naive_ranking(core, depth, burnt, prot, e_mask):
-    """Every child's own endangered set, ranked by (bound, squad)."""
-    f_after = core.f[depth + 1] if depth + 1 < len(core.f) else 0
-    ranked = []
-    cand = core.candidates(depth, burnt, prot)
-    for squad, burnt2, prot2 in core.children(burnt, prot, e_mask, cand, core.f[depth]):
-        e2 = core.win.endangered(burnt2, prot2)
-        ranked.append((burnt2.bit_count() + max(0, e2.bit_count() - f_after), squad))
-    # Children come in squad order, so a stable sort on the bound alone
-    # gives (bound, squad) order.
-    ranked.sort(key=lambda child: child[0])
-    return ranked
-
-
 _INNER = 3  # cells the scoring test draws from; the window half is 5
 
 
@@ -289,12 +320,12 @@ def test_grouped_child_scoring_matches_per_child_scoring(topo, supply, depth, bu
     assert core.win.half == _INNER + 2  # candidates of inner cells stay off the edge
     b, p = core.win.encode(burnt), core.win.encode(protected - burnt)
     e_mask = core.win.endangered(b, p)
-    naive = _naive_ranking(core, depth, b, p, e_mask)
+    naive = naive_ranking(core, depth, b, p, e_mask)
     # Cutoffs at, just below and just above every bound, so that whole groups
     # and single children fall on either side of it.
     near = sorted({bound + step for bound, _ in naive for step in (-1, 0, 1)})
     cutoff = data.draw(st.none() | st.sampled_from(near), label="cutoff")
-    assert core.ranked_children(depth, b, p, e_mask, cutoff) == [
+    assert list(core.ranked_children(depth, b, p, e_mask, cutoff)) == [
         child for child in naive if cutoff is None or child[0] < cutoff]
 
 

@@ -1,5 +1,6 @@
-"""Node-level oracles for the search's seal, its cover test and the group
-refutation of the exhaustive last level.
+"""Node-level oracles for the search's seal, its cover test, the group
+refutation of the exhaustive last level, and the minimum-burnt driver's child
+ranking, node refutation and floor.
 
 Whole games from small balls (``test_search_oracle.py``) never reach the
 positions where a seal needs its exotic form, so these tests draw
@@ -27,6 +28,8 @@ from gridfire.budget import periodic
 from gridfire.grid import Topology
 from gridfire.search import SearchConfig
 
+from conftest import naive_ranking
+
 
 def _ring(r: int) -> list[tuple[int, int]]:
     return [(x, y) for y in range(-r, r + 1) for x in range(-r, r + 1)
@@ -50,15 +53,16 @@ def near_enclosed(draw):
     return topo, burnt, prot
 
 
-def _position(topo, burnt, prot, f, f_next):
+def _position(topo, burnt, prot, f, f_next, d=2):
     """A search core whose rounds 1 and 2 have supply ``f`` and ``f_next``,
-    and the position as (burnt, protected, endangered) bitboards. Its window
-    is 8 cells out, so the candidates of a leaf below the position stay off
-    its edge."""
+    with candidate distance ``d``, and the position as (burnt, protected,
+    endangered) bitboards. With d = 2 its window is 8 cells out, so the
+    candidates of a leaf below the position stay off its edge; with d = 1 it
+    is 5 out, room for the position's own candidates."""
     core = search._Search(SearchConfig(
         topology=topo, source=frozenset({(0, 0)}), budget=periodic([f, f_next]),
-        horizon=3, candidate_distance=2))
-    assert core.win.half == 8
+        horizon=3, candidate_distance=d))
+    assert core.win.half == 3 * d + 2
     win = core.win
     b, p = win.encode(burnt), win.encode(prot)
     return core, b, p, win.endangered(b, p)
@@ -167,3 +171,66 @@ def test_refuted_group_holds_no_sealing_leaf(state, k, f_next):
         for part in _near_squads(core, cold, near, k - len(hs)):
             s_mask = hit + sum(part)
             assert core.seal(1, burnt2, p | s_mask, base & ~s_mask) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=near_enclosed(), f=st.integers(1, 3), f_next=st.integers(0, 3),
+       data=st.data())
+def test_ranked_children_match_naive_ranking(state, f, f_next, data):
+    # The candidates reach one cell out, which keeps the naive ranking small
+    # at f = 3. Cutoffs at, just below and just above every naive bound.
+    core, b, p, e_mask = _position(*state, f, f_next, d=1)
+    naive = naive_ranking(core, 0, b, p, e_mask)
+    cand = core.candidates(0, b, p)
+    near = sorted({bound + step for bound, _ in naive for step in (-1, 0, 1)})
+    for cutoff in near:
+        if core.refuted(0, b, p, e_mask, cand, cutoff):
+            assert naive[0][0] >= cutoff
+    assert list(core.ranked_children(0, b, p, e_mask, None)) == naive
+    cutoff = data.draw(st.sampled_from(near), label="cutoff")
+    assert list(core.ranked_children(0, b, p, e_mask, cutoff)) == [
+        child for child in naive if child[0] < cutoff]
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=near_enclosed(), f=st.integers(1, 2), f_next=st.integers(0, 2))
+def test_no_continuation_burns_below_the_floor_or_its_bound(state, f, f_next):
+    # Two rounds of brute force: squads S1 of round 1 and S2 of round 2, the
+    # partial ones too. Only S1's part in E | N(E) changes what burns in
+    # either round, and only S2's part in E1, the cells endangered after S1.
+    # A continuation burns at least what it burns in these two rounds, so it
+    # never finishes below the node's floor or below its ranked child's
+    # bound. A seal that reaches the floor is beaten by no continuation.
+    core, b, p, e_mask = _position(*state, f, f_next, d=1)
+    win = core.win
+    near = e_mask | win.neighbors_mask(e_mask)
+    floor = core.floor(0, b, e_mask)
+    least = {}  # S1's part near E -> the fewest cells burnt after round 2
+    for k in range(f + 1):
+        for part in _near_squads(core, core.candidates(0, b, p), near, k):
+            s_mask = sum(part)
+            burnt1 = b | (e_mask & ~s_mask)
+            assert burnt1.bit_count() >= floor
+            e1 = win.endangered(burnt1, p | s_mask)
+            least[s_mask] = min(
+                (burnt1 | (e1 & ~sum(part2))).bit_count()
+                for k2 in range(f_next + 1)
+                for part2 in _near_squads(core, e1, e1, k2))
+    for bound, squad in core.ranked_children(0, b, p, e_mask, None):
+        assert least[sum(squad) & near] >= bound
+    seal = core.seal(0, b, p, e_mask)
+    if seal is not None and floor >= b.bit_count() + seal[1]:
+        assert min(least.values()) >= b.bit_count() + seal[1]
+
+
+def test_a_tip_encloses_the_cells_beyond_it():
+    # A burnt cell walled in on three sides: its one endangered neighbor e is
+    # the only endangered neighbor of the three cells beyond it, so
+    # protecting e leaves nothing endangered. That is the cheap count's
+    # degree - 1 cells, and a child of bound 1 stands against cutoff 2.
+    core, b, p, e_mask = _position(
+        Topology.CARTESIAN, {(0, 0)}, {(-1, 0), (0, 1), (0, -1)}, 1, 0, d=1)
+    e = core.win.encode({(1, 0)})
+    assert e_mask == e
+    assert not core.refuted(0, b, p, e_mask, core.candidates(0, b, p), 2)
+    assert next(core.ranked_children(0, b, p, e_mask, 2)) == (1, (e,))
