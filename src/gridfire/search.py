@@ -10,12 +10,14 @@ control question and the minimum final perimeter).
 Control at the next round is decided exactly per node instead of branching a
 final level: a squad seals the fire iff every endangered cell is protected,
 burns as a pocket (a cell whose ignition exposes nothing new), or has its
-entire exposure covered. So a seal exists iff a small cover exists: a set
-holding every nonpocket or its whole exposure, found by a bounded search tree
-over the nonpockets (``_Search.cover``). The seal tries squads only once a
-cover of at most f cells is known to exist. At the exhaustive driver's last
-level the same test, with room for the leaf's squad as well, refutes whole
-groups of leaves, which are then counted without being walked.
+entire exposure covered. So every seal holds a cover of at most f cells: a
+set holding every nonpocket or its whole exposure. A bounded search tree over
+the nonpockets yields such covers as its leaves (``_Search.covers``), and
+every seal holds one of them, so the seal is built from the leaves alone: each
+is padded to a full squad with nonpockets, and the one that burns fewest is
+kept. At the exhaustive driver's last level the same tree, with room for the
+leaf's squad as well, refutes whole groups of leaves when it has no leaf;
+those are then counted without being walked.
 
 The minimum-burnt driver walks a node's children in order of a one-step
 burnt bound and stops at the first one whose bound reaches the best
@@ -168,10 +170,6 @@ class _Window:
             b = (b | (b << side) | (b >> side)) & self.full
         return b
 
-    def transform(self, mask: int, sym_index: int) -> int:
-        # Distinct single bits, so their sum is their union.
-        return sum(map(self.sym_bits[sym_index].__getitem__, self.bits(mask)))
-
     def canonical(self, burnt: int, prot: int) -> int:
         """The least (burnt, protected) key over the grid's symmetries."""
         nbits = self.nbits
@@ -284,8 +282,8 @@ class _Search:
 
     def squads(self, cells: int, k: int) -> Iterator[Squad]:
         """Every squad of min(k, |cells|) cells, in lexicographic order."""
-        pool = self.win.singles(cells)
-        return itertools.combinations(pool, min(k, len(pool)))
+        members = self.win.singles(cells)
+        return itertools.combinations(members, min(k, len(members)))
 
     def children(
         self, burnt: int, prot: int, e_mask: int, cells: int, k: int
@@ -452,16 +450,16 @@ class _Search:
         number of cells left to burn.
 
         A squad S seals exactly when it holds every nonpocket e, or e's whole
-        exposure N(e) & exposed. The two cheap forms are answered directly;
-        otherwise ``cover`` decides, in a search tree at most f deep, whether
-        any squad of candidates seals, and only then are the squads drawn from
-        the nonpockets and their small exposures tried in order for the one
-        that burns fewest.
+        exposure N(e) & exposed. Two cheap forms are answered directly: all
+        of E, or every nonpocket padded with pockets. Otherwise the squad is
+        the first, in (burn, squad) order, of the full squads of nonpockets
+        and exposed candidates that seal; a squad's cells ascend, so squad
+        order is ``combinations`` order. It is built from the leaves of
+        ``covers``, and there is none when they have no leaf.
         """
         if not e_mask:
             return (), 0
         win = self.win
-        cell_nbrs = win.cell_nbrs
         f_next = self.f[depth]
         # A pocket's ignition exposes nothing new; burning pockets is free.
         # Neighborhoods are symmetric, so the nonpockets are the endangered
@@ -478,56 +476,53 @@ class _Search:
             pockets = win.singles(e_mask ^ nonpocket)
             squad = win.singles(nonpocket) + pockets[: f_next - n_np]
             return tuple(squad), n_e - len(squad)
-        # Exact refutation. Protecting more never unseals, and a cover lies
-        # inside the pool below, so padded to a full squad it is one of the
-        # squads tried there.
-        if not self.cover(nonpocket, exposed, f_next, cand):
-            return None
-        pool = nonpocket
-        for b in win.bits(nonpocket):
-            exposure = cell_nbrs[b] & exposed
-            if exposure.bit_count() <= f_next:
-                pool |= exposure
-        best: tuple[Squad, int] | None = None
-        for squad, burnt2, prot2 in self.children(burnt, prot, e_mask, pool & cand, f_next):
-            if win.endangered(burnt2, prot2):
-                continue
-            n_burn = (burnt2 ^ burnt).bit_count()
-            if best is None or n_burn < best[1]:
-                best = (squad, n_burn)
-        return best
+        # Every seal S holds a leaf U of ``covers``: follow, at each branch,
+        # the choice S makes. Padded with the lowest nonpockets outside it, U
+        # is a full squad that seals, protects at least as many endangered
+        # cells as S and, when it protects as many, sorts no later than S. So
+        # the least (burn, squad) over the leaves is the least over the seals.
+        # With any candidates at all, E lies inside them (d >= 1, or
+        # unrestricted), and the cheap forms failing leaves more than f_next
+        # nonpockets, so there are always enough to pad with.
+        best: tuple[int, Squad] | None = None
+        for u in self.covers(nonpocket, exposed, f_next, cand):
+            pad = win.singles(nonpocket & ~u)[: f_next - u.bit_count()]
+            leaf = (n_e - (u & e_mask).bit_count() - len(pad),
+                    tuple(sorted(win.singles(u) + pad)))
+            if best is None or leaf < best:
+                best = leaf
+        return None if best is None else (best[1], best[0])
 
-    def cover(self, nonpocket: int, exposed: int, cap: int, allowed: int) -> bool:
-        """Whether a set U of at most ``cap`` cells, all in ``allowed``, holds
-        every cell e of ``nonpocket`` or its whole exposure N(e) & ``exposed``.
+    def covers(self, nonpocket: int, exposed: int, cap: int, allowed: int) -> Iterator[int]:
+        """Sets U of at most ``cap`` cells, all in ``allowed``, that hold
+        every cell e of ``nonpocket`` or its whole exposure N(e) & ``exposed``:
+        the leaves of a bounded search tree, depth first.
 
-        A bounded search tree: branch over the first nonpocket U does not yet
-        meet, adding either the cell or its exposure. Every branch adds a
-        cell, so the tree is at most ``cap`` deep. A nonpocket not yet met
-        needs a new cell of U that is either itself or an exposed neighbor,
-        so one new cell meets at most ``degree`` of them; a branch with more
-        than that per cell of room left is cut.
+        The tree branches over the lowest nonpocket, adding first the cell,
+        then its exposure; what is left is the same question on the nonpockets
+        still exposed outside U, with U's cells taken off ``exposed`` and
+        ``cap``. Every branch adds a cell, so the tree is at most ``cap``
+        deep. A nonpocket not yet met needs a new cell of U that is either
+        itself or an exposed neighbor, so one new cell meets at most
+        ``degree`` of them; a node with more than that per cell of room is
+        cut, which also leaves ``cap`` >= 1 wherever a branch is taken.
         """
+        if not nonpocket:
+            yield 0
+            return
         win = self.win
-        cell_nbrs = win.cell_nbrs
-        degree = win.degree
-        if nonpocket.bit_count() > degree * cap:  # the root's cut, before any needs
-            return False
-
-        def grow(u: int, needs: list[tuple[int, int]]) -> bool:
-            needs = [need for need in needs if not u & need[0] and need[1] & ~u]
-            if not needs:
-                return True
-            if len(needs) > degree * (cap - u.bit_count()):
-                return False
-            (cell, exposure), rest = needs[0], needs[1:]
-            for more in (cell, exposure):
-                v = u | more
-                if v.bit_count() <= cap and not v & ~allowed and grow(v, rest):
-                    return True
-            return False
-
-        return grow(0, [(1 << b, cell_nbrs[b] & exposed) for b in win.bits(nonpocket)])
+        if nonpocket.bit_count() > win.degree * cap:
+            return
+        cell = nonpocket & -nonpocket
+        if cell & allowed:
+            more = self.covers(nonpocket ^ cell, exposed, cap - 1, allowed)
+            yield from (cell | u for u in more)
+        exposure = win.cell_nbrs[cell.bit_length() - 1] & exposed
+        size = exposure.bit_count()
+        if size <= cap and not exposure & ~allowed:
+            rest = exposed ^ exposure
+            more = self.covers(nonpocket & win.neighbors_mask(rest), rest, cap - size, allowed)
+            yield from (exposure | u for u in more)
 
     def group_refuted(self, depth: int, burnt2: int, prot: int, base: int, k: int) -> bool:
         """True when no leaf at ``depth`` of a group of ``groups`` (burnt',
@@ -542,7 +537,7 @@ class _Search:
         win = self.win
         exposed = win.full & ~burnt2 & ~prot & ~base
         nonpocket = base & win.neighbors_mask(exposed)
-        return not self.cover(nonpocket, exposed, k + self.f[depth], win.full)
+        return next(self.covers(nonpocket, exposed, k + self.f[depth], win.full), None) is None
 
     def witness(self, squads: list[Squad]) -> RunTrace:
         cfg = self.cfg

@@ -73,3 +73,46 @@ def naive_ranking(core, depth, burnt, prot, e_mask):
     # gives (bound, squad) order.
     ranked.sort(key=lambda child: child[0])
     return ranked
+
+
+def per_subset_seal(core, depth, burnt, prot, e_mask):
+    """The seal as a subset search: the reference for ``_Search.seal``.
+
+    After the same two cheap forms and the same refutation by ``covers``, it
+    tries every squad of ``f_next`` cells drawn from the nonpockets and the
+    exposures of at most ``f_next`` cells, in ``combinations`` order, and
+    keeps the first one that seals with the fewest cells left to burn.
+    """
+    if not e_mask:
+        return (), 0
+    win = core.win
+    f_next = core.f[depth]
+    exposed = win.full & ~burnt & ~prot & ~e_mask
+    nonpocket = e_mask & win.neighbors_mask(exposed)
+    cand = core.candidates(depth, burnt, prot)
+    n_e = e_mask.bit_count()
+    n_np = nonpocket.bit_count()
+    coverable = not (e_mask & ~cand)
+    if coverable and n_e <= f_next:
+        return tuple(win.singles(e_mask)), 0
+    if coverable and n_np <= f_next:
+        pockets = win.singles(e_mask ^ nonpocket)
+        squad = win.singles(nonpocket) + pockets[: f_next - n_np]
+        return tuple(squad), n_e - len(squad)
+    # Protecting more never unseals, and a cover lies inside the pool below,
+    # so padded to a full squad it is one of the squads tried there.
+    if next(core.covers(nonpocket, exposed, f_next, cand), None) is None:
+        return None
+    pool = nonpocket
+    for b in win.bits(nonpocket):
+        exposure = win.cell_nbrs[b] & exposed
+        if exposure.bit_count() <= f_next:
+            pool |= exposure
+    best = None
+    for squad, burnt2, prot2 in core.children(burnt, prot, e_mask, pool & cand, f_next):
+        if win.endangered(burnt2, prot2):
+            continue
+        n_burn = (burnt2 ^ burnt).bit_count()
+        if best is None or n_burn < best[1]:
+            best = (squad, n_burn)
+    return best

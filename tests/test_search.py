@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 
 import pytest
@@ -194,6 +195,30 @@ def test_search_golden_table(case):
             digest) == expected
 
 
+@pytest.mark.parametrize("driver, topo, budget, horizon, kw, outcome", [
+    (exhaustive_search, Topology.CARTESIAN, periodic([2, 1]), 3, {},
+     "exhausted-no-control"),
+    (min_burnt_search, Topology.TRIANGULAR, periodic([2, 3]), 4,
+     {"candidate_distance": 1, "initial_bound": 25}, "exhausted-no-control"),
+    (exhaustive_search, Topology.CARTESIAN, constant(4), 1, {}, "controlled-found"),
+    (min_burnt_search, Topology.CARTESIAN, constant(2), 8,
+     {"candidate_distance": 1, "initial_bound": 19, "node_cap": 300}, "node-cap-hit"),
+], ids=["exhaustive", "min-burnt", "controlled-found", "node-cap-hit"])
+def test_a_search_leaves_no_cyclic_garbage(driver, topo, budget, horizon, kw, outcome):
+    # Whatever a search allocates is freed by reference counting alone when
+    # it returns; a reference cycle would keep it, the core's transposition
+    # table too, until the collector next ran.
+    cfg = SearchConfig(topology=topo, source=frozenset({(0, 0)}), budget=budget,
+                       horizon=horizon, **kw)
+    gc.collect()
+    gc.disable()
+    try:
+        assert driver(cfg).outcome == outcome
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 _HALF = 5  # window half-width for the bitboard property tests
 
 
@@ -214,6 +239,12 @@ def test_bitboard_spread_matches_engine_kernel(topo, burnt, protected):
         FireState(frozenset(burnt), frozenset(protected), 0, topo))
 
 
+def _transform(win, mask, sym_index):
+    """``mask`` under symmetry ``sym_index`` of the window ``win``."""
+    # Distinct single bits, so their sum is their union.
+    return sum(map(win.sym_bits[sym_index].__getitem__, win.bits(mask)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     burnt=st.sets(st.tuples(st.integers(-_HALF, _HALF), st.integers(-_HALF, _HALF)),
@@ -226,7 +257,7 @@ def test_canonical_key_is_symmetry_invariant(burnt, protected):
     b, p = win.encode(burnt), win.encode(protected - burnt)
     key = win.canonical(b, p)
     for i in range(8):
-        assert win.canonical(win.transform(b, i), win.transform(p, i)) == key
+        assert win.canonical(_transform(win, b, i), _transform(win, p, i)) == key
 
 
 @settings(max_examples=40, deadline=None)
@@ -243,7 +274,8 @@ def test_symmetry_tables_commute_with_the_spread(topo, cells):
     b = win.encode(cells)
     assert len(win.sym_bits) == (4 if topo is Topology.TRIANGULAR else 8)
     for i in range(len(win.sym_bits)):
-        assert win.neighbors_mask(win.transform(b, i)) == win.transform(win.neighbors_mask(b), i)
+        assert (win.neighbors_mask(_transform(win, b, i))
+                == _transform(win, win.neighbors_mask(b), i))
 
 
 @pytest.mark.parametrize("topo", list(Topology))

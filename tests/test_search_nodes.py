@@ -1,6 +1,6 @@
-"""Node-level oracles for the search's seal, its cover test, the group
-refutation of the exhaustive last level, and the minimum-burnt driver's child
-ranking, node refutation and floor.
+"""Node-level oracles for the search's seal, its covers, the group refutation
+of the exhaustive last level, and the minimum-burnt driver's child ranking,
+node refutation and floor.
 
 Whole games from small balls (``test_search_oracle.py``) never reach the
 positions where a seal needs its exotic form, so these tests draw
@@ -13,7 +13,8 @@ The brute forces use only the bitboard spread rule, which
 ``test_search.py`` checks against the engine's kernel. Only a squad's cells in
 E | N(E) can change what burns (E - S) or what is endangered after it (a
 subset of N(E)), so a full squad is enumerated by its part there, padded with
-other candidates.
+other candidates. The seal is also held, squad and all, to a plain search
+over the squads in ``combinations`` order (``per_subset_seal``).
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridfire import search
 from gridfire.budget import periodic
 from gridfire.grid import Topology
 from gridfire.search import SearchConfig
 
-from conftest import naive_ranking
+from conftest import naive_ranking, per_subset_seal
 
 
 def _ring(r: int) -> list[tuple[int, int]]:
@@ -53,16 +54,23 @@ def near_enclosed(draw):
     return topo, burnt, prot
 
 
+def _walled(topo, unburnt, gaps, inner):
+    """A near-enclosed state: the blob less ``unburnt``, the wall less
+    ``gaps``, and ``inner`` cells of the first ring protected."""
+    return topo, set(_BLOB) - set(unburnt), (set(_SECOND) - set(gaps)) | set(inner)
+
+
 def _position(topo, burnt, prot, f, f_next, d=2):
     """A search core whose rounds 1 and 2 have supply ``f`` and ``f_next``,
     with candidate distance ``d``, and the position as (burnt, protected,
     endangered) bitboards. With d = 2 its window is 8 cells out, so the
     candidates of a leaf below the position stay off its edge; with d = 1 it
-    is 5 out, room for the position's own candidates."""
+    is 5 out, room for the position's own candidates, and so it is with
+    d = 0 (no candidates) and d = None (the whole window)."""
     core = search._Search(SearchConfig(
         topology=topo, source=frozenset({(0, 0)}), budget=periodic([f, f_next]),
         horizon=3, candidate_distance=d))
-    assert core.win.half == 3 * d + 2
+    assert core.win.half == 3 * (d or 1) + 2
     win = core.win
     b, p = win.encode(burnt), win.encode(prot)
     return core, b, p, win.endangered(b, p)
@@ -114,8 +122,27 @@ def test_seal_matches_brute_force(state, f):
 
 
 @settings(max_examples=150, deadline=None)
+@given(state=near_enclosed(), f_next=st.integers(1, 5),
+       d=st.sampled_from([0, 1, 2, None]))
+# A leaf padded with a pocket below every nonpocket would beat the least
+# squad of the subset search, which never protects a pocket.
+@example(state=_walled(Topology.STRONG, [(1, 1)], [(-3, -2), (1, -3)],
+                       [(-2, -2), (-2, -1), (-2, 2), (1, 2), (2, 2)]),
+         f_next=2, d=None)
+# The first leaf does not burn fewest, and the first leaf that burns fewest
+# is not the least squad.
+@example(state=_walled(Topology.STRONG, [(-1, 0), (0, -1), (0, 0)], [(2, -3), (3, 2)], []),
+         f_next=3, d=2)
+def test_seal_matches_per_subset_seal(state, f_next, d):
+    core, b, p, e_mask = _position(*state, f_next, f_next, d)
+    assert core.seal(0, b, p, e_mask) == per_subset_seal(core, 0, b, p, e_mask)
+
+
+@settings(max_examples=150, deadline=None)
 @given(state=near_enclosed(), cap=st.integers(0, 4), data=st.data())
 def test_cover_matches_brute_force(state, cap, data):
+    # Each leaf is an allowed cover of at most ``cap`` cells, and every cover
+    # holds a leaf: the seal's least squad over the leaves rests on both.
     core, b, p, e_mask = _position(*state, 1, 1)
     win = core.win
     exposed = win.full & ~b & ~p & ~e_mask
@@ -126,12 +153,17 @@ def test_cover_matches_brute_force(state, cap, data):
     banned = data.draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)),
                        label="banned")
     allowed = win.full ^ sum(cell for cell, ban in zip(cells, banned) if ban)
-    want = any(
-        all(u & cell or not exposure & ~u for cell, exposure in needs)
-        for j in range(cap + 1)
-        for u in map(sum, itertools.combinations(win.singles(pool & allowed), j))
-    )
-    assert core.cover(nonpocket, exposed, cap, allowed) == want
+
+    def meets(u):
+        return all(u & cell or not exposure & ~u for cell, exposure in needs)
+
+    leaves = list(core.covers(nonpocket, exposed, cap, allowed))
+    for u in leaves:
+        assert u.bit_count() <= cap and not u & ~allowed and meets(u)
+    for j in range(cap + 1):
+        for u in map(sum, itertools.combinations(win.singles(pool & allowed), j)):
+            if meets(u):
+                assert any(not leaf & ~u for leaf in leaves)
 
 
 @pytest.mark.parametrize("topo", list(Topology))
@@ -147,7 +179,7 @@ def test_one_cell_meets_a_whole_neighborhood(topo):
     origin = win.encode({(0, 0)})
     assert nonpocket == win.neighbors_mask(origin)
     assert nonpocket.bit_count() == win.degree
-    assert core.cover(nonpocket, exposed, 1, win.full)
+    assert list(core.covers(nonpocket, exposed, 1, win.full)) == [origin]
     assert core.seal(0, b, p, e_mask) == ((origin,), e_mask.bit_count())
 
 
