@@ -9,13 +9,15 @@ free-burning fire from a single point occupies the metric ball of radius k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, repeat
 from operator import add, floordiv, mod, mul, not_, sub
 from typing import Iterable, Sequence
 
 from .budget import Budget, parse_budget
 from .grid import (
-    _OFFSETS, Point, Topology, bounding_box, check_range, columns, row_major,
+    _OFFSETS, Interned, Point, Topology, bounding_box, check_range, columns,
+    row_major,
 )
 from .trace import MalformedTraceError, RoundRecord, RunTrace
 
@@ -57,41 +59,51 @@ class _CodeBox:
     """Integer codes for the cells within ``reach`` steps of ``cells``.
 
     The box is the bounding box of ``cells`` grown by ``reach`` on every side;
-    a cell (x, y) in it has code ``y*W + (x - x0)``, where W is the box width
-    and x0 its left edge. Each code names one cell, integer order is
-    row-major (y, x) order, and a neighbor offset (dx, dy) is the constant
-    ``dy*W + dx``. A fire from ``cells`` moves at most one cell a round, so in
-    ``reach - 1`` rounds it burns and endangers only cells of the box. A point
-    outside the box is never encoded, because its code could alias a cell
-    inside.
+    a cell (x, y) in it has code ``(y - y0)*W + (x - x0)``, where W is the box
+    width and (x0, y0) its lowest corner. Each code names one cell, integer
+    order is row-major (y, x) order, and a neighbor offset (dx, dy) is the
+    constant ``dy*W + dx``. A fire from ``cells`` moves at most one cell a
+    round, so in ``reach - 1`` rounds it burns and endangers only cells of
+    the box. A point outside the box is never encoded, because its code could
+    alias a cell inside.
+
+    ``decode`` takes each coordinate from the box's ``Interned`` tables of
+    column and row ints, so the points it returns share one int object per
+    column and one per row; fresh ints from arithmetic would cost a trace of
+    large coordinates two int objects per point. The tables fill as codes
+    are decoded, so a long horizon costs nothing until the fire gets there.
     """
 
-    __slots__ = ("x0", "x1", "y0", "y1", "width", "steps")
+    __slots__ = ("x0", "x1", "y0", "y1", "width", "base", "xs", "ys", "steps")
 
     def __init__(self, cells: Sequence[Point], reach: int, topology: Topology):
         xmin, xmax, ymin, ymax = bounding_box(cells) if cells else (0, 0, 0, 0)
         self.x0, self.x1 = xmin - reach, xmax + reach
         self.y0, self.y1 = ymin - reach, ymax + reach
         self.width = width = self.x1 - self.x0 + 1
+        self.base = self.y0 * width + self.x0
+        self.xs = Interned(partial(add, self.x0))
+        self.ys = Interned(partial(add, self.y0))
         self.steps = tuple(dy * width + dx for dx, dy in _OFFSETS[topology])
 
     def encode(self, cells: Sequence[Point]) -> list[int]:
         """Codes of ``cells``, which must all lie in the box."""
         xs, ys = columns(cells)
-        return list(map(add, map(mul, ys, repeat(self.width)),
-                        map(sub, xs, repeat(self.x0))))
+        return list(map(sub, map(add, map(mul, ys, repeat(self.width)), xs),
+                        repeat(self.base)))
 
     def encode_in_box(self, points: Iterable[Point]) -> set[int]:
         """Codes of those of ``points`` that lie in the box."""
         x0, x1, y0, y1, width = self.x0, self.x1, self.y0, self.y1, self.width
-        return {y * width + x - x0 for x, y in points
+        return {(y - y0) * width + x - x0 for x, y in points
                 if x0 <= x <= x1 and y0 <= y <= y1}
 
     def decode(self, codes: Sequence[int]) -> tuple[Point, ...]:
         """The cells of ``codes``, in the same order."""
         width = self.width
-        xs = map(add, map(mod, codes, repeat(width)), repeat(self.x0))
-        return tuple(zip(xs, map(floordiv, codes, repeat(width))))
+        xs = map(self.xs.__getitem__, map(mod, codes, repeat(width)))
+        ys = map(self.ys.__getitem__, map(floordiv, codes, repeat(width)))
+        return tuple(zip(xs, ys))
 
     def near(self, codes: Sequence[int]) -> set[int]:
         """Codes of every neighbor of ``codes``: the spread rule in code space.
@@ -130,10 +142,12 @@ class SimView:
     ignitions less those ignitions, the previous layer, and the protected
     cells in the box.
 
-    ``play`` adds nothing to ``burnt``: the caller adds the ignitions it
-    records, and keeps ``burnt_sum``. So the burnt set shares the record's
-    point tuples; if the view added its own decoded tuples, a replayed trace
-    would be held in memory twice.
+    ``play`` adds nothing to ``burnt`` and reads it only to reject a squad
+    cell: the caller adds the ignitions it records, and keeps
+    ``burnt_sum``. ``run`` adds every ignition, so its burnt set shares the
+    record's point tuples, whose coordinates share the box's ints;
+    ``replay_validate`` adds only the cells that some record places on, so
+    a replayed trace is not held in memory twice.
     """
 
     __slots__ = ("topology", "round", "burnt", "protected", "burnt_sum",
@@ -305,6 +319,10 @@ def replay_validate(trace: RunTrace) -> None:
     line is the record's position in the trace as ``RunTrace.write`` lays it
     out (header on line 1, round t on line t + 1), which can differ from the
     file it was read from if that file held blank lines.
+
+    The view's burnt set holds only the burnt cells that some record places
+    on, which is all that ``play`` tests a squad against; no set of every
+    burnt cell is built.
     """
     desc, budget = trace.budget_desc, None
     # A "table:" label names a file, which checking an untrusted trace must never open.
@@ -315,6 +333,8 @@ def replay_validate(trace: RunTrace) -> None:
             raise MalformedTraceError(f"bad header budget: {exc}", line=1) from exc
     initial = FireState(frozenset(trace.initial), frozenset(), 0, trace.topology)
     view = SimView(initial, len(trace.rounds))
+    placed = set().union(*(rec.placed for rec in trace.rounds))
+    view.burnt &= placed
     for i, rec in enumerate(trace.rounds):
         line = i + 2  # header is line 1
         if not view.endangered_row_major():
@@ -339,7 +359,7 @@ def replay_validate(trace: RunTrace) -> None:
                 f"round {rec.t}: recorded ignitions do not match the spread rule",
                 line=line,
             )
-        view.burnt.update(rec.ignited)
+        view.burnt.update(placed.intersection(rec.ignited))
     spreading = bool(view.endangered_row_major())
     final = trace.final_round()
     controlled = trace.status == "controlled"

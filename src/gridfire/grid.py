@@ -51,6 +51,26 @@ def columns(points: Iterable[Point]) -> tuple[list[int], list[int]]:
     return list(map(_X, points)), list(map(_Y, points))
 
 
+class Interned(dict):
+    """A memo whose entry for ``key`` is ``make(key)``, built on first lookup.
+
+    Points built through one table share one int object per distinct
+    coordinate, where ints made per point would each be a separate object
+    (CPython caches only -5..256). Lookups are C-level dict reads, so
+    ``map(table.__getitem__, keys)`` runs Python only once per new key.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
+
+
 def check_range(points: Iterable[Point]) -> None:
     """Raise OverflowError for the first point outside the supported range."""
     for x, y in points:

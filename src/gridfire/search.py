@@ -13,11 +13,11 @@ burns as a pocket (a cell whose ignition exposes nothing new), or has its
 entire exposure covered. So every seal holds a cover of at most f cells: a
 set holding every nonpocket or its whole exposure. A bounded search tree over
 the nonpockets yields such covers as its leaves (``_Search.covers``), and
-every seal holds one of them, so the seal is built from the leaves alone: each
-is padded to a full squad with nonpockets, and the one that burns fewest is
-kept. At the exhaustive driver's last level the same tree, with room for the
-leaf's squad as well, refutes whole groups of leaves when it has no leaf;
-those are then counted without being walked.
+every seal holds one of them, so the seal is built from the leaves alone: the
+least seal is itself a leaf, and the leaf that burns fewest is kept. At the
+exhaustive driver's last level the same tree, with room for the leaf's squad
+as well, refutes whole groups of leaves when it has no leaf; those are then
+counted without being walked.
 
 The minimum-burnt driver walks a node's children in order of a one-step
 burnt bound and stops at the first one whose bound reaches the best
@@ -454,8 +454,8 @@ class _Search:
         of E, or every nonpocket padded with pockets. Otherwise the squad is
         the first, in (burn, squad) order, of the full squads of nonpockets
         and exposed candidates that seal; a squad's cells ascend, so squad
-        order is ``combinations`` order. It is built from the leaves of
-        ``covers``, and there is none when they have no leaf.
+        order is ``combinations`` order. It is the least leaf of ``covers``,
+        and there is none when they have no leaf.
         """
         if not e_mask:
             return (), 0
@@ -477,18 +477,16 @@ class _Search:
             squad = win.singles(nonpocket) + pockets[: f_next - n_np]
             return tuple(squad), n_e - len(squad)
         # Every seal S holds a leaf U of ``covers``: follow, at each branch,
-        # the choice S makes. Padded with the lowest nonpockets outside it, U
-        # is a full squad that seals, protects at least as many endangered
-        # cells as S and, when it protects as many, sorts no later than S. So
-        # the least (burn, squad) over the leaves is the least over the seals.
-        # With any candidates at all, E lies inside them (d >= 1, or
-        # unrestricted), and the cheap forms failing leaves more than f_next
-        # nonpockets, so there are always enough to pad with.
+        # the choice S makes. For the least (burn, squad) seal, U is S: an
+        # exposed cell of S outside U could give way to a nonpocket outside
+        # S, which burns less, and a nonpocket of S outside U to the lower
+        # nonpocket whose exposure met it, which burns as few and sorts
+        # first. Every leaf seals, and one of fewer than ``f_next`` cells
+        # burns more than itself plus a nonpocket, so the least leaf is the
+        # least seal.
         best: tuple[int, Squad] | None = None
         for u in self.covers(nonpocket, exposed, f_next, cand):
-            pad = win.singles(nonpocket & ~u)[: f_next - u.bit_count()]
-            leaf = (n_e - (u & e_mask).bit_count() - len(pad),
-                    tuple(sorted(win.singles(u) + pad)))
+            leaf = (n_e - (u & e_mask).bit_count(), tuple(win.singles(u)))
             if best is None or leaf < best:
                 best = leaf
         return None if best is None else (best[1], best[0])

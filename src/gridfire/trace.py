@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from types import NoneType
 from typing import IO
 
-from .grid import Point, Topology
+from .grid import Interned, Point, Topology
 
 # Points are tuples of ints, which hold no containers, so the encoder's cycle
 # bookkeeping could never find a cycle; one encoder serves every line.
@@ -88,6 +89,15 @@ class RunTrace:
 
     @classmethod
     def read(cls, fp: IO[str]) -> "RunTrace":
+        """Parse a trace written by ``write``, checking every field's type.
+
+        Raises MalformedTraceError with the file's own line number, blank
+        lines included. Every line is parsed by ``json.loads``, whose C
+        scanner checks the grammar, with its integers taken from one
+        ``Interned`` table keyed by literal: the trace read holds one int
+        object per distinct number, as a trace from ``run`` does.
+        """
+        loads = partial(json.loads, parse_int=Interned(int).__getitem__)
         # (physical line number, text) of every non-blank line
         lines = [(n, ln) for n, ln in enumerate(fp.read().splitlines(), start=1)
                  if ln.strip()]
@@ -95,7 +105,7 @@ class RunTrace:
             raise MalformedTraceError("empty trace file", line=1)
         head_line, head = lines[0]
         try:
-            header = json.loads(head)
+            header = loads(head)
             topology = Topology(header["topology"])
             trace = cls(
                 topology=topology,
@@ -112,7 +122,7 @@ class RunTrace:
             raise MalformedTraceError(f"bad header: {exc}", line=head_line) from exc
         for t, (n, ln) in enumerate(lines[1:], start=1):
             try:
-                obj = json.loads(ln)
+                obj = loads(ln)
                 rec = RoundRecord(
                     t=_typed(obj["t"], "t", int),
                     f=_typed(obj["f"], "f", int),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -335,10 +336,10 @@ def test_replay_validate_rejects_teleporting_fire(origin_cartesian):
 class FarDecoys:
     """In round 1, protects (1 + w, -1) for w = 8..40, all far out of reach.
 
-    A run from (0, 0) holds cells as integer codes ``y*W + (x - x0)`` in a box
-    W cells wide, and (1 + W, -1) would share the code of (1, 0), which the
-    fire endangers in round 1. Whatever W is, one decoy is such an alias
-    unless points outside the box are never encoded.
+    A run from (0, 0) holds cells as integer codes ``(y - y0)*W + (x - x0)``
+    in a box W cells wide, and (1 + W, -1) would share the code of (1, 0),
+    which the fire endangers in round 1. Whatever W is, one decoy is such an
+    alias unless points outside the box are never encoded.
     """
 
     identifier = "decoys"
@@ -373,6 +374,52 @@ def test_replay_validate_rejects_ignitions_aliasing_in_box_cells(origin_cartesia
                            match="round 1: recorded ignitions do not match") as exc:
             replay_validate(forged)
         assert exc.value.line == 2
+
+
+def _forged_round(trace: RunTrace, t: int, **fields) -> RunTrace:
+    """A copy of ``trace`` read back, with round ``t``'s record changed."""
+    forged = RunTrace.from_text(trace.to_text())
+    forged.rounds[t - 1] = dataclasses.replace(forged.rounds[t - 1], **fields)
+    return forged
+
+
+@pytest.mark.parametrize("t, cell, why", [
+    (1, (0, 0), "the source"),
+    (3, (0, 0), "the source"),
+    (2, (1, 0), "ignited in round 1"),
+    (4, (0, -2), "ignited in round 2"),
+])
+def test_replay_validate_rejects_placements_on_burnt_cells(origin_cartesian, t, cell, why):
+    """The replay's burnt set holds only cells some record places on, so a
+    placement on the source or on an earlier ignition must still be caught."""
+    trace = run(origin_cartesian, constant(1), NullStrategy(), 5)
+    forged = _forged_round(trace, t, placed=(cell,))
+    with pytest.raises(MalformedTraceError) as exc:
+        replay_validate(forged)
+    assert str(exc.value) == f"placement on a burnt point: {cell} (line {t + 1})", why
+
+
+def test_replay_validate_rejects_ignition_of_a_protected_cell(origin_cartesian):
+    """(3, 0) is placed in round 1 and then listed among round 3's ignitions,
+    as the unprotected fire would burn it."""
+    trace = run(origin_cartesian, constant(1), NullStrategy(), 3)
+    assert (3, 0) in trace.rounds[2].ignited
+    forged = _forged_round(trace, 1, placed=((3, 0),))
+    with pytest.raises(MalformedTraceError) as exc:
+        replay_validate(forged)
+    assert str(exc.value) == (
+        "round 3: recorded ignitions do not match the spread rule (line 4)")
+
+
+def test_traces_share_one_int_object_per_coordinate():
+    """Far from the origin every coordinate is its own int object unless the
+    decoder and the reader share them; a trace then holds two per point."""
+    start = FireState(frozenset({(1000, -1000)}), frozenset(), 0, Topology.CARTESIAN)
+    trace = run(start, constant(0), NullStrategy(), 20)
+    for t in (trace, RunTrace.from_text(trace.to_text())):
+        coords = [c for rec in t.rounds for p in rec.ignited for c in p]
+        assert len(coords) == 2 * 840
+        assert len({id(c) for c in coords}) == len(set(coords)) == 82
 
 
 def test_replay_validate_rejects_rounds_of_an_empty_fire(origin_cartesian):
@@ -459,6 +506,14 @@ def test_trace_read_rejects_garbage():
         RunTrace.read(io.StringIO("not json\n"))
     with pytest.raises(MalformedTraceError):
         RunTrace.read(io.StringIO(""))
+
+
+def test_trace_read_reports_a_byte_order_mark():
+    text = "\ufeff" + _greedy_const1_text()
+    with pytest.raises(MalformedTraceError) as exc:
+        RunTrace.read(io.StringIO(text))
+    assert str(exc.value) == ("bad header: Unexpected UTF-8 BOM (decode using "
+                              "utf-8-sig): line 1 column 1 (char 0) (line 1)")
 
 
 def test_trace_read_reports_physical_line_numbers():
