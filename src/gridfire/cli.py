@@ -116,17 +116,8 @@ def _ints(count: int | None = None, least: int | None = None):
 def _experiment(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         return ExperimentConfig.from_json(Path(args.config).read_text())
-    return ExperimentConfig(
-        topology=args.topology,
-        center=tuple(args.center),
-        radius=args.radius,
-        source_metric=args.source_metric,
-        budget=args.budget,
-        strategy=args.strategy,
-        horizon=args.horizon,
-        seed=args.seed,
-        out=args.out,
-    )
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)}
+    return ExperimentConfig(**values | {"center": tuple(args.center)})
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -162,9 +153,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     budget = _parsed(parse_budget, args.budget)
     strategy = _parsed(parse_strategy, args.strategy)
     if not isinstance(strategy, ContainmentStrategy):
-        print("error: reduce expects a strong-grid containment strategy",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("reduce expects a strong-grid containment strategy")
     plan = strategy.plan
     report = run_reduction(strategy, budget, plan.r, args.horizon or plan.horizon)
     ok = True
@@ -194,6 +183,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    if args.bound is not None and args.objective != "min-burnt":
+        raise _UsageError("--bound applies only to --objective min-burnt")
     budget = _parsed(parse_budget, args.budget)
     topo = Topology(args.topology)
     metric = "l1" if topo is Topology.CARTESIAN else "linf"
@@ -333,8 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=_ints(1, 0), default=0)
     p.add_argument("--budget", required=True)
     p.add_argument("--horizon", type=_ints(1, 1), required=True)
-    p.add_argument("--distance", type=_ints(1, 0), default=2)
-    p.add_argument("--unrestricted", action="store_true")
+    # A str default is converted only when absent, so --distance 2 still conflicts.
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--distance", type=_ints(1, 0), default="2")
+    where.add_argument("--unrestricted", action="store_true")
     p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--node-cap", type=_ints(1, 1), default=100_000_000)
     p.add_argument("--bound", type=_ints(1, 1), default=None,

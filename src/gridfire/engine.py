@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat
-from operator import add, floordiv, mod, mul, not_, sub
-from typing import Iterable, Sequence
+from operator import add, floordiv, mod, not_
+from typing import Collection, Iterable, Sequence
 
 from .budget import Budget, parse_budget
 from .grid import (
@@ -74,25 +74,18 @@ class _CodeBox:
     are decoded, so a long horizon costs nothing until the fire gets there.
     """
 
-    __slots__ = ("x0", "x1", "y0", "y1", "width", "base", "xs", "ys", "steps")
+    __slots__ = ("x0", "x1", "y0", "y1", "width", "xs", "ys", "steps")
 
     def __init__(self, cells: Sequence[Point], reach: int, topology: Topology):
         xmin, xmax, ymin, ymax = bounding_box(cells) if cells else (0, 0, 0, 0)
         self.x0, self.x1 = xmin - reach, xmax + reach
         self.y0, self.y1 = ymin - reach, ymax + reach
         self.width = width = self.x1 - self.x0 + 1
-        self.base = self.y0 * width + self.x0
         self.xs = Interned(partial(add, self.x0))
         self.ys = Interned(partial(add, self.y0))
         self.steps = tuple(dy * width + dx for dx, dy in _OFFSETS[topology])
 
-    def encode(self, cells: Sequence[Point]) -> list[int]:
-        """Codes of ``cells``, which must all lie in the box."""
-        xs, ys = columns(cells)
-        return list(map(sub, map(add, map(mul, ys, repeat(self.width)), xs),
-                        repeat(self.base)))
-
-    def encode_in_box(self, points: Iterable[Point]) -> set[int]:
+    def encode(self, points: Iterable[Point]) -> set[int]:
         """Codes of those of ``points`` that lie in the box."""
         x0, x1, y0, y1, width = self.x0, self.x1, self.y0, self.y1, self.width
         return {(y - y0) * width + x - x0 for x, y in points
@@ -105,7 +98,7 @@ class _CodeBox:
         ys = map(self.ys.__getitem__, map(floordiv, codes, repeat(width)))
         return tuple(zip(xs, ys))
 
-    def near(self, codes: Sequence[int]) -> set[int]:
+    def near(self, codes: Collection[int]) -> set[int]:
         """Codes of every neighbor of ``codes``: the spread rule in code space.
 
         One C-level ``map`` per neighbor offset, so no Python code runs per cell.
@@ -128,8 +121,8 @@ class SimView:
     ``SimView(state, rounds)`` starts from ``state`` and may play up to
     ``rounds`` rounds; ``SimView(state, 0)`` only answers E. Strategies read
     ``topology``, ``round``, ``burnt``, ``protected``, ``burnt_sum`` (the x
-    and y sums over ``burnt``) and E; ``play`` places a squad and spreads the
-    fire.
+    and y sums over ``burnt``) and E, whose one accessor is
+    ``endangered_row_major``; ``play`` places a squad and spreads the fire.
 
     E is held as integer codes in a ``_CodeBox`` grown by ``rounds + 1``, so
     every cell the fire can reach, and every cell it can endanger, has a
@@ -162,11 +155,11 @@ class SimView:
         self.burnt_sum = _column_sums(cells)
         self._last = state.round + rounds
         self._box = _CodeBox(cells, rounds + 1, state.topology)
-        self._held = self._box.encode_in_box(state.protected)
-        self._layer: list[int] = []
+        self._held = self._box.encode(state.protected)
+        self._layer: Collection[int] = ()
         self._spread(self._box.encode(cells))
 
-    def _spread(self, codes: list[int]) -> None:
+    def _spread(self, codes: Collection[int]) -> None:
         """Set E to the neighbors of the newly burnt ``codes`` outside the
         last two layers and the protected codes."""
         near = self._box.near(codes)
@@ -203,7 +196,7 @@ class SimView:
             seen.add(p)
         self.protected.update(squad)
         codes, cells = self._codes, self._endangered
-        held = self._box.encode_in_box(squad)
+        held = self._box.encode(squad)
         if held:
             self._held |= held
             keep = list(map(not_, map(held.__contains__, codes)))
@@ -213,19 +206,16 @@ class SimView:
         self.round += 1
         return cells
 
-    def endangered(self) -> frozenset[Point]:
-        """The cells that burn next round unless this squad protects them."""
-        return frozenset(self._endangered)
-
     def endangered_row_major(self) -> tuple[Point, ...]:
-        """The same cells as ``endangered()``, in row-major (y, x) order."""
+        """The cells that burn next round unless this squad protects them, in
+        row-major (y, x) order."""
         return self._endangered
 
 
 def endangered(state: FireState) -> frozenset[Point]:
     """Unburnt, unprotected points adjacent to a burning point."""
     check_range(state.burnt)
-    return SimView(state, 0).endangered()
+    return frozenset(SimView(state, 0).endangered_row_major())
 
 
 def is_controlled(state: FireState) -> bool:
@@ -281,12 +271,12 @@ def run(
             trace.error = f"round 0: {exc}"
             return trace
 
-    if not view.endangered_row_major():
-        trace.status = "controlled"
-        trace.control_round = 0
-        return trace
-
-    for t in range(1, horizon + 1):
+    t = 0
+    while view.endangered_row_major():
+        if t == horizon:
+            trace.status = "horizon"
+            return trace
+        t += 1
         f_t = budget.at(t)
         try:
             placements = list(strategy.next_placements(view, f_t))
@@ -302,11 +292,8 @@ def run(
         trace.rounds.append(
             RoundRecord(t=t, f=f_t, placed=tuple(placements), ignited=ignited)
         )
-        if not view.endangered_row_major():
-            trace.status = "controlled"
-            trace.control_round = t
-            return trace
-    trace.status = "horizon"
+    trace.status = "controlled"
+    trace.control_round = t
     return trace
 
 

@@ -294,14 +294,15 @@ def check_invariants(trace: RunTrace, validate: bool = True) -> MonitorReport:
     sum_lines: set[int] = set()
     diff_lines: set[int] = set()
     attributed_cum = {d: 0 for d in DIRECTIONS}
+    phi, phi_total = potentials(set(), set(), pending_source=True)
     metrics = [
         FrontMetrics(
             t=0,
             offsets=offsets,
             lengths=front_lengths(offsets),
             perimeter=0,
-            phi={d: _QUARTER for d in DIRECTIONS},
-            phi_total=Fraction(1),
+            phi=phi,
+            phi_total=phi_total,
             supply=0,
             attributed=dict(attributed_cum),
         )
@@ -343,17 +344,10 @@ def check_invariants(trace: RunTrace, validate: bool = True) -> MonitorReport:
             )
         )
 
-    for i in range(len(metrics) - 1):
-        act, _ = activity(metrics[i].offsets, metrics[i + 1].offsets, trace.initial)
-        metrics[i].active = act
+    for now, after in zip(metrics, metrics[1:]):
+        now.active, _ = activity(now.offsets, after.offsets, trace.initial)
 
-    checks = {
-        "A": CheckResult("A", True),
-        "B": CheckResult("B", True),
-        "C": CheckResult("C", True),
-        "D": CheckResult("D", True),
-        "E": CheckResult("E", True),
-    }
+    checks = {name: CheckResult(name, True) for name in "ABCDE"}
     cap_ok = True
     cap_void_from: int | None = None
     min_slack: Fraction | None = None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .budget import Budget
 from .engine import FireState, run
-from .grid import Point, Topology, ball, skew_map
+from .grid import Point, Topology, ball, is_even_point, skew_map
 from .strategies import ScriptedStrategy
 from .trace import RunTrace
 
@@ -71,9 +71,7 @@ class ReductionReport:
 
 def audit_parity(trace: RunTrace) -> tuple[bool, bool]:
     """(all placements even, ignition parity alternates odd/even with the round)."""
-    placements_even = all(
-        (p[0] + p[1]) % 2 == 0 for rec in trace.rounds for p in rec.placed
-    )
+    placements_even = all(is_even_point(p) for rec in trace.rounds for p in rec.placed)
     parity_ok = all(
         (q[0] + q[1]) % 2 == rec.t % 2 for rec in trace.rounds for q in rec.ignited
     )
@@ -85,13 +83,11 @@ def run_reduction(
     strong_budget: Budget,
     strong_radius: int,
     horizon: int,
-    cartesian_radii: tuple[int, ...] | None = None,
 ) -> ReductionReport:
     """Simulate the strong game, derive the Cartesian strategy, and run both.
 
-    The Cartesian source is tried at each radius in ``cartesian_radii``
-    (default: twice the strong radius, then the strong radius itself); the
-    report records which of them end up contained.
+    The Cartesian source is tried at twice the strong radius, then at the
+    strong radius itself; the report records which of them end up contained.
     """
     strong_initial = FireState(
         burnt=ball((0, 0), strong_radius, "linf"),
@@ -101,9 +97,8 @@ def run_reduction(
     )
     strong_trace = run(strong_initial, strong_budget, strong_strategy, horizon)
     g = reduced_budget(strong_budget)
-    radii = cartesian_radii or (2 * strong_radius, strong_radius)
     outcomes = []
-    for rho in radii:
+    for rho in (2 * strong_radius, strong_radius):
         cart_initial = FireState(
             burnt=ball((0, 0), rho, "l1"),
             protected=frozenset(),

@@ -243,7 +243,8 @@ class _Search:
         d = cfg.candidate_distance if cfg.candidate_distance is not None else 1
         self.win = _Window(reach + cfg.horizon * max(d, 1) + 2, cfg.topology)
         self.burnt0 = self.win.encode(cfg.source)
-        self.f = [cfg.budget.at(t) for t in range(1, cfg.horizon + 1)]
+        # Squad sizes by depth; no squad follows the horizon.
+        self.f = [cfg.budget.at(t) for t in range(1, cfg.horizon + 1)] + [0]
         self.nodes = 0
         self.seen: list[set[int]] = [set() for _ in range(cfg.horizon + 1)]
         self.saturated: set[int] = set()  # depths whose bucket filled up
@@ -346,17 +347,20 @@ class _Search:
         counts over every cell of R2 with at most h neighbors in E, all hot.
         Both lower bounds fall as h grows, since the weights only grow with
         h, so the least over the groups is the one at the largest h,
-        min(k, |hot|). The cheap form is tried first; the weights are scaled
-        by lcm(1..h) to stay integers.
+        min(k, |hot|). The cheap form of drop is tried first; the weights are
+        scaled by lcm(1..h) to stay integers.
+
+        The first bound is not tested: when E lies in ``cand``, as for any
+        candidate distance of at least 1 or none, it is ``floor``, which the
+        walk has tested against the same cutoff; at distance 0 every squad is
+        empty, and ``ranked_children``'s own cutoff test drops the same children.
         """
         win = self.win
         k = min(self.f[depth], cand.bit_count())
-        f_after = self.f[depth + 1] if depth + 1 < len(self.f) else 0
+        f_after = self.f[depth + 1]
         hot = cand & e_mask
         h = min(k, hot.bit_count())
         burns = burnt.bit_count() + e_mask.bit_count()
-        if burns - h >= cutoff:
-            return True
         ring = win.neighbors_mask(e_mask) & ~burnt & ~e_mask & ~prot
         spare = burns + ring.bit_count() - k - f_after  # the second bound plus drop
         if spare - h * (win.degree - 1) >= cutoff:
@@ -375,11 +379,11 @@ class _Search:
         return spare - sum(heapq.nlargest(h, weights.values())) // scale >= cutoff
 
     def ranked_children(
-        self, depth: int, burnt: int, prot: int, e_mask: int, cutoff: int | None
+        self, depth: int, burnt: int, prot: int, e_mask: int, cand: int, cutoff: int | None
     ) -> Iterator[tuple[int, Squad]]:
         """Every child whose bound is below ``cutoff`` as (bound, squad), in
-        (bound, squad) order: the minimum-burnt walk's order. A ``cutoff`` of
-        None keeps every child.
+        (bound, squad) order: the minimum-burnt walk's order, its squads drawn
+        from ``cand``, the node's ``candidates``. A ``cutoff`` of None keeps all.
 
         The bound is the child's one-step burnt lower bound: its burnt cells
         plus whatever it leaves endangered beyond the next round's supply.
@@ -392,10 +396,9 @@ class _Search:
         squads are built and sorted only once the caller has taken every
         child of the bounds below it; a walk that stops early builds no more.
         """
-        cand = self.candidates(depth, burnt, prot)
         if cutoff is not None and self.refuted(depth, burnt, prot, e_mask, cand, cutoff):
             return
-        f_after = self.f[depth + 1] if depth + 1 < len(self.f) else 0
+        f_after = self.f[depth + 1]
         k = min(self.f[depth], cand.bit_count())
         cold = cand & ~e_mask
         n_cold = cold.bit_count()
@@ -441,13 +444,13 @@ class _Search:
         return True
 
     def seal(
-        self, depth: int, burnt: int, prot: int, e_mask: int
+        self, depth: int, burnt: int, prot: int, e_mask: int, cand: int
     ) -> tuple[Squad, int] | None:
         """A legal squad of round ``depth + 1`` after which nothing is
         endangered, or None.
 
         Returns (squad, cells that still burn); among seals it minimizes the
-        number of cells left to burn.
+        number of cells left to burn. ``cand`` is the node's ``candidates``.
 
         A squad S seals exactly when it holds every nonpocket e, or e's whole
         exposure N(e) & exposed. Two cheap forms are answered directly: all
@@ -466,7 +469,6 @@ class _Search:
         # cells next to an exposed one.
         exposed = win.full & ~burnt & ~prot & ~e_mask
         nonpocket = e_mask & win.neighbors_mask(exposed)
-        cand = self.candidates(depth, burnt, prot)
         n_e = e_mask.bit_count()
         n_np = nonpocket.bit_count()
         coverable = not (e_mask & ~cand)
@@ -570,10 +572,10 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
         """An interior node, above ``last_depth``."""
         core.enter()
         e_mask = core.endangered(depth, burnt, prot)
-        seal = core.seal(depth, burnt, prot, e_mask)
+        cand = core.candidates(depth, burnt, prot)
+        seal = core.seal(depth, burnt, prot, e_mask, cand)
         if seal is not None:
             raise _Found(squads + [seal[0]])
-        cand = core.candidates(depth, burnt, prot)
         if depth + 1 == last_depth:
             k = min(f[depth], cand.bit_count())
             leaves(depth + 1, burnt, prot, e_mask, cand, k, squads)
@@ -619,9 +621,10 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
             core.enter()
             s_mask = sum(squad)
             burnt2, perim, base = groups[s_mask & e_mask]
+            prot2 = prot | s_mask
             e2 = base & ~s_mask
             core.check_edge(depth, burnt2 | e2)
-            seal = core.seal(depth, burnt2, prot | s_mask, e2)
+            seal = core.seal(depth, burnt2, prot2, e2, core.candidates(depth, burnt2, prot2))
             if seal is not None:
                 # The root, a leaf when the horizon is 1, is reached by no squad.
                 raise _Found((squads + [squad] if depth else []) + [seal[0]])
@@ -661,13 +664,12 @@ def min_burnt_search(cfg: SearchConfig) -> SearchResult:
     def visit(burnt: int, prot: int, depth: int, squads: list[Squad]) -> None:
         nonlocal best_burnt, best_squads
         core.enter()
-        n_burnt = burnt.bit_count()
-        if best_burnt is not None and n_burnt >= best_burnt:
-            return
         e_mask = core.endangered(depth, burnt, prot)
         if depth >= cfg.horizon:
             return
-        seal = core.seal(depth, burnt, prot, e_mask)
+        n_burnt = burnt.bit_count()
+        cand = core.candidates(depth, burnt, prot)
+        seal = core.seal(depth, burnt, prot, e_mask, cand)
         if seal is not None and (best_burnt is None or n_burnt + seal[1] < best_burnt):
             best_burnt = n_burnt + seal[1]
             best_squads = squads + [seal[0]]
@@ -677,7 +679,8 @@ def min_burnt_search(cfg: SearchConfig) -> SearchResult:
             return
         # Most promising squads first, so incumbents arrive early and the
         # bound prune bites.
-        for bound2, squad in core.ranked_children(depth, burnt, prot, e_mask, best_burnt):
+        for bound2, squad in core.ranked_children(
+                depth, burnt, prot, e_mask, cand, best_burnt):
             if best_burnt is not None and bound2 >= best_burnt:
                 break
             s_mask = sum(squad)

@@ -63,13 +63,8 @@ class RandomStrategy:
         self._rng = random.Random(seed)
 
     def next_placements(self, view: SimView, available: int) -> list[Point]:
-        if available == 0:
-            return []
         targets = view.endangered_row_major()
-        if not targets:
-            return []
-        k = min(available, len(targets))
-        return self._rng.sample(targets, k)
+        return self._rng.sample(targets, min(available, len(targets)))
 
 
 class ScriptedStrategy:

@@ -240,5 +240,4 @@ def plan_parameters(
                 "supply still dips below the target rate near the scan "
                 "horizon; pass an explicit start round"
             )
-    t0 = max(t0, 1)
     return m, source_radius + t0

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shlex
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
+from gridfire import cli
 from gridfire.cli import ExperimentConfig, build_parser, main
 from gridfire.trace import RunTrace
 
@@ -154,6 +157,25 @@ def test_search_cli_small(capsys):
     assert json.loads(captured)["outcome"] == "controlled-found"
 
 
+def test_search_cli_min_burnt_writes_its_witness(capsys, tmp_path):
+    witness = tmp_path / "w.jsonl"
+    code = run_cli("search", "--objective", "min-burnt", "--budget", "periodic:2,2,2,3",
+                   "--horizon", "8", "--distance", "2", "--witness-out", str(witness))
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (out["outcome"], out["nodes"], out["min_burnt"]) == ("controlled-found", 70, 12)
+    assert hashlib.sha256(witness.read_bytes()).hexdigest() == (
+        "667e29b3bec8ebe7ad17ec125d9f1e6c2603b924cac4d1a07ad36796305fc6d5")
+
+
+def test_search_cli_seals_at_the_root(capsys):
+    # Four firefighters protect the whole first ring, so the root seals.
+    code = run_cli("search", "--budget", "const:4", "--horizon", "2")
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (out["outcome"], out["nodes"], out["min_burnt"]) == ("controlled-found", 1, 1)
+
+
 def test_sweep_empty_grid(capsys):
     code = run_cli("sweep", "--m", "", "--r", "")
     captured = capsys.readouterr().out
@@ -166,6 +188,26 @@ def test_sweep_single_cell(capsys):
     captured = capsys.readouterr().out
     assert code == 0
     assert "controlled" in captured
+
+
+def test_sweep_jobs_match_a_serial_sweep(capsys, tmp_path, monkeypatch):
+    workers = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    rows = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.json"
+        assert run_cli("sweep", "--m", "1", "--r", "1,2", "--jobs", jobs,
+                       "--json-out", str(out)) == 0
+        rows[jobs] = json.loads(out.read_text())
+    capsys.readouterr()
+    assert workers == [2]
+    assert rows["2"] == rows["1"] and len(rows["1"]) == 2
 
 
 def test_render_round_zero(capsys, tmp_path):
@@ -239,6 +281,13 @@ def test_run_from_config_file(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert code == 0
     assert "burnt cells: 25" in captured
+
+
+def test_readme_sample_config_runs(capsys, monkeypatch):
+    # The config names its budget table by a path relative to the repo root.
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    assert run_cli("run", "--config", "configs/limsup_burst.json") == 0
+    assert "horizon reached at round 240" in capsys.readouterr().out
 
 
 def test_run_monitor_compose(tmp_path, capsys):
@@ -332,6 +381,14 @@ PARSE_ERRORS = {
         lambda tmp: ["search", "--radius", "-1", "--budget", "const:1", "--horizon", "1"],
     "search-horizon-zero":
         lambda tmp: ["search", "--budget", "const:1", "--horizon", "0"],
+    "search-bound-without-min-burnt":
+        lambda tmp: ["search", "--budget", "const:2", "--horizon", "2", "--bound", "1"],
+    "search-unrestricted-with-distance":
+        lambda tmp: ["search", "--budget", "const:2", "--horizon", "2",
+                     "--unrestricted", "--distance", "7"],
+    "search-default-distance-with-unrestricted":
+        lambda tmp: ["search", "--budget", "const:2", "--horizon", "2",
+                     "--distance", "2", "--unrestricted"],
     "render-bad-window":
         lambda tmp: ["render", "--trace", _trace_file(tmp), "--round", "0",
                      "--window=a,b,c,d"],
@@ -375,6 +432,8 @@ PARSE_ERRORS = {
     "reduce-horizon-zero":
         lambda tmp: ["reduce", "--strategy", "contain:m=1,r=1", "--budget", "const:4",
                      "--horizon", "0"],
+    "reduce-not-a-containment-plan":
+        lambda tmp: ["reduce", "--strategy", "greedy", "--budget", "const:4"],
     "unknown-option": lambda tmp: ["run", "--colour", "red"],
 }
 

@@ -238,6 +238,22 @@ def test_check_invariants_flags_corrupt_activity():
         check_invariants(bad)
 
 
+def test_check_invariants_reports_a_fire_that_stops_spreading():
+    # A null const:1 run whose records from round 2 on ignite nothing: the
+    # fronts freeze with no potential while the supply stays under the cap.
+    trace = run(single_source(), constant(1), NullStrategy(), 3)
+    trace.rounds[1:] = [RoundRecord(t=rec.t, f=rec.f, placed=rec.placed, ignited=())
+                        for rec in trace.rounds[1:]]
+    report = check_invariants(trace, validate=False)
+    assert not report.ok
+    first = {name: [t for t, _ in c.violations][:1] for name, c in report.checks.items()}
+    assert first == {"A": [], "B": [], "C": [2], "D": [2], "E": [3]}
+    assert report.checks["E"].violations == [(3, "perimeter 8 < 9")]
+    table = report.to_table().splitlines()
+    assert "check A: pass" in table
+    assert "check E: FAIL first violation at t=3: perimeter 8 < 9" in table
+
+
 def test_monitor_requires_cartesian():
     trace = run(single_source(Topology.STRONG), constant(0), NullStrategy(), 3)
     with pytest.raises(ValueError):

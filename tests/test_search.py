@@ -357,7 +357,8 @@ def test_grouped_child_scoring_matches_per_child_scoring(topo, supply, depth, bu
     # and single children fall on either side of it.
     near = sorted({bound + step for bound, _ in naive for step in (-1, 0, 1)})
     cutoff = data.draw(st.none() | st.sampled_from(near), label="cutoff")
-    assert list(core.ranked_children(depth, b, p, e_mask, cutoff)) == [
+    cand = core.candidates(depth, b, p)
+    assert list(core.ranked_children(depth, b, p, e_mask, cand, cutoff)) == [
         child for child in naive if cutoff is None or child[0] < cutoff]
 
 

@@ -105,7 +105,7 @@ def _least_burn(core, depth, burnt, prot, e_mask):
 @given(state=near_enclosed(), f=st.integers(1, 4))
 def test_seal_matches_brute_force(state, f):
     core, b, p, e_mask = _position(*state, f, f)
-    got = core.seal(0, b, p, e_mask)
+    got = core.seal(0, b, p, e_mask, core.candidates(0, b, p))
     want = _least_burn(core, 0, b, p, e_mask)
     assert (got is None) == (want is None)
     if got is None:
@@ -135,7 +135,7 @@ def test_seal_matches_brute_force(state, f):
          f_next=3, d=2)
 def test_seal_matches_per_subset_seal(state, f_next, d):
     core, b, p, e_mask = _position(*state, f_next, f_next, d)
-    assert core.seal(0, b, p, e_mask) == per_subset_seal(core, 0, b, p, e_mask)
+    assert core.seal(0, b, p, e_mask, core.candidates(0, b, p)) == per_subset_seal(core, 0, b, p, e_mask)
 
 
 @settings(max_examples=150, deadline=None)
@@ -180,7 +180,8 @@ def test_one_cell_meets_a_whole_neighborhood(topo):
     assert nonpocket == win.neighbors_mask(origin)
     assert nonpocket.bit_count() == win.degree
     assert list(core.covers(nonpocket, exposed, 1, win.full)) == [origin]
-    assert core.seal(0, b, p, e_mask) == ((origin,), e_mask.bit_count())
+    assert core.seal(0, b, p, e_mask, core.candidates(0, b, p)) == (
+        (origin,), e_mask.bit_count())
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,7 +203,9 @@ def test_refuted_group_holds_no_sealing_leaf(state, k, f_next):
         hit = sum(hs)
         for part in _near_squads(core, cold, near, k - len(hs)):
             s_mask = hit + sum(part)
-            assert core.seal(1, burnt2, p | s_mask, base & ~s_mask) is None
+            prot2 = p | s_mask
+            cand2 = core.candidates(1, burnt2, prot2)
+            assert core.seal(1, burnt2, prot2, base & ~s_mask, cand2) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -218,9 +221,9 @@ def test_ranked_children_match_naive_ranking(state, f, f_next, data):
     for cutoff in near:
         if core.refuted(0, b, p, e_mask, cand, cutoff):
             assert naive[0][0] >= cutoff
-    assert list(core.ranked_children(0, b, p, e_mask, None)) == naive
+    assert list(core.ranked_children(0, b, p, e_mask, cand, None)) == naive
     cutoff = data.draw(st.sampled_from(near), label="cutoff")
-    assert list(core.ranked_children(0, b, p, e_mask, cutoff)) == [
+    assert list(core.ranked_children(0, b, p, e_mask, cand, cutoff)) == [
         child for child in naive if child[0] < cutoff]
 
 
@@ -237,9 +240,10 @@ def test_no_continuation_burns_below_the_floor_or_its_bound(state, f, f_next):
     win = core.win
     near = e_mask | win.neighbors_mask(e_mask)
     floor = core.floor(0, b, e_mask)
+    cand = core.candidates(0, b, p)
     least = {}  # S1's part near E -> the fewest cells burnt after round 2
     for k in range(f + 1):
-        for part in _near_squads(core, core.candidates(0, b, p), near, k):
+        for part in _near_squads(core, cand, near, k):
             s_mask = sum(part)
             burnt1 = b | (e_mask & ~s_mask)
             assert burnt1.bit_count() >= floor
@@ -248,9 +252,9 @@ def test_no_continuation_burns_below_the_floor_or_its_bound(state, f, f_next):
                 (burnt1 | (e1 & ~sum(part2))).bit_count()
                 for k2 in range(f_next + 1)
                 for part2 in _near_squads(core, e1, e1, k2))
-    for bound, squad in core.ranked_children(0, b, p, e_mask, None):
+    for bound, squad in core.ranked_children(0, b, p, e_mask, cand, None):
         assert least[sum(squad) & near] >= bound
-    seal = core.seal(0, b, p, e_mask)
+    seal = core.seal(0, b, p, e_mask, cand)
     if seal is not None and floor >= b.bit_count() + seal[1]:
         assert min(least.values()) >= b.bit_count() + seal[1]
 
@@ -264,5 +268,6 @@ def test_a_tip_encloses_the_cells_beyond_it():
         Topology.CARTESIAN, {(0, 0)}, {(-1, 0), (0, 1), (0, -1)}, 1, 0, d=1)
     e = core.win.encode({(1, 0)})
     assert e_mask == e
-    assert not core.refuted(0, b, p, e_mask, core.candidates(0, b, p), 2)
-    assert next(core.ranked_children(0, b, p, e_mask, 2)) == (1, (e,))
+    cand = core.candidates(0, b, p)
+    assert not core.refuted(0, b, p, e_mask, cand, 2)
+    assert next(core.ranked_children(0, b, p, e_mask, cand, 2)) == (1, (e,))

@@ -65,7 +65,7 @@ def per_cell_greedy(view, available):
         dy = n * p[1] - sy
         return (dx * dx + dy * dy, p[1], p[0])
 
-    return sorted(view.endangered(), key=key)[:available]
+    return sorted(view.endangered_row_major(), key=key)[:available]
 
 
 @settings(max_examples=200, deadline=None)
