@@ -76,11 +76,12 @@ def containment_budget(m: int) -> Budget:
     return Budget(cycle=(4,) + (3,) * (m - 1))
 
 
-def parse_budget(spec: str) -> Budget:
+def parse_budget(spec: str, root: str | Path = "") -> Budget:
     """Parse "const:c", "periodic:a,b,...", "prefix:a,b|c,d", or "table:file".
 
-    Any spec that does not parse, or a table file that cannot be read, raises
-    ValueError.
+    A relative table file is read from the directory ``root``; the budget's
+    label is ``spec`` as written. Any spec that does not parse, or a table
+    file that cannot be read, raises ValueError.
     """
     kind, _, rest = spec.partition(":")
     if kind == "const" and rest:
@@ -95,7 +96,7 @@ def parse_budget(spec: str) -> Budget:
         )
     if kind == "table" and rest:
         try:
-            values = json.loads(Path(rest).read_text())
+            values = json.loads(Path(root, rest).read_text())
         except OSError as exc:
             raise ValueError(f"cannot read budget table: {exc}") from exc
         except RecursionError as exc:

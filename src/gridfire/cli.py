@@ -68,16 +68,12 @@ class ExperimentConfig:
         return cls(**d)
 
     def initial_state(self) -> FireState:
+        """The source ball, by default in the topology's own metric."""
         topo = Topology(self.topology)
         metric = self.source_metric
         if metric is None:
             metric = "linf" if topo is not Topology.CARTESIAN else "l1"
-        return FireState(
-            burnt=ball(self.center, self.radius, metric),
-            protected=frozenset(),
-            round=0,
-            topology=topo,
-        )
+        return FireState(ball(self.center, self.radius, metric), frozenset(), 0, topo)
 
 
 class _UsageError(Exception):
@@ -123,7 +119,8 @@ def _experiment(args: argparse.Namespace) -> ExperimentConfig:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _parsed(_experiment, args)
     initial = _parsed(ExperimentConfig.initial_state, cfg)
-    budget = _parsed(parse_budget, cfg.budget)
+    root = Path(args.config).parent if args.config else ""
+    budget = _parsed(partial(parse_budget, root=root), cfg.budget)
     strategy = _parsed(parse_strategy, cfg.strategy)
     trace = run(initial, budget, strategy, cfg.horizon, seed=cfg.seed)
     if cfg.out:
@@ -186,11 +183,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.bound is not None and args.objective != "min-burnt":
         raise _UsageError("--bound applies only to --objective min-burnt")
     budget = _parsed(parse_budget, args.budget)
-    topo = Topology(args.topology)
-    metric = "l1" if topo is Topology.CARTESIAN else "linf"
+    source = ExperimentConfig(topology=args.topology, radius=args.radius).initial_state()
     cfg = SearchConfig(
-        topology=topo,
-        source=ball((0, 0), args.radius, metric),
+        topology=source.topology,
+        source=source.burnt,
         budget=budget,
         horizon=args.horizon,
         candidate_distance=None if args.unrestricted else args.distance,
@@ -218,12 +214,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 def _sweep_cell(cell: tuple[int, int]) -> dict:
     m, r = cell
     plan = wall_plan(m, r)
-    initial = FireState(
-        burnt=ball((0, 0), r, "linf"),
-        protected=frozenset(),
-        round=0,
-        topology=Topology.STRONG,
-    )
+    initial = ExperimentConfig(topology="strong", radius=r).initial_state()
     trace = run(initial, containment_budget(m), ContainmentStrategy(plan), plan.horizon)
     xmin, xmax, ymin, ymax = bounding_box(trace.state_at(trace.final_round())[0])
     width = xmax - xmin + 1

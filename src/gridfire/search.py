@@ -40,6 +40,11 @@ it happened.
 The window is sized so that neither the fire nor the candidate cells reach its
 outer ring; if either ever does, the search raises RuntimeError rather than
 let the bitboard shifts clip the fire.
+
+The window writes no geometry of its own: its neighborhood shifts, symmetries
+and degree come from the engine's ``grid._OFFSETS`` and its front lines from
+``monitor.DIRECTIONS``. Only the candidate rule's L-infinity dilation, the
+same for every topology, is written here.
 """
 
 from __future__ import annotations
@@ -52,7 +57,8 @@ from typing import Iterable, Iterator
 
 from .budget import Budget
 from .engine import FireState, run
-from .grid import Point, Topology, neighbors
+from .grid import _OFFSETS, Point, Topology
+from .monitor import DIRECTIONS
 from .strategies import ScriptedStrategy
 from .trace import RunTrace
 
@@ -77,35 +83,37 @@ class _Window:
         self.side = 2 * half + 1
         self.nbits = self.side * self.side
         self.full = (1 << self.nbits) - 1
-        left = 0
-        right = 0
-        for row in range(self.side):
-            left |= 1 << (row * self.side)
-            right |= 1 << (row * self.side + self.side - 1)
+        left = sum(1 << (row * self.side) for row in range(self.side))
+        right = left << (self.side - 1)
         self.not_left = self.full ^ left
         self.not_right = self.full ^ right
         bottom = (1 << self.side) - 1
         self.ring = left | right | bottom | (bottom << (self.nbits - self.side))
-        self.topology = topology
+        offsets = _OFFSETS[topology]
+        # Offset (dx, dy) moves a cell's bit by dy*side + dx. Its source is
+        # copy dx + 1 of (b & not_left, b, b & not_right), which drops the
+        # cells whose move would wrap into the next row.
+        steps = [(dx + 1, dy * self.side + dx) for dx, dy in offsets]
+        self.up = tuple((i, s) for i, s in steps if s > 0)
+        self.down = tuple((i, -s) for i, s in steps if s < 0)
         cells = self.points(range(self.nbits))
         # Only a symmetry that maps the neighborhood onto itself commutes with
         # the spread: all eight on the square grids, four on the triangular
         # one, whose diagonals run one way only.
-        around = set(neighbors((0, 0), topology))
+        around = set(offsets)
         syms = [sym for sym in _SYMS if {sym(*p) for p in around} == around]
         # sym_bits[i][b] is the single-bit mask of cell b under symmetry i.
         self.sym_bits = [[1 << self.bit(*sym(x, y)) for x, y in cells] for sym in syms]
-        # lines[d][c]: the cells on front line c of direction d, that is
-        # x + y = c, x + y = -c, x - y = c and x - y = -c for c = 0, 1, ...;
-        # each list ends in an empty line, so every scan stops.
-        self.lines = [[0] * (self.side + 1) for _ in range(4)]
+        # lines[d][c]: the cells on front line c of direction d = (sx, sy),
+        # sx*x + sy*y = c for c = 0, 1, ...; each list ends in an empty line,
+        # so every scan stops.
+        self.lines = [[0] * (self.side + 1) for _ in DIRECTIONS]
         for b, (x, y) in enumerate(cells):
-            for lines, value in zip(self.lines, (x + y, -x - y, x - y, y - x)):
-                if value >= 0:
+            for lines, (sx, sy) in zip(self.lines, DIRECTIONS):
+                if (value := sx * x + sy * y) >= 0:
                     lines[value] |= 1 << b
         self.cell_nbrs = [self.neighbors_mask(1 << i) for i in range(self.nbits)]
-        # Neighbors per cell away from the edge, such as the center.
-        self.degree = self.cell_nbrs[self.nbits // 2].bit_count()
+        self.degree = len(offsets)
 
     def bit(self, x: int, y: int) -> int:
         return (y + self.half) * self.side + (x + self.half)
@@ -143,20 +151,14 @@ class _Window:
         return [(b % side - half, b // side - half) for b in bits]
 
     def neighbors_mask(self, b: int) -> int:
-        side = self.side
-        horiz = ((b & self.not_right) << 1) | ((b & self.not_left) >> 1)
-        if self.topology is Topology.CARTESIAN:
-            out = horiz | (b << side) | (b >> side)
-        elif self.topology is Topology.STRONG:
-            spread = b | horiz
-            out = horiz | (spread << side) | (spread >> side)
-        else:  # triangular: Cartesian plus the (1,1)/(-1,-1) diagonals
-            out = (
-                horiz
-                | (b << side) | (b >> side)
-                | ((b & self.not_right) << (side + 1))
-                | ((b & self.not_left) >> (side + 1))
-            )
+        """The cells next to a cell of ``b``, by ``grid._OFFSETS``, within
+        the window."""
+        copies = (b & self.not_left, b, b & self.not_right)
+        out = 0
+        for i, s in self.up:
+            out |= copies[i] << s
+        for i, s in self.down:
+            out |= copies[i] >> s
         return out & self.full
 
     def endangered(self, burnt: int, prot: int) -> int:
@@ -184,8 +186,9 @@ class _Window:
     def perimeter(self, burnt: int) -> int:
         """Sum over the four directions of the first front line ``burnt`` misses.
 
-        This is the search's perimeter; ``monitor.front_offsets`` states the
-        same definition on points.
+        A direction (sx, sy) of ``monitor.DIRECTIONS`` has the lines
+        sx*x + sy*y = c; ``monitor.front_offsets`` states the same definition
+        on points.
         """
         total = 0
         for lines in self.lines:

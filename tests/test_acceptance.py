@@ -1,11 +1,10 @@
 """Acceptance suite: one criterion per test, one printed PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. On a 2-vCPU machine the whole test suite takes 25-70 s, depending on
-the host. The longest test is criterion 2's 200-round lower-bound suite, at
-9-22 s. Criterion 4's exhaustive search takes 0.3-0.7 s (3-8 s before
-whole groups of its 2.4M last-level leaves were refuted by one cover test
-each).
+lines. On a 2-vCPU machine with Python 3.11 the whole test suite takes
+17-19 s. The longest test is criterion 2's 200-round lower-bound suite, at
+about 7 s. Criterion 4's exhaustive search takes about 0.17 s, since whole
+groups of its 2.4M last-level leaves are refuted by one cover test each.
 """
 
 from __future__ import annotations

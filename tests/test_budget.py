@@ -77,6 +77,15 @@ def test_parse_table(tmp_path):
     assert [b.at(t) for t in (1, 2, 3, 4, 5)] == [3, 1, 4, 0, 0]
 
 
+def test_relative_table_is_read_from_root(tmp_path):
+    (tmp_path / "budget.json").write_text("[3, 1, 4]")
+    b = parse_budget("table:budget.json", root=tmp_path)
+    assert [b.at(t) for t in (1, 2, 3, 4)] == [3, 1, 4, 0]
+    assert b.describe() == "table:budget.json"  # the label is the spec as written
+    # An absolute path does not depend on the root.
+    assert parse_budget(f"table:{tmp_path / 'budget.json'}", root="elsewhere").at(3) == 4
+
+
 def test_bad_specs_rejected():
     for spec in ("", "const:", "periodic:", "nope:1"):
         with pytest.raises(ValueError):

@@ -283,11 +283,35 @@ def test_run_from_config_file(tmp_path, capsys):
     assert "burnt cells: 25" in captured
 
 
-def test_readme_sample_config_runs(capsys, monkeypatch):
-    # The config names its budget table by a path relative to the repo root.
-    monkeypatch.chdir(Path(__file__).resolve().parents[1])
-    assert run_cli("run", "--config", "configs/limsup_burst.json") == 0
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_readme_sample_config_runs(capsys, monkeypatch, tmp_path):
+    # The config names its budget table relative to its own directory, so it
+    # runs from any working directory.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("run", "--config", str(_CONFIGS / "limsup_burst.json")) == 0
     assert "horizon reached at round 240" in capsys.readouterr().out
+
+
+def test_config_trace_does_not_depend_on_the_working_directory(monkeypatch, tmp_path):
+    here = tmp_path / "configs"
+    here.mkdir()
+    out = tmp_path / "trace.jsonl"
+    config = json.loads((_CONFIGS / "limsup_burst.json").read_text())
+    config |= {"horizon": 80, "out": str(out)}
+    (here / "limsup_burst.json").write_text(json.dumps(config))
+    table = "limsup_burst_budget.json"
+    (here / table).write_text((_CONFIGS / table).read_text())
+    traces = []
+    for cwd, path in ((tmp_path, "configs/limsup_burst.json"), (here, "limsup_burst.json"),
+                      (tmp_path.parent, str(here / "limsup_burst.json"))):
+        monkeypatch.chdir(cwd)
+        assert run_cli("run", "--config", path) == 0
+        traces.append(out.read_bytes())
+    assert traces[1] == traces[0] == traces[2]
+    # The header keeps the budget spec as the config wrote it.
+    assert RunTrace.load(str(out)).budget_desc == f"table:{table}"
 
 
 def test_run_monitor_compose(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from gridfire import search
 from gridfire.budget import constant, periodic
 from gridfire.engine import FireState, endangered, replay_validate
-from gridfire.grid import Topology
+from gridfire.grid import Topology, neighbors
 from gridfire.monitor import check_invariants, front_offsets
 from gridfire.search import SearchConfig, exhaustive_search, min_burnt_search
 
@@ -276,6 +276,18 @@ def test_symmetry_tables_commute_with_the_spread(topo, cells):
     for i in range(len(win.sym_bits)):
         assert (win.neighbors_mask(_transform(win, b, i))
                 == _transform(win, win.neighbors_mask(b), i))
+
+
+@pytest.mark.parametrize("topo", list(Topology))
+def test_neighbors_mask_matches_the_grid_at_every_cell(topo):
+    # Every cell of the window, its edge and corners included: a neighbor
+    # beyond the edge is dropped, never wrapped into another row.
+    win = search._Window(2, topo)
+    for x in range(-2, 3):
+        for y in range(-2, 3):
+            inside = [(u, v) for u, v in neighbors((x, y), topo)
+                      if abs(u) <= 2 and abs(v) <= 2]
+            assert win.neighbors_mask(win.encode({(x, y)})) == win.encode(inside), (x, y)
 
 
 @pytest.mark.parametrize("topo", list(Topology))
