@@ -31,7 +31,7 @@ class ExperimentConfig:
     topology: str = "cartesian"
     center: tuple[int, int] = (0, 0)
     radius: int = 0
-    source_metric: str | None = None  # default: the topology's own metric
+    source_metric: str | None = None  # default: l1 on the Cartesian grid, else linf
     budget: str = "const:0"
     strategy: str = "null"
     horizon: int = 10
@@ -68,7 +68,8 @@ class ExperimentConfig:
         return cls(**d)
 
     def initial_state(self) -> FireState:
-        """The source ball, by default in the topology's own metric."""
+        """The source ball; by default L1 on the Cartesian grid, else an
+        L-infinity square (on the triangular grid, not its own hexagonal ball)."""
         topo = Topology(self.topology)
         metric = self.source_metric
         if metric is None:

@@ -302,15 +302,19 @@ def replay_validate(trace: RunTrace) -> None:
 
     Raises MalformedTraceError (with the offending line) when the recorded
     ignitions do not match the process dynamics, e.g. a teleporting fire, or
-    when the header's status, control round or budget contradicts them. The
-    line is the record's position in the trace as ``RunTrace.write`` lays it
-    out (header on line 1, round t on line t + 1), which can differ from the
-    file it was read from if that file held blank lines.
+    when the header's status, error, control round or budget contradicts
+    them or each other. The line is the record's position in the trace as
+    ``RunTrace.write`` lays it out (header on line 1, round t on line t + 1),
+    which can differ from the file it was read from if that file held blank
+    lines.
 
     The view's burnt set holds only the burnt cells that some record places
     on, which is all that ``play`` tests a squad against; no set of every
     burnt cell is built.
     """
+    if (trace.error is not None) != (trace.status == "strategy-error"):
+        raise MalformedTraceError(
+            f"header status {trace.status!r} contradicts its error {trace.error!r}", line=1)
     desc, budget = trace.budget_desc, None
     # A "table:" label names a file, which checking an untrusted trace must never open.
     if isinstance(desc, str) and desc.partition(":")[0] in ("const", "periodic", "prefix"):

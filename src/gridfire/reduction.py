@@ -73,7 +73,7 @@ def audit_parity(trace: RunTrace) -> tuple[bool, bool]:
     """(all placements even, ignition parity alternates odd/even with the round)."""
     placements_even = all(is_even_point(p) for rec in trace.rounds for p in rec.placed)
     parity_ok = all(
-        (q[0] + q[1]) % 2 == rec.t % 2 for rec in trace.rounds for q in rec.ignited
+        is_even_point(q) == (rec.t % 2 == 0) for rec in trace.rounds for q in rec.ignited
     )
     return placements_even, parity_ok
 

@@ -20,10 +20,11 @@ as well, refutes whole groups of leaves when it has no leaf; those are then
 counted without being walked.
 
 The minimum-burnt driver walks a node's children in order of a one-step
-burnt bound and stops at the first one whose bound reaches the best
-containment found so far. Before any child is scored, a count over the
-endangered set's second ring shows whether any child could have a bound below
-that (``_Search.refuted``); most nodes have none. Otherwise the children are
+burnt bound and stops at the first one whose bound reaches the incumbent, an
+int: the best containment's burn so far, or the initial bound. Before any
+child is scored, one gate (``_Search.refuted``) tests the node's floor and
+then counts over the endangered set's second ring whether any child could
+have a bound below that; most nodes have none. Otherwise the children are
 scored per group of squads, since within a group the bound depends only on
 how many of the group's endangered cells the squad's other cells protect, and
 the squads of a bound are built only once the walk reaches it.
@@ -320,16 +321,12 @@ class _Search:
                 burnt2 = burnt | (e_mask ^ sum(hs))
                 yield hs, burnt2, endangered(burnt2, prot), count
 
-    def floor(self, depth: int, burnt: int, e_mask: int) -> int:
-        """The fewest cells any continuation of the node burns: everything
-        endangered beyond round ``depth + 1``'s supply burns in it."""
-        return burnt.bit_count() + max(0, e_mask.bit_count() - self.f[depth])
-
     def refuted(
         self, depth: int, burnt: int, prot: int, e_mask: int, cand: int, cutoff: int
     ) -> bool:
         """True when no child of the node (burnt, prot), its squads drawn
-        from ``cand``, has a ``ranked_children`` bound below ``cutoff``.
+        from ``cand``, has a ``ranked_children`` bound below the int
+        ``cutoff``: the minimum-burnt walk's one gate on a node.
 
         Let R2 = N(E) - burnt - E - prot be the second ring of the endangered
         set E, and let a squad S of k cells protect hs = S & E, h cells. Its
@@ -353,17 +350,18 @@ class _Search:
         min(k, |hot|). The cheap form of drop is tried first; the weights are
         scaled by lcm(1..h) to stay integers.
 
-        The first bound is not tested: when E lies in ``cand``, as for any
-        candidate distance of at least 1 or none, it is ``floor``, which the
-        walk has tested against the same cutoff; at distance 0 every squad is
-        empty, and ``ranked_children``'s own cutoff test drops the same children.
+        The node's floor, |burnt| + max(0, |E| - f) for the round's supply f,
+        is tested first: no continuation of the node burns fewer cells, and
+        it is at most the first bound.
         """
         win = self.win
+        burns = burnt.bit_count() + e_mask.bit_count()
+        if burns - min(self.f[depth], e_mask.bit_count()) >= cutoff:  # the floor
+            return True
         k = min(self.f[depth], cand.bit_count())
         f_after = self.f[depth + 1]
         hot = cand & e_mask
         h = min(k, hot.bit_count())
-        burns = burnt.bit_count() + e_mask.bit_count()
         ring = win.neighbors_mask(e_mask) & ~burnt & ~e_mask & ~prot
         spare = burns + ring.bit_count() - k - f_after  # the second bound plus drop
         if spare - h * (win.degree - 1) >= cutoff:
@@ -382,24 +380,25 @@ class _Search:
         return spare - sum(heapq.nlargest(h, weights.values())) // scale >= cutoff
 
     def ranked_children(
-        self, depth: int, burnt: int, prot: int, e_mask: int, cand: int, cutoff: int | None
+        self, depth: int, burnt: int, prot: int, e_mask: int, cand: int, cutoff: int
     ) -> Iterator[tuple[int, Squad]]:
-        """Every child whose bound is below ``cutoff`` as (bound, squad), in
-        (bound, squad) order: the minimum-burnt walk's order, its squads drawn
-        from ``cand``, the node's ``candidates``. A ``cutoff`` of None keeps all.
+        """Every child whose bound is below ``cutoff``, an int, as (bound,
+        squad), in (bound, squad) order: the minimum-burnt walk's order, its
+        squads drawn from ``cand``, the node's ``candidates``.
 
         The bound is the child's one-step burnt lower bound: its burnt cells
         plus whatever it leaves endangered beyond the next round's supply.
-        When ``refuted`` shows that no bound is below the cutoff, nothing is
-        scored. Otherwise the squads come group by group from ``groups``. A
-        squad of a group protects its h hot cells, all in the group's base,
-        and j cold cells of base, and leaves the rest of base endangered, so
-        its bound depends on j alone: |burnt'| + max(0, |base| - h - j -
-        f_after). Each (group, j) is recorded under its bound, and a bound's
-        squads are built and sorted only once the caller has taken every
-        child of the bounds below it; a walk that stops early builds no more.
+        When ``refuted``, the node's one gate, shows no bound below the
+        cutoff, nothing is scored. Otherwise the squads come group by group
+        from ``groups``. A squad of a group protects its h hot cells, all in
+        the group's base, and j cold cells of base, and leaves the rest of
+        base endangered, so its bound depends on j alone: |burnt'| + max(0,
+        |base| - h - j - f_after). Each (group, j) is recorded under its
+        bound, and a bound's squads are built and sorted only once the caller
+        has taken every child of the bounds below it; a walk that stops early
+        builds no more.
         """
-        if cutoff is not None and self.refuted(depth, burnt, prot, e_mask, cand, cutoff):
+        if self.refuted(depth, burnt, prot, e_mask, cand, cutoff):
             return
         f_after = self.f[depth + 1]
         k = min(self.f[depth], cand.bit_count())
@@ -413,7 +412,7 @@ class _Search:
             over = base.bit_count() - len(hs) - f_after
             for j in range(max(0, rest - n_cold + n_in), min(rest, n_in) + 1):
                 bound = n_burnt2 + max(0, over - j)
-                if cutoff is None or bound < cutoff:
+                if bound < cutoff:
                     levels.setdefault(bound, []).append((hs, base, j))
         singles = self.win.singles
         combinations = itertools.combinations
@@ -661,7 +660,8 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
 def min_burnt_search(cfg: SearchConfig) -> SearchResult:
     """Branch-and-bound for a containment witness with the fewest burnt cells."""
     core = _Search(cfg)
-    best_burnt: int | None = cfg.initial_bound
+    # No containment burns every window cell, so that many plus one admits all.
+    best_burnt = core.win.nbits + 1 if cfg.initial_bound is None else cfg.initial_bound
     best_squads: list[Squad] | None = None
 
     def visit(burnt: int, prot: int, depth: int, squads: list[Squad]) -> None:
@@ -670,21 +670,16 @@ def min_burnt_search(cfg: SearchConfig) -> SearchResult:
         e_mask = core.endangered(depth, burnt, prot)
         if depth >= cfg.horizon:
             return
-        n_burnt = burnt.bit_count()
         cand = core.candidates(depth, burnt, prot)
         seal = core.seal(depth, burnt, prot, e_mask, cand)
-        if seal is not None and (best_burnt is None or n_burnt + seal[1] < best_burnt):
-            best_burnt = n_burnt + seal[1]
+        if seal is not None and (burns := burnt.bit_count() + seal[1]) < best_burnt:
+            best_burnt = burns
             best_squads = squads + [seal[0]]
-        # No continuation beats the incumbent; this also ends a node whose
-        # continuations cannot beat its own seal.
-        if best_burnt is not None and core.floor(depth, burnt, e_mask) >= best_burnt:
-            return
         # Most promising squads first, so incumbents arrive early and the
-        # bound prune bites.
+        # bound prune bites; a node that cannot beat its own seal gets none.
         for bound2, squad in core.ranked_children(
                 depth, burnt, prot, e_mask, cand, best_burnt):
-            if best_burnt is not None and bound2 >= best_burnt:
+            if bound2 >= best_burnt:
                 break
             s_mask = sum(squad)
             burnt2 = burnt | (e_mask & ~s_mask)

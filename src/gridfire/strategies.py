@@ -11,6 +11,7 @@ from typing import Mapping, Protocol, Sequence
 from .engine import SimView
 from .grid import Point, columns
 from .trace import MalformedTraceError, RunTrace
+from .wallplan import ContainmentStrategy, wall_plan
 
 
 class Strategy(Protocol):
@@ -97,8 +98,6 @@ def parse_strategy(spec: str):
     Any spec that does not parse, or a replay file that cannot be loaded,
     raises ValueError.
     """
-    from .wallplan import ContainmentStrategy, wall_plan  # local: avoids cycle
-
     kind, sep, rest = spec.partition(":")
     if kind in ("null", "greedy"):
         if sep:

@@ -29,7 +29,7 @@ def test_run_null_strategy_counts(capsys, tmp_path):
     captured = capsys.readouterr().out
     assert code == 0
     assert "burnt cells: 61" in captured
-    trace = RunTrace.read(open(out, encoding="utf-8"))
+    trace = RunTrace.load(out)
     assert trace.final_round() == 5
 
 

@@ -464,10 +464,15 @@ def _forged(trace: RunTrace, **header) -> RunTrace:
         (PlugFour(), constant(4), {"status": "horizon", "control_round": None}),
         (PlugFour(), constant(4), {"control_round": 2}),
         (PlugFour(), constant(4), {"status": "finished"}),
+        # ``run`` writes an error exactly when the status is "strategy-error".
+        (PlugFour(), constant(4), {"error": "boom"}),
+        (GreedyNearest(), constant(1), {"error": "boom"}),
+        (GreedyNearest(), constant(1), {"status": "strategy-error"}),
     ],
     ids=["all-at-once", "controlled-still-burning", "periodic-budget",
          "prefix-budget", "uncontrolled-with-round", "controlled-as-horizon",
-         "late-control-round", "unknown-status"],
+         "late-control-round", "unknown-status", "controlled-with-error",
+         "horizon-with-error", "strategy-error-without-error"],
 )
 def test_replay_validate_rejects_forged_header(origin_cartesian, strategy, budget, header):
     trace = run(origin_cartesian, budget, strategy, 10)
@@ -475,6 +480,8 @@ def test_replay_validate_rejects_forged_header(origin_cartesian, strategy, budge
     with pytest.raises(MalformedTraceError) as exc:
         replay_validate(_forged(trace, **header))
     assert exc.value.line == 1
+    if "error" in header or header.get("status") == "strategy-error":
+        assert "status" in str(exc.value) and "error" in str(exc.value)
 
 
 def test_replay_validate_rejects_rounds_after_control(origin_cartesian):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 
@@ -195,6 +196,24 @@ def test_search_golden_table(case):
             digest) == expected
 
 
+@pytest.mark.parametrize("case", sorted(
+    case for case, (driver, *_, kw, _) in _SEARCH_GOLDEN.items()
+    if driver is min_burnt_search and "initial_bound" not in kw))
+def test_no_bound_is_one_past_the_window(case):
+    # Without an initial bound the walk starts from the window's cell count
+    # plus one, which every containment beats; given outright, that bound
+    # makes the same walk.
+    driver, topo, budget, horizon, kw, _ = _SEARCH_GOLDEN[case]
+    cfg = SearchConfig(topology=topo, source=frozenset({(0, 0)}), budget=budget,
+                       horizon=horizon, **kw)
+    bounded = dataclasses.replace(cfg, initial_bound=search._Search(cfg).win.nbits + 1)
+    free, given_bound = driver(cfg), driver(bounded)
+    assert free.witness is not None
+    assert (free.outcome, free.nodes, free.min_burnt, free.witness.to_text()) == (
+        given_bound.outcome, given_bound.nodes, given_bound.min_burnt,
+        given_bound.witness.to_text())
+
+
 @pytest.mark.parametrize("driver, topo, budget, horizon, kw, outcome", [
     (exhaustive_search, Topology.CARTESIAN, periodic([2, 1]), 3, {},
      "exhausted-no-control"),
@@ -368,10 +387,11 @@ def test_grouped_child_scoring_matches_per_child_scoring(topo, supply, depth, bu
     # Cutoffs at, just below and just above every bound, so that whole groups
     # and single children fall on either side of it.
     near = sorted({bound + step for bound, _ in naive for step in (-1, 0, 1)})
-    cutoff = data.draw(st.none() | st.sampled_from(near), label="cutoff")
+    # One past the window's cell count keeps every child.
+    cutoff = data.draw(st.sampled_from(near + [core.win.nbits + 1]), label="cutoff")
     cand = core.candidates(depth, b, p)
     assert list(core.ranked_children(depth, b, p, e_mask, cand, cutoff)) == [
-        child for child in naive if cutoff is None or child[0] < cutoff]
+        child for child in naive if child[0] < cutoff]
 
 
 def _shrunk_window(monkeypatch, by):

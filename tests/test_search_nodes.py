@@ -1,6 +1,6 @@
 """Node-level oracles for the search's seal, its covers, the group refutation
-of the exhaustive last level, and the minimum-burnt driver's child ranking,
-node refutation and floor.
+of the exhaustive last level, and the minimum-burnt driver's child ranking
+and node refutation, whose first test is the node's floor.
 
 Whole games from small balls (``test_search_oracle.py``) never reach the
 positions where a seal needs its exotic form, so these tests draw
@@ -221,7 +221,7 @@ def test_ranked_children_match_naive_ranking(state, f, f_next, data):
     for cutoff in near:
         if core.refuted(0, b, p, e_mask, cand, cutoff):
             assert naive[0][0] >= cutoff
-    assert list(core.ranked_children(0, b, p, e_mask, cand, None)) == naive
+    assert list(core.ranked_children(0, b, p, e_mask, cand, core.win.nbits + 1)) == naive
     cutoff = data.draw(st.sampled_from(near), label="cutoff")
     assert list(core.ranked_children(0, b, p, e_mask, cand, cutoff)) == [
         child for child in naive if child[0] < cutoff]
@@ -235,12 +235,14 @@ def test_no_continuation_burns_below_the_floor_or_its_bound(state, f, f_next):
     # either round, and only S2's part in E1, the cells endangered after S1.
     # A continuation burns at least what it burns in these two rounds, so it
     # never finishes below the node's floor or below its ranked child's
-    # bound. A seal that reaches the floor is beaten by no continuation.
+    # bound. A seal that reaches the floor is beaten by no continuation, and
+    # ``refuted`` ends the node at its floor.
     core, b, p, e_mask = _position(*state, f, f_next, d=1)
     win = core.win
     near = e_mask | win.neighbors_mask(e_mask)
-    floor = core.floor(0, b, e_mask)
+    floor = b.bit_count() + max(0, e_mask.bit_count() - f)
     cand = core.candidates(0, b, p)
+    assert core.refuted(0, b, p, e_mask, cand, floor)
     least = {}  # S1's part near E -> the fewest cells burnt after round 2
     for k in range(f + 1):
         for part in _near_squads(core, cand, near, k):
@@ -252,7 +254,7 @@ def test_no_continuation_burns_below_the_floor_or_its_bound(state, f, f_next):
                 (burnt1 | (e1 & ~sum(part2))).bit_count()
                 for k2 in range(f_next + 1)
                 for part2 in _near_squads(core, e1, e1, k2))
-    for bound, squad in core.ranked_children(0, b, p, e_mask, cand, None):
+    for bound, squad in core.ranked_children(0, b, p, e_mask, cand, win.nbits + 1):
         assert least[sum(squad) & near] >= bound
     seal = core.seal(0, b, p, e_mask, cand)
     if seal is not None and floor >= b.bit_count() + seal[1]:
