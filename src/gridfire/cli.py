@@ -16,7 +16,7 @@ from types import NoneType
 
 from .budget import containment_budget, parse_budget
 from .engine import FireState, run
-from .grid import Topology, ball, bounding_box
+from .grid import Topology, bounding_box
 from .monitor import check_invariants
 from .reduction import run_reduction
 from .render import render_pgm, render_text
@@ -31,7 +31,7 @@ class ExperimentConfig:
     topology: str = "cartesian"
     center: tuple[int, int] = (0, 0)
     radius: int = 0
-    source_metric: str | None = None  # default: l1 on the Cartesian grid, else linf
+    source_metric: str | None = None  # None: the default of FireState.source
     budget: str = "const:0"
     strategy: str = "null"
     horizon: int = 10
@@ -68,13 +68,10 @@ class ExperimentConfig:
         return cls(**d)
 
     def initial_state(self) -> FireState:
-        """The source ball; by default L1 on the Cartesian grid, else an
-        L-infinity square (on the triangular grid, not its own hexagonal ball)."""
-        topo = Topology(self.topology)
-        metric = self.source_metric
-        if metric is None:
-            metric = "linf" if topo is not Topology.CARTESIAN else "l1"
-        return FireState(ball(self.center, self.radius, metric), frozenset(), 0, topo)
+        """The source ball, built by ``FireState.source``, which also picks
+        the metric when ``source_metric`` is None."""
+        return FireState.source(Topology(self.topology), self.radius,
+                                self.center, self.source_metric)
 
 
 class _UsageError(Exception):
@@ -184,7 +181,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if args.bound is not None and args.objective != "min-burnt":
         raise _UsageError("--bound applies only to --objective min-burnt")
     budget = _parsed(parse_budget, args.budget)
-    source = ExperimentConfig(topology=args.topology, radius=args.radius).initial_state()
+    source = FireState.source(Topology(args.topology), args.radius)
     cfg = SearchConfig(
         topology=source.topology,
         source=source.burnt,
@@ -215,7 +212,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 def _sweep_cell(cell: tuple[int, int]) -> dict:
     m, r = cell
     plan = wall_plan(m, r)
-    initial = ExperimentConfig(topology="strong", radius=r).initial_state()
+    initial = FireState.source(Topology.STRONG, r)
     trace = run(initial, containment_budget(m), ContainmentStrategy(plan), plan.horizon)
     xmin, xmax, ymin, ymax = bounding_box(trace.state_at(trace.final_round())[0])
     width = xmax - xmin + 1

@@ -16,8 +16,8 @@ from typing import Collection, Iterable, Sequence
 
 from .budget import Budget, parse_budget
 from .grid import (
-    _OFFSETS, Interned, Point, Topology, bounding_box, check_range, columns,
-    row_major,
+    _OFFSETS, Interned, Point, Topology, ball, bounding_box, check_range,
+    columns, row_major,
 )
 from .trace import MalformedTraceError, RoundRecord, RunTrace
 
@@ -53,6 +53,20 @@ class FireState:
     def __post_init__(self) -> None:
         if self.burnt & self.protected:
             raise SimulationError("burnt and protected sets overlap")
+
+    @classmethod
+    def source(cls, topology: Topology, radius: int, center: Point = (0, 0),
+               metric: str | None = None) -> FireState:
+        """Round 0 of a fire that starts as the radius ball about ``center``,
+        with nothing protected: the one place a source ball is built.
+
+        The default metric is L1 on the Cartesian grid and the L-infinity
+        square otherwise, which on the triangular grid is not its own
+        hexagonal ball.
+        """
+        if metric is None:
+            metric = "l1" if topology is Topology.CARTESIAN else "linf"
+        return cls(ball(center, radius, metric), frozenset(), 0, topology)
 
 
 class _CodeBox:
@@ -245,8 +259,10 @@ def run(
 ) -> RunTrace:
     """Drive the process for up to ``horizon`` rounds or until controlled.
 
-    Strategy failures (illegal placements, missed wall deadlines) terminate
-    the trace with status "strategy-error" rather than propagating. A trace
+    Strategy failures (illegal placements, missed wall deadlines), in
+    ``reset`` or in any round, terminate the trace with status
+    "strategy-error" and an error naming the round, 0 for ``reset``, rather
+    than propagating. A trace
     records no initial protection or round offset, so ``initial`` has neither.
     """
     if horizon < 1:
@@ -261,37 +277,30 @@ def run(
         seed=seed,
     )
     view = SimView(initial, horizon)
-
-    reset = getattr(strategy, "reset", None)
-    if reset is not None:
-        try:
-            reset(initial)
-        except SimulationError as exc:
-            trace.status = "strategy-error"
-            trace.error = f"round 0: {exc}"
-            return trace
-
     t = 0
-    while view.endangered_row_major():
-        if t == horizon:
-            trace.status = "horizon"
-            return trace
-        t += 1
-        f_t = budget.at(t)
-        try:
+    try:
+        reset = getattr(strategy, "reset", None)
+        if reset is not None:
+            reset(initial)
+        while view.endangered_row_major():
+            if t == horizon:
+                trace.status = "horizon"
+                return trace
+            t += 1
+            f_t = budget.at(t)
             placements = list(strategy.next_placements(view, f_t))
             ignited = view.play(placements, f_t)
-        except SimulationError as exc:
-            trace.status = "strategy-error"
-            trace.error = f"round {t}: {exc}"
-            return trace
-        view.burnt.update(ignited)
-        sx, sy = view.burnt_sum
-        ix, iy = _column_sums(ignited)
-        view.burnt_sum = (sx + ix, sy + iy)
-        trace.rounds.append(
-            RoundRecord(t=t, f=f_t, placed=tuple(placements), ignited=ignited)
-        )
+            view.burnt.update(ignited)
+            sx, sy = view.burnt_sum
+            ix, iy = _column_sums(ignited)
+            view.burnt_sum = (sx + ix, sy + iy)
+            trace.rounds.append(
+                RoundRecord(t=t, f=f_t, placed=tuple(placements), ignited=ignited)
+            )
+    except SimulationError as exc:
+        trace.status = "strategy-error"
+        trace.error = f"round {t}: {exc}"
+        return trace
     trace.status = "controlled"
     trace.control_round = t
     return trace

@@ -23,7 +23,10 @@ it already trusts the recorded burnt cells.
 The checks, per instant:
 
   A  potential of a front never exceeds its length (t >= 1);
-  B  a front is frozen exactly when its potential is zero;
+  B  a front is frozen exactly when its potential is zero. On this clock B
+     holds by construction on every trace the walk finishes: instant t's
+     potential counts round t's recorded ignitions on each front line, and
+     a front moves at t+1 exactly when one of them lies on its line;
   C  while the perimeter is at least 2*supply - 1, total potential stays
      within half a unit of half the perimeter: 2*phi >= perimeter - 1.
      (The strict form phi > perimeter/2 is achievable with equality by legal

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .budget import Budget
 from .engine import FireState, run
-from .grid import Point, Topology, ball, is_even_point, skew_map
+from .grid import Point, Topology, is_even_point, skew_map
 from .strategies import ScriptedStrategy
 from .trace import RunTrace
 
@@ -22,16 +22,10 @@ from .trace import RunTrace
 def reduced_budget(strong: Budget) -> Budget:
     """The halved, interleaved supply: g(2k-1) = floor(f(k)/2), g(2k) = ceil(f(k)/2)."""
 
-    def split(v: int) -> tuple[int, int]:
-        return (v // 2, v - v // 2)
+    def split(values: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(h for v in values for h in (v // 2, v - v // 2))
 
-    prefix: list[int] = []
-    for v in strong.prefix:
-        prefix.extend(split(v))
-    cycle: list[int] = []
-    for v in strong.cycle:
-        cycle.extend(split(v))
-    return Budget(prefix=tuple(prefix), cycle=tuple(cycle))
+    return Budget(prefix=split(strong.prefix), cycle=split(strong.cycle))
 
 
 def reduced_strategy(strong_trace: RunTrace) -> ScriptedStrategy:
@@ -89,22 +83,12 @@ def run_reduction(
     The Cartesian source is tried at twice the strong radius, then at the
     strong radius itself; the report records which of them end up contained.
     """
-    strong_initial = FireState(
-        burnt=ball((0, 0), strong_radius, "linf"),
-        protected=frozenset(),
-        round=0,
-        topology=Topology.STRONG,
-    )
+    strong_initial = FireState.source(Topology.STRONG, strong_radius)
     strong_trace = run(strong_initial, strong_budget, strong_strategy, horizon)
     g = reduced_budget(strong_budget)
     outcomes = []
     for rho in (2 * strong_radius, strong_radius):
-        cart_initial = FireState(
-            burnt=ball((0, 0), rho, "l1"),
-            protected=frozenset(),
-            round=0,
-            topology=Topology.CARTESIAN,
-        )
+        cart_initial = FireState.source(Topology.CARTESIAN, rho)
         cart_trace = run(
             cart_initial, g, reduced_strategy(strong_trace), 2 * horizon + 2
         )

@@ -28,12 +28,13 @@ stands, its south end is extended downward ahead of the fire's corner.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import Budget
 from .engine import FireState, SimView, StrategyError
-from .grid import Point, Topology, ball
+from .grid import Point, Topology
 
 
 @dataclass(frozen=True)
@@ -102,12 +103,6 @@ def wall_plan(m: int, r: int) -> WallPlan:
     t_west = -r - w
     t_south = -r - s
 
-    def phase_of(deadline: int) -> int:
-        for i, end in enumerate(phase_ends, start=1):
-            if deadline <= end:
-                return i
-        return 4
-
     raw: list[tuple[Point, int]] = []
     # North wall, centre outward so every cell touches an earlier one.
     raw.append(((0, n), t_north))
@@ -144,8 +139,11 @@ def wall_plan(m: int, r: int) -> WallPlan:
         r=r,
         geometry=PlanGeometry(north_row=n, east_col=e, west_col=w, south_row=s),
         phase_ends=phase_ends,
-        tasks=tuple(WallTask(target=p, deadline=d, phase=phase_of(d))
-                    for p, d in raw),
+        # A task's phase is the first whose end is at or after its deadline.
+        tasks=tuple(
+            WallTask(target=p, deadline=d, phase=bisect_left(phase_ends, d) + 1)
+            for p, d in raw
+        ),
     )
 
 
@@ -178,8 +176,7 @@ class ContainmentStrategy:
     def reset(self, state: FireState) -> None:
         if state.topology is not Topology.STRONG:
             raise StrategyError("containment walls assume the strong grid")
-        expected = ball((0, 0), self.plan.r, "linf")
-        if frozenset(state.burnt) != expected:
+        if state.burnt != FireState.source(Topology.STRONG, self.plan.r).burnt:
             raise StrategyError(
                 f"plan expects the fire to start as the radius-{self.plan.r} "
                 "square at the origin"

@@ -1,7 +1,9 @@
-"""The package stays pure Python with no runtime dependencies.
+"""Structural rules read off the source of ``src/gridfire``.
 
-``pyproject.toml`` declares ``dependencies = []``; this test holds the code to
-it by reading every import in ``src/gridfire``.
+The package stays pure Python with no runtime dependencies:
+``pyproject.toml`` declares ``dependencies = []``, and the first test holds the
+code to it by reading every import. Source balls are built in one place,
+``FireState.source``, so only the engine calls ``grid.ball``.
 """
 
 from __future__ import annotations
@@ -32,3 +34,14 @@ def test_package_imports_only_itself_and_the_standard_library():
         if module not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+def test_only_the_engine_calls_ball():
+    callers = {
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and "ball" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == {"engine.py"}

@@ -100,6 +100,19 @@ def test_endangered_counts(origin_cartesian):
     assert len(endangered(shielded)) == 3
 
 
+@pytest.mark.parametrize("topology", list(Topology))
+def test_fire_state_source_is_the_hand_built_ball(topology):
+    default = "l1" if topology is Topology.CARTESIAN else "linf"
+    for radius in (0, 1, 2):
+        for center in ((0, 0), (3, -2)):
+            for metric in (None, "l1", "linf"):
+                expected = FireState(ball(center, radius, metric or default),
+                                     frozenset(), 0, topology)
+                assert FireState.source(topology, radius, center, metric) == expected
+        assert FireState.source(topology, radius) == FireState(
+            ball((0, 0), radius, default), frozenset(), 0, topology)
+
+
 def test_endangered_of_ball_is_bfs_sphere():
     b2 = ball((0, 0), 2, "l1")
     s = FireState(
@@ -460,6 +473,7 @@ def _forged(trace: RunTrace, **header) -> RunTrace:
         (GreedyNearest(), constant(1), {"status": "controlled", "control_round": 10}),
         (GreedyNearest(), constant(1), {"budget_desc": "periodic:1,2"}),
         (GreedyNearest(), constant(1), {"budget_desc": "prefix:1|0"}),
+        (GreedyNearest(), constant(1), {"budget_desc": "const:x"}),
         (GreedyNearest(), constant(1), {"control_round": 3}),
         (PlugFour(), constant(4), {"status": "horizon", "control_round": None}),
         (PlugFour(), constant(4), {"control_round": 2}),
@@ -470,9 +484,10 @@ def _forged(trace: RunTrace, **header) -> RunTrace:
         (GreedyNearest(), constant(1), {"status": "strategy-error"}),
     ],
     ids=["all-at-once", "controlled-still-burning", "periodic-budget",
-         "prefix-budget", "uncontrolled-with-round", "controlled-as-horizon",
-         "late-control-round", "unknown-status", "controlled-with-error",
-         "horizon-with-error", "strategy-error-without-error"],
+         "prefix-budget", "unparsable-budget", "uncontrolled-with-round",
+         "controlled-as-horizon", "late-control-round", "unknown-status",
+         "controlled-with-error", "horizon-with-error",
+         "strategy-error-without-error"],
 )
 def test_replay_validate_rejects_forged_header(origin_cartesian, strategy, budget, header):
     trace = run(origin_cartesian, budget, strategy, 10)
@@ -480,6 +495,8 @@ def test_replay_validate_rejects_forged_header(origin_cartesian, strategy, budge
     with pytest.raises(MalformedTraceError) as exc:
         replay_validate(_forged(trace, **header))
     assert exc.value.line == 1
+    if header.get("budget_desc") == "const:x":
+        assert str(exc.value).startswith("bad header budget: ")
     if "error" in header or header.get("status") == "strategy-error":
         assert "status" in str(exc.value) and "error" in str(exc.value)
 

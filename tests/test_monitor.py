@@ -238,6 +238,19 @@ def test_check_invariants_flags_corrupt_activity():
         check_invariants(bad)
 
 
+def test_check_invariants_reports_potential_beyond_front_length():
+    # Check A: twenty forged ignitions on the (1, 1) front line x + y = 5
+    # put 25 units of potential on a front of length 5.
+    trace = free_trace(5)
+    rec = trace.rounds[-1]
+    extra = tuple((x, 5 - x) for x in range(6, 26))
+    trace.rounds[-1] = RoundRecord(t=rec.t, f=rec.f, placed=rec.placed,
+                                   ignited=rec.ignited + extra)
+    report = check_invariants(trace, validate=False)
+    assert not report.ok
+    assert report.checks["A"].violations == [(5, "phi(1, 1)=25 > length 5")]
+
+
 def test_check_invariants_reports_a_fire_that_stops_spreading():
     # A null const:1 run whose records from round 2 on ignite nothing: the
     # fronts freeze with no potential while the supply stays under the cap.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from gridfire.budget import constant, containment_budget, periodic
+from gridfire.budget import constant, containment_budget, parse_budget, periodic
 from gridfire.grid import is_even_point, skew_map
 from gridfire.reduction import reduced_budget, run_reduction
 from gridfire.strategies import NullStrategy
@@ -21,6 +21,12 @@ def test_reduced_budget_splits_every_round():
         assert g.at(2 * k - 1) == f.at(k) // 2
         assert g.at(2 * k) == f.at(k) - f.at(k) // 2
         assert g.at(2 * k - 1) + g.at(2 * k) == f.at(k)
+
+
+def test_reduced_budget_splits_the_prefix_too():
+    g = reduced_budget(parse_budget("prefix:5,2|4,3"))
+    assert g.prefix == (2, 3, 1, 1)
+    assert g.cycle == (2, 2, 1, 2)
 
 
 def test_skewed_placement_arithmetic():

@@ -179,6 +179,8 @@ def test_containment_requires_strong_topology():
     )
     trace = run(initial, constant(4), ContainmentStrategy(plan), 5)
     assert trace.status == "strategy-error"
+    assert trace.rounds == []
+    assert trace.error.startswith("round 0: ")
 
 
 def test_containment_requires_matching_source():
@@ -191,6 +193,8 @@ def test_containment_requires_matching_source():
     )
     trace = run(initial, constant(4), ContainmentStrategy(plan), 5)
     assert trace.status == "strategy-error"
+    assert trace.rounds == []
+    assert trace.error.startswith("round 0: ")
 
 
 def test_plan_parameters_periodic_433():
