@@ -188,7 +188,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         budget=budget,
         horizon=args.horizon,
         candidate_distance=None if args.unrestricted else args.distance,
-        symmetry=not args.no_symmetry,
         node_cap=args.node_cap,
         initial_bound=args.bound,
     )
@@ -317,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     where = p.add_mutually_exclusive_group()
     where.add_argument("--distance", type=_ints(1, 0), default="2")
     where.add_argument("--unrestricted", action="store_true")
-    p.add_argument("--no-symmetry", action="store_true")
     p.add_argument("--node-cap", type=_ints(1, 1), default=100_000_000)
     p.add_argument("--bound", type=_ints(1, 1), default=None,
                    help="only look for containments burning fewer cells than this")

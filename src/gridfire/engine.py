@@ -262,8 +262,8 @@ def run(
     Strategy failures (illegal placements, missed wall deadlines), in
     ``reset`` or in any round, terminate the trace with status
     "strategy-error" and an error naming the round, 0 for ``reset``, rather
-    than propagating. A trace
-    records no initial protection or round offset, so ``initial`` has neither.
+    than propagating. A trace records no initial protection or round offset,
+    so ``initial`` has neither.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")

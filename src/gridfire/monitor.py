@@ -113,17 +113,8 @@ def potentials(
     protected: set[Point],
     offsets: dict[Direction, int] | None = None,
     endangered: Iterable[Point] | None = None,
-    pending_source: bool = False,
 ) -> tuple[dict[Direction, Fraction], Fraction]:
-    """Per-front and total potential of the current state.
-
-    With ``pending_source`` and nothing burnt, the declared source is the one
-    endangered point and each front gets a quarter.
-    """
-    if not burnt:
-        if pending_source:
-            return {d: _QUARTER for d in DIRECTIONS}, Fraction(1)
-        return {d: Fraction(0) for d in DIRECTIONS}, Fraction(0)
+    """Per-front and total potential of the current state."""
     if offsets is None:
         offsets = front_offsets(burnt)
     if endangered is None:
@@ -297,15 +288,16 @@ def check_invariants(trace: RunTrace, validate: bool = True) -> MonitorReport:
     sum_lines: set[int] = set()
     diff_lines: set[int] = set()
     attributed_cum = {d: 0 for d in DIRECTIONS}
-    phi, phi_total = potentials(set(), set(), pending_source=True)
+    # At instant 0 nothing burns yet: the declared source is the one
+    # endangered point, and each front gets a quarter of it.
     metrics = [
         FrontMetrics(
             t=0,
             offsets=offsets,
             lengths=front_lengths(offsets),
             perimeter=0,
-            phi=phi,
-            phi_total=phi_total,
+            phi=dict.fromkeys(DIRECTIONS, _QUARTER),
+            phi_total=Fraction(1),
             supply=0,
             attributed=dict(attributed_cum),
         )

@@ -32,11 +32,13 @@ the squads of a bound are built only once the walk reaches it.
 Both drivers run on one core, ``_Search``: the window and the supply, the node
 count, the child expansion, the seal test and a transposition table, one
 bucket per depth. Each driver keeps only its own walk. Squads travel as tuples
-of single-bit masks and are decoded to points only for the witness. A bucket
-holds at most ``_TT_CAP`` positions; once one is full, later duplicates at that
-depth are searched again. That costs nodes, so the node cap may come sooner,
-but it finds nothing different; the result's ``note`` names the depths where
-it happened.
+of single-bit masks and are decoded to points only for the witness. A position
+is always keyed by its least image over the grid's symmetries
+(``_Window.canonical``); the identity's image is the raw key
+``(burnt << nbits) | prot``. A bucket holds at most ``_TT_CAP`` positions;
+once one is full, later duplicates at that depth are searched again. That
+costs nodes, so the node cap may come sooner, but it finds nothing different;
+the result's ``note`` names the depths where it happened.
 
 The window is sized so that neither the fire nor the candidate cells reach its
 outer ring; if either ever does, the search raises RuntimeError rather than
@@ -103,7 +105,8 @@ class _Window:
         # one, whose diagonals run one way only.
         around = set(offsets)
         syms = [sym for sym in _SYMS if {sym(*p) for p in around} == around]
-        # sym_bits[i][b] is the single-bit mask of cell b under symmetry i.
+        # sym_bits[i][b] is the single-bit mask of cell b under symmetry i;
+        # sym_bits[0] is the identity, which every neighborhood keeps.
         self.sym_bits = [[1 << self.bit(*sym(x, y)) for x, y in cells] for sym in syms]
         # lines[d][c]: the cells on front line c of direction d = (sx, sy),
         # sx*x + sy*y = c for c = 0, 1, ...; each list ends in an empty line,
@@ -174,14 +177,20 @@ class _Window:
         return b
 
     def canonical(self, burnt: int, prot: int) -> int:
-        """The least (burnt, protected) key over the grid's symmetries."""
+        """The transposition key of a position: the least (burnt, protected)
+        key over the grid's symmetries.
+
+        ``sym_bits[0]`` is the identity, whose image is the raw key
+        ``(burnt << nbits) | prot``, so only the other tables are walked.
+        """
         nbits = self.nbits
         burnt_bits = self.bits(burnt)
         prot_bits = self.bits(prot)
         return min(
-            (sum(map(table.__getitem__, burnt_bits)) << nbits)
-            | sum(map(table.__getitem__, prot_bits))
-            for table in self.sym_bits
+            (burnt << nbits) | prot,
+            *((sum(map(table.__getitem__, burnt_bits)) << nbits)
+              | sum(map(table.__getitem__, prot_bits))
+              for table in self.sym_bits[1:]),
         )
 
     def perimeter(self, burnt: int) -> int:
@@ -202,12 +211,15 @@ class _Window:
 
 @dataclass
 class SearchConfig:
+    """One search instance. No field chooses the key: a position is always
+    keyed by its least image over the grid's symmetries (``_Window.canonical``),
+    of which the identity's is the raw key."""
+
     topology: Topology
     source: frozenset[Point]
     budget: Budget
     horizon: int  # instants on the analysis clock; squads 1..horizon may play
     candidate_distance: int | None = 2  # None: anywhere that could matter
-    symmetry: bool = True
     node_cap: int = 100_000_000
     # Optional strict upper bound for the minimum-burnt objective: only
     # containments burning fewer cells than this are searched for.
@@ -431,11 +443,7 @@ class _Search:
 
     def fresh(self, depth: int, burnt: int, prot: int) -> bool:
         """False when an equivalent position was already entered at ``depth``."""
-        win = self.win
-        if self.cfg.symmetry:
-            key = win.canonical(burnt, prot)
-        else:
-            key = (burnt << win.nbits) | prot
+        key = self.win.canonical(burnt, prot)
         bucket = self.seen[depth]
         if key in bucket:
             return False

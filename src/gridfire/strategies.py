@@ -43,8 +43,6 @@ class GreedyNearest:
         if available == 0:
             return []
         targets = view.endangered_row_major()
-        if not targets:
-            return []
         # Rank (|n*p - burnt_sum|², y, x) triples built column-wise; they are
         # distinct, so the order is the same as sorting E by that key.
         n = len(view.burnt)

@@ -162,7 +162,6 @@ def test_criterion_4_exhaustive_oracle():
             budget=periodic([2, 1]),
             horizon=horizon,
             candidate_distance=2,
-            symmetry=True,
             node_cap=100_000_000,
         )
         return exhaustive_search(cfg)

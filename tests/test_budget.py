@@ -96,6 +96,15 @@ def test_bad_specs_rejected():
         Budget(cycle=(-1,))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda b: b.at(0), "rounds are numbered from 1"),
+    (lambda b: b.cumulative(-1), "t must be nonnegative"),
+], ids=["at-0", "cumulative-minus-1"])
+def test_rounds_before_the_first_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(constant(2))
+
+
 @pytest.mark.parametrize("content", ["[1, true]", "[false]", "{}", "[1.5]", "[" * 100000])
 def test_bad_table_files_rejected(tmp_path, content):
     path = tmp_path / "budget.json"

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import re
 import shlex
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -410,6 +412,8 @@ PARSE_ERRORS = {
     "search-unrestricted-with-distance":
         lambda tmp: ["search", "--budget", "const:2", "--horizon", "2",
                      "--unrestricted", "--distance", "7"],
+    "search-no-symmetry":
+        lambda tmp: ["search", "--budget", "const:1", "--horizon", "1", "--no-symmetry"],
     "search-default-distance-with-unrestricted":
         lambda tmp: ["search", "--budget", "const:2", "--horizon", "2",
                      "--distance", "2", "--unrestricted"],
@@ -499,3 +503,19 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: gridfire {shlex.join(argv)}")
+
+
+def test_every_long_option_is_in_the_readme():
+    """Every subcommand's long options appear in README.md, so no flag lives
+    on undocumented. ``--help`` is argparse's own."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    missing = [
+        f"{name} {opt}"
+        for name, sub in subcommands.choices.items()
+        for action in sub._actions if not isinstance(action, argparse._HelpAction)
+        for opt in action.option_strings
+        if opt.startswith("--") and not re.search(re.escape(opt) + r"(?![\w-])", readme)
+    ]
+    assert not missing, missing

@@ -13,6 +13,7 @@ from gridfire.budget import constant, periodic
 from gridfire.engine import (
     FireState,
     PlacementError,
+    SimulationError,
     SimView,
     endangered,
     is_controlled,
@@ -523,6 +524,17 @@ def test_run_rejects_initial_state_a_trace_cannot_record(protected, round_no):
     )
     with pytest.raises(ValueError):
         run(state, constant(1), NullStrategy(), 5)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: FireState(frozenset({(0, 0)}), frozenset({(0, 0)}), 0, Topology.CARTESIAN),
+     SimulationError, "burnt and protected sets overlap"),
+    (lambda: run(single_source(), constant(1), NullStrategy(), 0),
+     ValueError, "horizon must be at least 1"),
+], ids=["overlapping-state", "horizon-0"])
+def test_engine_rejects_bad_input(make, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        make()
 
 
 def test_trace_read_rejects_garbage():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, strategies as st
 
 from gridfire.grid import Topology, ball, is_even_point, neighbors, skew_map
@@ -112,9 +113,16 @@ def test_skew_lands_on_even_points(p):
     assert is_even_point(skew_map(p))
 
 
-def test_neighbors_reject_runaway_coordinates():
-    import pytest
+@pytest.mark.parametrize("radius, metric, message", [
+    (-1, "l1", "radius must be nonnegative"),
+    (1, "l2", "unknown metric: 'l2'"),
+], ids=["radius-minus-1", "metric-l2"])
+def test_ball_rejects_bad_arguments(radius, metric, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ball((0, 0), radius, metric)
 
+
+def test_neighbors_reject_runaway_coordinates():
     from gridfire.grid import COORD_LIMIT
 
     with pytest.raises(OverflowError):

@@ -103,9 +103,11 @@ def test_potentials_zero_when_plugged():
 
 
 def test_potentials_pending_source_convention():
-    phi, total = potentials(set(), set(), pending_source=True)
-    assert total == 1
-    assert all(v == Fraction(1, 4) for v in phi.values())
+    # Nothing burns at instant 0; the declared source is the one endangered
+    # point, so each front gets a quarter and the total is 1.
+    m0 = check_invariants(free_trace(3)).metrics[0]
+    assert m0.phi_total == 1
+    assert m0.phi == dict.fromkeys(DIRECTIONS, Fraction(1, 4))
 
 
 def per_cell_potentials(endangered, offsets):

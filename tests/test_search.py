@@ -55,15 +55,6 @@ def test_exhaustive_21_small_horizons():
         assert res.min_final_perimeter >= floor
 
 
-def test_symmetry_reduction_preserves_outcome():
-    base = {"budget": periodic([2, 1]), "horizon": 3}
-    with_sym = exhaustive_search(cfg_cart(**base, symmetry=True))
-    without = exhaustive_search(cfg_cart(**base, symmetry=False))
-    assert with_sym.outcome == without.outcome
-    assert with_sym.min_final_perimeter == without.min_final_perimeter
-    assert with_sym.nodes <= without.nodes
-
-
 def test_distance_rule_stable_between_d_and_d_plus_one():
     a = exhaustive_search(cfg_cart(periodic([2, 1]), 3, candidate_distance=2))
     b = exhaustive_search(cfg_cart(periodic([2, 1]), 3, candidate_distance=3))
@@ -144,21 +135,12 @@ _SEARCH_GOLDEN = {
     "exhaustive-periodic21-h3-cartesian-sym": (
         exhaustive_search, Topology.CARTESIAN, periodic([2, 1]), 3, {},
         ("exhausted-no-control", 2119, 10, None, None)),
-    "exhaustive-periodic21-h3-cartesian-nosym": (
-        exhaustive_search, Topology.CARTESIAN, periodic([2, 1]), 3, {"symmetry": False},
-        ("exhausted-no-control", 13289, 10, None, None)),
     "exhaustive-periodic21-h3-strong-sym": (
         exhaustive_search, Topology.STRONG, periodic([2, 1]), 3, {},
         ("exhausted-no-control", 2080, 17, None, None)),
-    "exhaustive-periodic21-h3-strong-nosym": (
-        exhaustive_search, Topology.STRONG, periodic([2, 1]), 3, {"symmetry": False},
-        ("exhausted-no-control", 13037, 17, None, None)),
     "exhaustive-periodic21-h3-triangular-sym": (
         exhaustive_search, Topology.TRIANGULAR, periodic([2, 1]), 3, {},
         ("exhausted-no-control", 3823, 11, None, None)),
-    "exhaustive-periodic21-h3-triangular-nosym": (
-        exhaustive_search, Topology.TRIANGULAR, periodic([2, 1]), 3, {"symmetry": False},
-        ("exhausted-no-control", 13163, 11, None, None)),
     "exhaustive-periodic21-h2-unrestricted": (
         exhaustive_search, Topology.CARTESIAN, periodic([2, 1]), 2,
         {"candidate_distance": None},
@@ -238,6 +220,12 @@ def test_a_search_leaves_no_cyclic_garbage(driver, topo, budget, horizon, kw, ou
         gc.enable()
 
 
+@pytest.mark.parametrize("driver", [exhaustive_search, min_burnt_search])
+def test_search_rejects_horizon_zero(driver):
+    with pytest.raises(ValueError, match="^horizon must be at least 1"):
+        driver(cfg_cart(constant(1), 0))
+
+
 _HALF = 5  # window half-width for the bitboard property tests
 
 
@@ -266,16 +254,21 @@ def _transform(win, mask, sym_index):
 
 @settings(max_examples=40, deadline=None)
 @given(
+    topo=st.sampled_from(list(Topology)),
     burnt=st.sets(st.tuples(st.integers(-_HALF, _HALF), st.integers(-_HALF, _HALF)),
                   max_size=20),
     protected=st.sets(st.tuples(st.integers(-_HALF, _HALF), st.integers(-_HALF, _HALF)),
                       max_size=20),
 )
-def test_canonical_key_is_symmetry_invariant(burnt, protected):
-    win = search._Window(_HALF, Topology.CARTESIAN)
+def test_canonical_key_is_symmetry_invariant(topo, burnt, protected):
+    # The key is the least image over every table, the identity's included,
+    # each walked bit by bit; canonical takes the identity's as the raw key.
+    win = search._Window(_HALF, topo)
     b, p = win.encode(burnt), win.encode(protected - burnt)
     key = win.canonical(b, p)
-    for i in range(8):
+    assert key == min((_transform(win, b, i) << win.nbits) | _transform(win, p, i)
+                      for i in range(len(win.sym_bits)))
+    for i in range(len(win.sym_bits)):
         assert win.canonical(_transform(win, b, i), _transform(win, p, i)) == key
 
 
@@ -310,10 +303,9 @@ def test_neighbors_mask_matches_the_grid_at_every_cell(topo):
 
 
 @pytest.mark.parametrize("topo", list(Topology))
-@pytest.mark.parametrize("symmetry", [True, False])
-def test_fresh_tells_protection_apart(topo, symmetry):
+def test_fresh_tells_protection_apart(topo):
     core = search._Search(SearchConfig(topology=topo, source=frozenset({(0, 0)}),
-                                       budget=constant(1), horizon=2, symmetry=symmetry))
+                                       budget=constant(1), horizon=2))
     win = core.win
     b = win.encode({(0, 0), (1, 0)})
     for prot in ({(0, 1)}, {(0, 2)}, set(), {(0, 1), (0, 2)}):
@@ -323,7 +315,7 @@ def test_fresh_tells_protection_apart(topo, symmetry):
     # onto {(0, 1)}, already entered. It is a symmetry of the square grids but
     # not of the triangular one.
     mirrored = core.fresh(1, b, win.encode({(0, -1)}))
-    assert mirrored is not (symmetry and topo is not Topology.TRIANGULAR)
+    assert mirrored is (topo is Topology.TRIANGULAR)
 
 
 def test_transposition_saturation_is_reported(monkeypatch):

@@ -81,13 +81,12 @@ _CASES = [(topo, b, h, r, d) for b, h, r, d, topos in _INSTANCES for topo in top
 def test_search_agrees_with_brute_force(topo, budget, horizon, radius, d):
     source = ball((0, 0), radius, "linf")
     controlled, perim, burnt = _oracle(_TOPOS[topo], source, _BUDGETS[budget], horizon, d)
-    for symmetry in (True, False):
-        cfg = SearchConfig(topology=_TOPOS[topo], source=source, budget=_BUDGETS[budget],
-                           horizon=horizon, candidate_distance=d, symmetry=symmetry)
-        ex = exhaustive_search(cfg)
-        assert ex.outcome == ("controlled-found" if controlled else "exhausted-no-control")
-        if not controlled:  # a found seal stops the walk before every leaf is priced
-            assert ex.min_final_perimeter == perim
-        mb = min_burnt_search(cfg)
-        assert mb.outcome == ex.outcome
-        assert mb.min_burnt == burnt
+    cfg = SearchConfig(topology=_TOPOS[topo], source=source, budget=_BUDGETS[budget],
+                       horizon=horizon, candidate_distance=d)
+    ex = exhaustive_search(cfg)
+    assert ex.outcome == ("controlled-found" if controlled else "exhausted-no-control")
+    if not controlled:  # a found seal stops the walk before every leaf is priced
+        assert ex.min_final_perimeter == perim
+    mb = min_burnt_search(cfg)
+    assert mb.outcome == ex.outcome
+    assert mb.min_burnt == burnt

@@ -211,6 +211,12 @@ def test_plan_parameters_average_three_rejected():
         plan_parameters(0, constant(3))
 
 
+@pytest.mark.parametrize("m, r", [(0, 1), (1, 0)])
+def test_wall_plan_rejects_nonpositive_parameters(m, r):
+    with pytest.raises(ValueError, match="^m and r must be positive"):
+        wall_plan(m, r)
+
+
 def test_plan_parameters_steady_violations_inconclusive():
     # Average exceeds 3 but the supply dips below (3+eps)t every cycle.
     with pytest.raises(InconclusiveScanError):
