@@ -33,9 +33,12 @@ Both drivers run on one core, ``_Search``: the window and the supply, the node
 count, the child expansion, the seal test and a transposition table, one
 bucket per depth. Each driver keeps only its own walk. Squads travel as tuples
 of single-bit masks and are decoded to points only for the witness. A position
-is always keyed by its least image over the grid's symmetries
-(``_Window.canonical``); the identity's image is the raw key
-``(burnt << nbits) | prot``. A bucket holds at most ``_TT_CAP`` positions;
+is always keyed by its least image over the grid's symmetries (``_Window.key``),
+the identity's being the raw key ``(burnt << nbits) | prot``. The walks carry
+each node's images under the other symmetries: they are built bit by bit only
+at the root, and a child's follow from its parent's, the endangered set's and
+the squad's cells (``_Search.carry``), so no child's burnt or protected bits
+are extracted. A bucket holds at most ``_TT_CAP`` positions;
 once one is full, later duplicates at that depth are searched again. That
 costs nodes, so the node cap may come sooner, but it finds nothing different;
 the result's ``note`` names the depths where it happened.
@@ -44,10 +47,10 @@ The window is sized so that neither the fire nor the candidate cells reach its
 outer ring; if either ever does, the search raises RuntimeError rather than
 let the bitboard shifts clip the fire.
 
-The window writes no geometry of its own: its neighborhood shifts, symmetries
-and degree come from the engine's ``grid._OFFSETS`` and its front lines from
-``monitor.DIRECTIONS``. Only the candidate rule's L-infinity dilation, the
-same for every topology, is written here.
+The window writes no geometry of its own: its neighborhood shifts, the symmetries
+it keeps and its degree come from the engine's ``grid._OFFSETS`` and its front
+lines from ``monitor.DIRECTIONS``. Only the candidate rule's L-infinity dilation,
+the same for every topology, is written here.
 """
 
 from __future__ import annotations
@@ -56,28 +59,38 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .budget import Budget
 from .engine import FireState, run
-from .grid import _OFFSETS, Point, Topology
+from .grid import _OFFSETS, Interned, Point, Topology
 from .monitor import DIRECTIONS
 from .strategies import ScriptedStrategy
 from .trace import RunTrace
 
-_SYMS = (
-    lambda x, y: (x, y),
-    lambda x, y: (-x, y),
-    lambda x, y: (x, -y),
-    lambda x, y: (-x, -y),
-    lambda x, y: (y, x),
-    lambda x, y: (-y, x),
-    lambda x, y: (y, -x),
-    lambda x, y: (-y, -x),
-)
-
 # Positions remembered per depth by the transposition table.
 _TT_CAP = 4_000_000
+
+# Every direction's front scan starts at line 0 unless told otherwise.
+_LINE_ZERO = (0,) * len(DIRECTIONS)
+
+
+def _symmetries(side: int) -> list[list[int]]:
+    """The eight symmetries of the square as permutations of a side x side
+    window's row-major cell indices, the identity first: ``perm[b]`` is the
+    index of cell b's image.
+
+    Laid out as rows, the identity turns into each of the others by
+    transposing ((x, y) -> (y, x)), reversing the row order (y -> -y) and
+    reversing each row (x -> -x).
+    """
+    rows = [list(range(y * side, (y + 1) * side)) for y in range(side)]
+    perms = []
+    for swapped in (rows, [list(col) for col in zip(*rows)]):
+        for flipped in (swapped, swapped[::-1]):
+            for grid in (flipped, [row[::-1] for row in flipped]):
+                perms.append(list(itertools.chain.from_iterable(grid)))
+    return perms
 
 
 class _Window:
@@ -99,15 +112,16 @@ class _Window:
         steps = [(dx + 1, dy * self.side + dx) for dx, dy in offsets]
         self.up = tuple((i, s) for i, s in steps if s > 0)
         self.down = tuple((i, -s) for i, s in steps if s < 0)
-        cells = self.points(range(self.nbits))
         # Only a symmetry that maps the neighborhood onto itself commutes with
         # the spread: all eight on the square grids, four on the triangular
         # one, whose diagonals run one way only.
-        around = set(offsets)
-        syms = [sym for sym in _SYMS if {sym(*p) for p in around} == around]
+        around = self.bits(self.neighbors_mask(1 << self.bit(0, 0)))
+        perms = [perm for perm in _symmetries(self.side)
+                 if sorted(perm[b] for b in around) == around]
         # sym_bits[i][b] is the single-bit mask of cell b under symmetry i;
         # sym_bits[0] is the identity, which every neighborhood keeps.
-        self.sym_bits = [[1 << self.bit(*sym(x, y)) for x, y in cells] for sym in syms]
+        self.sym_bits = [list(map((1).__lshift__, perm)) for perm in perms]
+        cells = self.points(range(self.nbits))
         # lines[d][c]: the cells on front line c of direction d = (sx, sy),
         # sx*x + sy*y = c for c = 0, 1, ...; each list ends in an empty line,
         # so every scan stops.
@@ -176,44 +190,50 @@ class _Window:
             b = (b | (b << side) | (b >> side)) & self.full
         return b
 
-    def canonical(self, burnt: int, prot: int) -> int:
-        """The transposition key of a position: the least (burnt, protected)
-        key over the grid's symmetries.
-
-        ``sym_bits[0]`` is the identity, whose image is the raw key
-        ``(burnt << nbits) | prot``, so only the other tables are walked.
-        """
+    def images(self, burnt: int, prot: int) -> list[int]:
+        """The position's images ``(T(burnt) << nbits) | T(prot)``, one per
+        table T of ``sym_bits`` but the identity, built bit by bit: the
+        root's, which the walks then carry (``_Search.carry``)."""
         nbits = self.nbits
         burnt_bits = self.bits(burnt)
         prot_bits = self.bits(prot)
-        return min(
-            (burnt << nbits) | prot,
-            *((sum(map(table.__getitem__, burnt_bits)) << nbits)
-              | sum(map(table.__getitem__, prot_bits))
-              for table in self.sym_bits[1:]),
-        )
+        return [(sum(map(table.__getitem__, burnt_bits)) << nbits)
+                | sum(map(table.__getitem__, prot_bits))
+                for table in self.sym_bits[1:]]
 
-    def perimeter(self, burnt: int) -> int:
-        """Sum over the four directions of the first front line ``burnt`` misses.
+    def key(self, burnt: int, prot: int, images: list[int]) -> int:
+        """The transposition key of a position with the given ``images``: its
+        least image over the grid's symmetries, the identity's being the raw
+        key ``(burnt << nbits) | prot``."""
+        return min((burnt << self.nbits) | prot, *images)
 
-        A direction (sx, sy) of ``monitor.DIRECTIONS`` has the lines
-        sx*x + sy*y = c; ``monitor.front_offsets`` states the same definition
-        on points.
+    def offsets(self, burnt: int, start: Iterable[int] = _LINE_ZERO) -> list[int]:
+        """Per direction of ``monitor.DIRECTIONS``, the first front line
+        ``burnt`` misses.
+
+        A direction (sx, sy) has the lines sx*x + sy*y = c. Each scan starts
+        at line ``start[d]``, the offsets of a subset of ``burnt`` (line 0 by
+        default): every line a subset hits, ``burnt`` hits too.
         """
-        total = 0
-        for lines in self.lines:
-            c = 0
+        out = []
+        for lines, c in zip(self.lines, start):
             while burnt & lines[c]:
                 c += 1
-            total += c
-        return total
+            out.append(c)
+        return out
+
+    def perimeter(self, burnt: int, start: Iterable[int] = _LINE_ZERO) -> int:
+        """The sum of ``offsets``; ``monitor.front_offsets`` states the same
+        definition on points."""
+        return sum(self.offsets(burnt, start))
 
 
 @dataclass
 class SearchConfig:
     """One search instance. No field chooses the key: a position is always
-    keyed by its least image over the grid's symmetries (``_Window.canonical``),
-    of which the identity's is the raw key."""
+    keyed by its least image over the grid's symmetries (``_Window.key``), of
+    which the identity's is the raw key, and the walks carry the images from
+    node to node rather than extract a child's bits."""
 
     topology: Topology
     source: frozenset[Point]
@@ -441,9 +461,35 @@ class _Search:
             for squad in squads:
                 yield bound, squad
 
-    def fresh(self, depth: int, burnt: int, prot: int) -> bool:
-        """False when an equivalent position was already entered at ``depth``."""
-        key = self.win.canonical(burnt, prot)
+    def carry(self, images: list[int], e_mask: int) -> Callable[[Squad], list[int]]:
+        """The images of a node's children: a function from a squad to its
+        child's ``images``, given the node's own and its endangered set E.
+
+        A squad S, protecting hs = S & E, makes burnt' = burnt + E - hs and
+        prot' = prot + S. So each image (T(burnt) << nbits) | T(prot) gains
+        T(E) << nbits, once per node, and then per cell c of S, T(c) - (T(c)
+        << nbits) when c is in E and T(c) otherwise. A cell's terms are built
+        once per node, so a child costs |S| additions per table, and no bit
+        of burnt or prot is extracted.
+        """
+        nbits = self.win.nbits
+        tables = self.win.sym_bits[1:]
+        e_bits = self.win.bits(e_mask)
+        base = [image + (sum(map(table.__getitem__, e_bits)) << nbits)
+                for image, table in zip(images, tables)]
+
+        def shift(cell: int) -> tuple[int, ...]:
+            b = cell.bit_length() - 1
+            if cell & e_mask:
+                return tuple(table[b] - (table[b] << nbits) for table in tables)
+            return tuple(table[b] for table in tables)
+
+        shifts = Interned(shift)
+        return lambda squad: list(map(sum, zip(base, *map(shifts.__getitem__, squad))))
+
+    def fresh(self, depth: int, key: int) -> bool:
+        """False when a position of transposition ``key`` (``_Window.key``)
+        was already entered at ``depth``."""
         bucket = self.seen[depth]
         if key in bucket:
             return False
@@ -578,7 +624,8 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
     last_depth = cfg.horizon - 1
     min_perim: int | None = None
 
-    def visit(burnt: int, prot: int, depth: int, squads: list[Squad]) -> None:
+    def visit(burnt: int, prot: int, images: list[int], depth: int,
+              squads: list[Squad]) -> None:
         """An interior node, above ``last_depth``."""
         core.enter()
         e_mask = core.endangered(depth, burnt, prot)
@@ -590,9 +637,11 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
             k = min(f[depth], cand.bit_count())
             leaves(depth + 1, burnt, prot, e_mask, cand, k, squads)
             return
+        carry = core.carry(images, e_mask)
         for squad, burnt2, prot2 in core.children(burnt, prot, e_mask, cand, f[depth]):
-            if core.fresh(depth + 1, burnt2, prot2):
-                visit(burnt2, prot2, depth + 1, squads + [squad])
+            images2 = carry(squad)
+            if core.fresh(depth + 1, win.key(burnt2, prot2, images2)):
+                visit(burnt2, prot2, images2, depth + 1, squads + [squad])
 
     def leaves(
         depth: int, burnt: int, prot: int, e_mask: int, cand: int, k: int,
@@ -615,8 +664,9 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
         groups: dict[int, tuple[int, int, int]] = {}  # S & E -> (burnt', perim, base)
         count = 0
         clear = True
+        start = win.offsets(burnt)  # every group's burnt set holds this one
         for hs, burnt2, base, n in core.groups(burnt, prot, e_mask, cand, k):
-            groups[sum(hs)] = (burnt2, win.perimeter(burnt2), base)
+            groups[sum(hs)] = (burnt2, win.perimeter(burnt2, start), base)
             count += n
             clear = clear and not (burnt2 | base) & win.ring
         if (clear and core.nodes + count <= cfg.node_cap
@@ -645,7 +695,7 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
         if last_depth == 0:
             leaves(0, core.burnt0, 0, 0, 0, 0, [])
         else:
-            visit(core.burnt0, 0, 0, [])
+            visit(core.burnt0, 0, win.images(core.burnt0, 0), 0, [])
     except _CapHit:
         return core.result(
             "node-cap-hit", "inconclusive: node cap reached", min_final_perimeter=min_perim
@@ -668,11 +718,13 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
 def min_burnt_search(cfg: SearchConfig) -> SearchResult:
     """Branch-and-bound for a containment witness with the fewest burnt cells."""
     core = _Search(cfg)
+    win = core.win
     # No containment burns every window cell, so that many plus one admits all.
-    best_burnt = core.win.nbits + 1 if cfg.initial_bound is None else cfg.initial_bound
+    best_burnt = win.nbits + 1 if cfg.initial_bound is None else cfg.initial_bound
     best_squads: list[Squad] | None = None
 
-    def visit(burnt: int, prot: int, depth: int, squads: list[Squad]) -> None:
+    def visit(burnt: int, prot: int, images: list[int], depth: int,
+              squads: list[Squad]) -> None:
         nonlocal best_burnt, best_squads
         core.enter()
         e_mask = core.endangered(depth, burnt, prot)
@@ -685,19 +737,24 @@ def min_burnt_search(cfg: SearchConfig) -> SearchResult:
             best_squads = squads + [seal[0]]
         # Most promising squads first, so incumbents arrive early and the
         # bound prune bites; a node that cannot beat its own seal gets none.
+        # Most nodes walk no child, so the images are carried from the first.
+        carry = None
         for bound2, squad in core.ranked_children(
                 depth, burnt, prot, e_mask, cand, best_burnt):
             if bound2 >= best_burnt:
                 break
+            if carry is None:
+                carry = core.carry(images, e_mask)
             s_mask = sum(squad)
             burnt2 = burnt | (e_mask & ~s_mask)
             prot2 = prot | s_mask
-            if core.fresh(depth + 1, burnt2, prot2):
-                visit(burnt2, prot2, depth + 1, squads + [squad])
+            images2 = carry(squad)
+            if core.fresh(depth + 1, win.key(burnt2, prot2, images2)):
+                visit(burnt2, prot2, images2, depth + 1, squads + [squad])
 
     capped = False
     try:
-        visit(core.burnt0, 0, 0, [])
+        visit(core.burnt0, 0, win.images(core.burnt0, 0), 0, [])
     except _CapHit:
         capped = True
     finally:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from gridfire import search
 from gridfire.budget import constant, periodic
 from gridfire.engine import FireState, endangered, replay_validate
-from gridfire.grid import Topology, neighbors
+from gridfire.grid import _OFFSETS, Topology, neighbors
 from gridfire.monitor import check_invariants, front_offsets
 from gridfire.search import SearchConfig, exhaustive_search, min_burnt_search
 
@@ -252,6 +252,59 @@ def _transform(win, mask, sym_index):
     return sum(map(win.sym_bits[sym_index].__getitem__, win.bits(mask)))
 
 
+def _canonical(win, burnt, prot):
+    """The transposition key bit by bit: the least (burnt, protected) key over
+    the grid's symmetries, the reference for the keys the walks carry.
+
+    ``sym_bits[0]`` is the identity, whose image is the raw key
+    ``(burnt << nbits) | prot``, so only the other tables are walked.
+    """
+    nbits = win.nbits
+    burnt_bits = win.bits(burnt)
+    prot_bits = win.bits(prot)
+    return min(
+        (burnt << nbits) | prot,
+        *((sum(map(table.__getitem__, burnt_bits)) << nbits)
+          | sum(map(table.__getitem__, prot_bits))
+          for table in win.sym_bits[1:]),
+    )
+
+
+def _root_key(win, burnt, prot):
+    """The window's key of a position from its images built bit by bit, as
+    the walks key their root."""
+    return win.key(burnt, prot, win.images(burnt, prot))
+
+
+# The eight symmetries of the square, one cell at a time: the reference for
+# the window's permutation-built tables.
+_SYMS = (
+    lambda x, y: (x, y),
+    lambda x, y: (-x, y),
+    lambda x, y: (x, -y),
+    lambda x, y: (-x, -y),
+    lambda x, y: (y, x),
+    lambda x, y: (-y, x),
+    lambda x, y: (y, -x),
+    lambda x, y: (-y, -x),
+)
+
+
+@pytest.mark.parametrize("half", [1, 2, 10])
+@pytest.mark.parametrize("topo", list(Topology))
+def test_symmetry_tables_match_the_per_cell_maps(topo, half):
+    # Only a symmetry that maps the neighborhood onto itself is kept, and
+    # the identity comes first; the order of the others is free, since a key
+    # is their least image.
+    win = search._Window(half, topo)
+    around = set(_OFFSETS[topo])
+    syms = [sym for sym in _SYMS if {sym(*p) for p in around} == around]
+    cells = win.points(range(win.nbits))
+    oracle = [[1 << win.bit(*sym(x, y)) for x, y in cells] for sym in syms]
+    assert win.sym_bits[0] == oracle[0]
+    assert sorted(win.sym_bits) == sorted(oracle)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     topo=st.sampled_from(list(Topology)),
@@ -262,14 +315,63 @@ def _transform(win, mask, sym_index):
 )
 def test_canonical_key_is_symmetry_invariant(topo, burnt, protected):
     # The key is the least image over every table, the identity's included,
-    # each walked bit by bit; canonical takes the identity's as the raw key.
+    # each walked bit by bit; the oracle takes the identity's as the raw key,
+    # and the window's key from root images is the same.
     win = search._Window(_HALF, topo)
     b, p = win.encode(burnt), win.encode(protected - burnt)
-    key = win.canonical(b, p)
+    key = _canonical(win, b, p)
     assert key == min((_transform(win, b, i) << win.nbits) | _transform(win, p, i)
                       for i in range(len(win.sym_bits)))
+    assert _root_key(win, b, p) == key
     for i in range(len(win.sym_bits)):
-        assert win.canonical(_transform(win, b, i), _transform(win, p, i)) == key
+        assert _canonical(win, _transform(win, b, i), _transform(win, p, i)) == key
+
+
+_CARRY_HALF = 8  # the window of a horizon-3, distance-2 search from one cell
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    topo=st.sampled_from(list(Topology)),
+    burnt=st.sets(st.tuples(st.integers(-_CARRY_HALF + 1, _CARRY_HALF - 1),
+                            st.integers(-_CARRY_HALF + 1, _CARRY_HALF - 1)),
+                  min_size=1, max_size=25),
+    protected=st.sets(st.tuples(st.integers(-_CARRY_HALF + 1, _CARRY_HALF - 1),
+                                st.integers(-_CARRY_HALF + 1, _CARRY_HALF - 1)),
+                      max_size=12),
+    data=st.data(),
+)
+@example(topo=Topology.CARTESIAN, burnt={(0, 0)}, protected=set(), data=None)
+def test_carried_images_match_the_child_masks(topo, burnt, protected, data):
+    # From the images built bit by bit, carried through two generations of
+    # squads, each protecting some endangered cells and some cells outside
+    # burnt, protected and endangered, a child's images are its masks under
+    # every table but the identity, and its key is the bit-by-bit key. The
+    # example starts at the root with empty squads.
+    core = search._Search(SearchConfig(topology=topo, source=frozenset({(0, 0)}),
+                                       budget=constant(2), horizon=3))
+    win = core.win
+    assert win.half == _CARRY_HALF
+    others = range(1, len(win.sym_bits))
+    assert win.images(core.burnt0, 0) == [_transform(win, core.burnt0, i) << win.nbits
+                                          for i in others]
+    b, p = win.encode(burnt), win.encode(protected - burnt)
+    images = win.images(b, p)
+    for _ in range(2):
+        e_mask = win.endangered(b, p)
+        squad = ()
+        if data is not None:
+            hot = st.lists(st.sampled_from(win.singles(e_mask)), unique=True, max_size=3)
+            cold = st.lists(st.sampled_from(win.singles(win.full & ~b & ~p & ~e_mask)),
+                            unique=True, max_size=3)
+            squad = tuple(data.draw(hot, label="hot") if e_mask else []) + tuple(
+                data.draw(cold, label="cold"))
+        s_mask = sum(squad)
+        b, p = b | (e_mask & ~s_mask), p | s_mask
+        images = core.carry(images, e_mask)(squad)
+        assert [(image >> win.nbits, image & win.full) for image in images] == [
+            (_transform(win, b, i), _transform(win, p, i)) for i in others]
+        assert win.key(b, p, images) == _canonical(win, b, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -309,12 +411,12 @@ def test_fresh_tells_protection_apart(topo):
     win = core.win
     b = win.encode({(0, 0), (1, 0)})
     for prot in ({(0, 1)}, {(0, 2)}, set(), {(0, 1), (0, 2)}):
-        assert core.fresh(1, b, win.encode(prot))
-    assert not core.fresh(1, b, win.encode({(0, 2)}))
+        assert core.fresh(1, _root_key(win, b, win.encode(prot)))
+    assert not core.fresh(1, _root_key(win, b, win.encode({(0, 2)})))
     # The reflection y -> -y fixes the burnt cells and maps this protection
     # onto {(0, 1)}, already entered. It is a symmetry of the square grids but
     # not of the triangular one.
-    mirrored = core.fresh(1, b, win.encode({(0, -1)}))
+    mirrored = core.fresh(1, _root_key(win, b, win.encode({(0, -1)})))
     assert mirrored is (topo is Topology.TRIANGULAR)
 
 
@@ -351,6 +453,21 @@ def test_bitboard_perimeter_matches_front_offsets(case):
     half, points = case
     win = search._Window(half, Topology.CARTESIAN)
     assert win.perimeter(win.encode(points)) == sum(front_offsets(points).values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(topo=st.sampled_from(list(Topology)), case=_window_points(), data=st.data())
+def test_perimeter_scan_from_a_subsets_offsets(topo, case, data):
+    # Every front line a subset hits, the superset hits too, so its scan may
+    # start at the subset's offsets.
+    half, points = case
+    subset = data.draw(st.sets(st.sampled_from(sorted(points))) if points
+                       else st.just(set()), label="subset")
+    win = search._Window(half, topo)
+    b, b2 = win.encode(subset), win.encode(points)
+    start = win.offsets(b)
+    assert win.offsets(b2, start) == win.offsets(b2)
+    assert win.perimeter(b2, start) == win.perimeter(b2)
 
 
 _INNER = 3  # cells the scoring test draws from; the window half is 5
