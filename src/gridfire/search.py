@@ -21,13 +21,15 @@ counted without being walked.
 
 The minimum-burnt driver walks a node's children in order of a one-step
 burnt bound and stops at the first one whose bound reaches the incumbent, an
-int: the best containment's burn so far, or the initial bound. Before any
-child is scored, one gate (``_Search.refuted``) tests the node's floor and
-then counts over the endangered set's second ring whether any child could
-have a bound below that; most nodes have none. Otherwise the children are
-scored per group of squads, since within a group the bound depends only on
-how many of the group's endangered cells the squad's other cells protect, and
-the squads of a bound are built only once the walk reaches it.
+int: the best containment's burn so far, or the initial bound. One gate
+(``_Search.gate``) ends a node before its seal and its children: it tests the
+node's floor and then counts over the endangered set's second ring whether
+any child could have a bound below the incumbent; most nodes have none, and
+a node with none has no seal below it either. Otherwise the seal is priced
+and the children are scored per group of squads, since within a group the
+bound depends only on how many of the group's endangered cells the squad's
+other cells protect, and the squads of a bound are built only once the walk
+reaches it.
 
 Both drivers run on one core, ``_Search``: the window and the supply, the node
 count, the child expansion, the seal test and a transposition table, one
@@ -353,12 +355,13 @@ class _Search:
                 burnt2 = burnt | (e_mask ^ sum(hs))
                 yield hs, burnt2, endangered(burnt2, prot), count
 
-    def refuted(
+    def gate(
         self, depth: int, burnt: int, prot: int, e_mask: int, cand: int, cutoff: int
-    ) -> bool:
-        """True when no child of the node (burnt, prot), its squads drawn
-        from ``cand``, has a ``ranked_children`` bound below the int
-        ``cutoff``: the minimum-burnt walk's one gate on a node.
+    ) -> str | None:
+        """The rule that ends the node (burnt, prot), its squads drawn from
+        ``cand``, against the int ``cutoff``, or None: the minimum-burnt
+        walk's one gate on a node. ``"floor"`` and ``"ring"`` each show that
+        no child has a ``ranked_children`` bound below the cutoff.
 
         Let R2 = N(E) - burnt - E - prot be the second ring of the endangered
         set E, and let a squad S of k cells protect hs = S & E, h cells. Its
@@ -385,11 +388,19 @@ class _Search:
         The node's floor, |burnt| + max(0, |E| - f) for the round's supply f,
         is tested first: no continuation of the node burns fewer cells, and
         it is at most the first bound.
+
+        A node the gate ends has no ``seal`` below the cutoff either, so the
+        walk may skip its seal too. A seal S holds at most k = min(f, |cand|)
+        cells, all in ``cand``; padded with other candidates to k cells it
+        still seals and burns no more. That padded squad is a child, and its
+        bound is its burn, since it leaves base - S, nothing, endangered. So
+        the seal burns, in all, at least that child's bound, which the gate
+        shows is at least the cutoff.
         """
         win = self.win
         burns = burnt.bit_count() + e_mask.bit_count()
-        if burns - min(self.f[depth], e_mask.bit_count()) >= cutoff:  # the floor
-            return True
+        if burns - min(self.f[depth], e_mask.bit_count()) >= cutoff:
+            return "floor"
         k = min(self.f[depth], cand.bit_count())
         f_after = self.f[depth + 1]
         hot = cand & e_mask
@@ -397,9 +408,9 @@ class _Search:
         ring = win.neighbors_mask(e_mask) & ~burnt & ~e_mask & ~prot
         spare = burns + ring.bit_count() - k - f_after  # the second bound plus drop
         if spare - h * (win.degree - 1) >= cutoff:
-            return True
+            return "ring"
         if spare < cutoff:
-            return False
+            return None
         cell_nbrs = win.cell_nbrs
         scale = math.lcm(*range(1, h + 1))
         weights: dict[int, int] = {}
@@ -409,7 +420,8 @@ class _Search:
             if m <= h and not near & ~hot:
                 for e in win.bits(near):
                     weights[e] = weights.get(e, 0) + scale // m
-        return spare - sum(heapq.nlargest(h, weights.values())) // scale >= cutoff
+        drop = sum(heapq.nlargest(h, weights.values())) // scale
+        return "ring" if spare - drop >= cutoff else None
 
     def ranked_children(
         self, depth: int, burnt: int, prot: int, e_mask: int, cand: int, cutoff: int
@@ -420,18 +432,14 @@ class _Search:
 
         The bound is the child's one-step burnt lower bound: its burnt cells
         plus whatever it leaves endangered beyond the next round's supply.
-        When ``refuted``, the node's one gate, shows no bound below the
-        cutoff, nothing is scored. Otherwise the squads come group by group
-        from ``groups``. A squad of a group protects its h hot cells, all in
-        the group's base, and j cold cells of base, and leaves the rest of
-        base endangered, so its bound depends on j alone: |burnt'| + max(0,
-        |base| - h - j - f_after). Each (group, j) is recorded under its
-        bound, and a bound's squads are built and sorted only once the caller
-        has taken every child of the bounds below it; a walk that stops early
-        builds no more.
+        The squads come group by group from ``groups``. A squad of a group
+        protects its h hot cells, all in the group's base, and j cold cells
+        of base, and leaves the rest of base endangered, so its bound depends
+        on j alone: |burnt'| + max(0, |base| - h - j - f_after). Each (group,
+        j) is recorded under its bound, and a bound's squads are built and
+        sorted only once the caller has taken every child of the bounds below
+        it; a walk that stops early builds no more.
         """
-        if self.refuted(depth, burnt, prot, e_mask, cand, cutoff):
-            return
         f_after = self.f[depth + 1]
         k = min(self.f[depth], cand.bit_count())
         cold = cand & ~e_mask
@@ -731,13 +739,15 @@ def min_burnt_search(cfg: SearchConfig) -> SearchResult:
         if depth >= cfg.horizon:
             return
         cand = core.candidates(depth, burnt, prot)
+        if core.gate(depth, burnt, prot, e_mask, cand, best_burnt):
+            return
         seal = core.seal(depth, burnt, prot, e_mask, cand)
         if seal is not None and (burns := burnt.bit_count() + seal[1]) < best_burnt:
             best_burnt = burns
             best_squads = squads + [seal[0]]
         # Most promising squads first, so incumbents arrive early and the
         # bound prune bites; a node that cannot beat its own seal gets none.
-        # Most nodes walk no child, so the images are carried from the first.
+        # Many nodes walk no child, so the images are carried from the first.
         carry = None
         for bound2, squad in core.ranked_children(
                 depth, burnt, prot, e_mask, cand, best_burnt):

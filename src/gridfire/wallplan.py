@@ -81,12 +81,6 @@ class WallPlan:
         """Rounds to simulate: the control bound plus five rounds of slack."""
         return self.round_bound + 5
 
-    def targets_by_phase(self) -> dict[int, int]:
-        out = {1: 0, 2: 0, 3: 0, 4: 0}
-        for task in self.tasks:
-            out[task.phase] += 1
-        return out
-
 
 def wall_plan(m: int, r: int) -> WallPlan:
     """Emit the complete deadline-annotated target list for parameters (m, r)."""

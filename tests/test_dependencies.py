@@ -3,7 +3,9 @@
 The package stays pure Python with no runtime dependencies:
 ``pyproject.toml`` declares ``dependencies = []``, and the first test holds the
 code to it by reading every import. Source balls are built in one place,
-``FireState.source``, so only the engine calls ``grid.ball``.
+``FireState.source``, so only the engine calls ``grid.ball``. The minimum-burnt
+walk ends a node at its gate before the seal and the children: the gate is a
+step of the walk, not of the child ranking.
 """
 
 from __future__ import annotations
@@ -45,3 +47,28 @@ def test_only_the_engine_calls_ball():
         and "ball" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     }
     assert callers == {"engine.py"}
+
+
+def _function(tree: ast.AST, name: str) -> ast.FunctionDef:
+    """The one function or method called ``name`` in ``tree``."""
+    found = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == name]
+    assert len(found) == 1, name
+    return found[0]
+
+
+def _called(node: ast.AST) -> list[str]:
+    """The names called in ``node``, in source order."""
+    calls = [call for call in ast.walk(node) if isinstance(call, ast.Call)]
+    calls.sort(key=lambda call: (call.lineno, call.col_offset))
+    return [getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for call in calls]
+
+
+def test_the_walk_gates_a_node_before_its_seal_and_children():
+    path = next(path for path in SOURCES if path.name == "search.py")
+    tree = ast.parse(path.read_text(), str(path))
+    assert {"gate", "seal"}.isdisjoint(_called(_function(tree, "ranked_children")))
+    walk = [name for name in _called(_function(_function(tree, "min_burnt_search"), "visit"))
+            if name in ("gate", "seal", "ranked_children")]
+    assert walk == ["gate", "seal", "ranked_children"]

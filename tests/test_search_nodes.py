@@ -1,6 +1,6 @@
 """Node-level oracles for the search's seal, its covers, the group refutation
 of the exhaustive last level, and the minimum-burnt driver's child ranking
-and node refutation, whose first test is the node's floor.
+and node gate, whose first test is the node's floor.
 
 Whole games from small balls (``test_search_oracle.py``) never reach the
 positions where a seal needs its exotic form, so these tests draw
@@ -219,7 +219,7 @@ def test_ranked_children_match_naive_ranking(state, f, f_next, data):
     cand = core.candidates(0, b, p)
     near = sorted({bound + step for bound, _ in naive for step in (-1, 0, 1)})
     for cutoff in near:
-        if core.refuted(0, b, p, e_mask, cand, cutoff):
+        if core.gate(0, b, p, e_mask, cand, cutoff):
             assert naive[0][0] >= cutoff
     assert list(core.ranked_children(0, b, p, e_mask, cand, core.win.nbits + 1)) == naive
     cutoff = data.draw(st.sampled_from(near), label="cutoff")
@@ -236,13 +236,13 @@ def test_no_continuation_burns_below_the_floor_or_its_bound(state, f, f_next):
     # A continuation burns at least what it burns in these two rounds, so it
     # never finishes below the node's floor or below its ranked child's
     # bound. A seal that reaches the floor is beaten by no continuation, and
-    # ``refuted`` ends the node at its floor.
+    # ``gate`` ends the node at its floor.
     core, b, p, e_mask = _position(*state, f, f_next, d=1)
     win = core.win
     near = e_mask | win.neighbors_mask(e_mask)
     floor = b.bit_count() + max(0, e_mask.bit_count() - f)
     cand = core.candidates(0, b, p)
-    assert core.refuted(0, b, p, e_mask, cand, floor)
+    assert core.gate(0, b, p, e_mask, cand, floor) == "floor"
     least = {}  # S1's part near E -> the fewest cells burnt after round 2
     for k in range(f + 1):
         for part in _near_squads(core, cand, near, k):
@@ -271,5 +271,33 @@ def test_a_tip_encloses_the_cells_beyond_it():
     e = core.win.encode({(1, 0)})
     assert e_mask == e
     cand = core.candidates(0, b, p)
-    assert not core.refuted(0, b, p, e_mask, cand, 2)
+    assert core.gate(0, b, p, e_mask, cand, 2) is None
     assert next(core.ranked_children(0, b, p, e_mask, cand, 2)) == (1, (e,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=near_enclosed(), f=st.integers(1, 3), f_next=st.integers(0, 3))
+def test_a_gated_node_has_no_seal_below_the_cutoff(state, f, f_next):
+    # The walk ends a node at its gate before pricing its seal, so whatever
+    # rule ends it must also show that the seal burns at least the cutoff.
+    # Cutoffs at, just below and just above every naive child bound.
+    core, b, p, e_mask = _position(*state, f, f_next, d=1)
+    cand = core.candidates(0, b, p)
+    seal = core.seal(0, b, p, e_mask, cand)
+    naive = naive_ranking(core, 0, b, p, e_mask)
+    for cutoff in sorted({bound + step for bound, _ in naive for step in (-1, 0, 1)}):
+        if core.gate(0, b, p, e_mask, cand, cutoff):
+            assert seal is None or b.bit_count() + seal[1] >= cutoff
+
+
+def test_the_ring_ends_a_node_above_its_floor():
+    # One burnt cell, nothing protected, one firefighter a round: four cells
+    # are endangered, so the floor is 1 + 4 - 1 = 4. The least child burns
+    # four cells and leaves seven endangered, six beyond the next round's one
+    # firefighter: a bound of 10. So the second ring ends the node from 5
+    # through 10.
+    core, b, p, e_mask = _position(Topology.CARTESIAN, {(0, 0)}, set(), 1, 1, d=1)
+    cand = core.candidates(0, b, p)
+    assert naive_ranking(core, 0, b, p, e_mask)[0][0] == 10
+    assert [core.gate(0, b, p, e_mask, cand, cutoff) for cutoff in (4, 5, 10, 11)] == [
+        "floor", "ring", "ring", None]
