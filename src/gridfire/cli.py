@@ -59,7 +59,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        d = json.loads(text)
+        try:
+            d = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError("config is nested too deeply") from exc
         names = {f.name for f in dataclasses.fields(cls)}
         if not isinstance(d, dict) or d.keys() != names:
             raise ValueError(f"config must hold exactly the keys {sorted(names)}")

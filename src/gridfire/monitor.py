@@ -37,6 +37,11 @@ The checks, per instant:
      3t (so the fire cannot have been controlled);
   F  (diagnostic only) per-front potential versus 1/4 + offset - attributed
      supply; reported as signed slack, never failed.
+
+The walk and its checks run in quarter units, on ints: a FrontMetrics keeps
+each front's potential as a count of quarters and the total as a count of
+points, and derives its perimeter, front lengths and phi from the offsets and
+the quarters. Fractions appear only where the report shows them.
 """
 
 from __future__ import annotations
@@ -53,9 +58,6 @@ from .trace import RunTrace
 Direction = tuple[int, int]
 
 DIRECTIONS: tuple[Direction, ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-_HALF = Fraction(1, 2)
-_QUARTER = Fraction(1, 4)
 
 
 def _diagonals(points: Iterable[Point]) -> tuple[list[int], list[int]]:
@@ -99,7 +101,7 @@ def front_offsets(burnt: Iterable[Point]) -> dict[Direction, int]:
 def front_lengths(offsets: dict[Direction, int]) -> dict[Direction, Fraction]:
     """Length of each front: half the sum of the two neighboring offsets."""
     return {
-        (sx, sy): _HALF * (offsets[(sx, -sy)] + offsets[(-sx, sy)])
+        (sx, sy): Fraction(offsets[(sx, -sy)] + offsets[(-sx, sy)], 2)
         for sx, sy in DIRECTIONS
     }
 
@@ -121,7 +123,8 @@ def potentials(
         endangered = _endangered(FireState(
             frozenset(burnt), frozenset(protected), 0, Topology.CARTESIAN))
     cells = tuple(endangered)
-    return _line_potentials(cells, *_diagonals(cells), offsets)
+    quarters, total = _line_potentials(cells, *_diagonals(cells), offsets)
+    return {d: Fraction(q, 4) for d, q in quarters.items()}, Fraction(total)
 
 
 def _line_potentials(
@@ -129,9 +132,9 @@ def _line_potentials(
     sums: list[int],
     diffs: list[int],
     offsets: dict[Direction, int],
-) -> tuple[dict[Direction, Fraction], Fraction]:
+) -> tuple[dict[Direction, int], int]:
     """Potentials of the endangered ``cells``, whose x+y and x-y columns are
-    ``sums`` and ``diffs``.
+    ``sums`` and ``diffs``: per front in quarter units, and the total.
 
     A cell on k front lines gives each of them 4 // k quarters and counts
     once in the total. Each line's cells are counted with ``list.count``;
@@ -149,7 +152,6 @@ def _line_potentials(
     sum_count = {s: sums.count(s) for s in sum_fronts}
     diff_count = {v: diffs.count(v) for v in diff_fronts}
     total = sum(sum_count.values()) + sum(diff_count.values())
-    # Accumulate in quarter units to stay in integer arithmetic.
     quarters = dict.fromkeys(DIRECTIONS, 0)
     for fronts_at, count in ((sum_fronts, sum_count), (diff_fronts, diff_count)):
         for value, fronts in fronts_at.items():
@@ -167,8 +169,7 @@ def _line_potentials(
             for fronts in (s_fronts, v_fronts):
                 for d in fronts:
                     quarters[d] += n * (share - 4 // len(fronts))
-    phi = {d: Fraction(q, 4) for d, q in quarters.items()}
-    return phi, Fraction(total)
+    return quarters, total
 
 
 def activity(
@@ -202,13 +203,23 @@ def activity(
 class FrontMetrics:
     t: int
     offsets: dict[Direction, int]
-    lengths: dict[Direction, Fraction]
-    perimeter: int
-    phi: dict[Direction, Fraction]
-    phi_total: Fraction
+    quarters: dict[Direction, int]
+    phi_total: int
     supply: int
     attributed: dict[Direction, int]
     active: dict[Direction, int] | None = None  # None on the final instant
+
+    @property
+    def perimeter(self) -> int:
+        return perimeter(self.offsets)
+
+    @property
+    def lengths(self) -> dict[Direction, Fraction]:
+        return front_lengths(self.offsets)
+
+    @property
+    def phi(self) -> dict[Direction, Fraction]:
+        return {d: Fraction(q, 4) for d, q in self.quarters.items()}
 
 
 @dataclass
@@ -290,18 +301,8 @@ def check_invariants(trace: RunTrace, validate: bool = True) -> MonitorReport:
     attributed_cum = {d: 0 for d in DIRECTIONS}
     # At instant 0 nothing burns yet: the declared source is the one
     # endangered point, and each front gets a quarter of it.
-    metrics = [
-        FrontMetrics(
-            t=0,
-            offsets=offsets,
-            lengths=front_lengths(offsets),
-            perimeter=0,
-            phi=dict.fromkeys(DIRECTIONS, _QUARTER),
-            phi_total=Fraction(1),
-            supply=0,
-            attributed=dict(attributed_cum),
-        )
-    ]
+    metrics = [FrontMetrics(t=0, offsets=offsets, quarters=dict.fromkeys(DIRECTIONS, 1),
+                            phi_total=1, supply=0, attributed=dict(attributed_cum))]
     unattributed: list[Point] = []
     supply = 0
     sums, diffs = _diagonals(trace.initial)
@@ -315,7 +316,7 @@ def check_invariants(trace: RunTrace, validate: bool = True) -> MonitorReport:
         # What is endangered now is exactly what spread t ignites; its
         # columns feed the burning lines at the next instant.
         sums, diffs = _diagonals(rec.ignited)
-        phi, phi_total = _line_potentials(rec.ignited, sums, diffs, offsets)
+        quarters, phi_total = _line_potentials(rec.ignited, sums, diffs, offsets)
         unattributed.extend(rec.placed)
         still: list[Point] = []
         for q in unattributed:
@@ -326,67 +327,53 @@ def check_invariants(trace: RunTrace, validate: bool = True) -> MonitorReport:
             else:
                 still.append(q)
         unattributed = still
-        metrics.append(
-            FrontMetrics(
-                t=rec.t,
-                offsets=offsets,
-                lengths=front_lengths(offsets),
-                perimeter=perimeter(offsets),
-                phi=phi,
-                phi_total=phi_total,
-                supply=supply,
-                attributed=dict(attributed_cum),
-            )
-        )
+        metrics.append(FrontMetrics(t=rec.t, offsets=offsets, quarters=quarters,
+                                    phi_total=phi_total, supply=supply,
+                                    attributed=dict(attributed_cum)))
 
     for now, after in zip(metrics, metrics[1:]):
         now.active, _ = activity(now.offsets, after.offsets, trace.initial)
 
     checks = {name: CheckResult(name, True) for name in "ABCDE"}
-    cap_ok = True
     cap_void_from: int | None = None
-    min_slack: Fraction | None = None
 
     for m in metrics:
-        t = m.t
+        t, offsets, quarters, perim = m.t, m.offsets, m.quarters, m.perimeter
         if t >= 1:
-            for d in DIRECTIONS:
-                if m.phi[d] > m.lengths[d]:
+            for sx, sy in DIRECTIONS:
+                d = (sx, sy)
+                # The front's length is 2 * (sum of its neighbors' offsets) quarters.
+                if quarters[d] > 2 * (offsets[(sx, -sy)] + offsets[(-sx, sy)]):
                     checks["A"].violations.append(
                         (t, f"phi{d}={m.phi[d]} > length {m.lengths[d]}")
                     )
             if m.active is not None:
                 for d in DIRECTIONS:
-                    if (m.active[d] == 0) != (m.phi[d] == 0):
+                    if (m.active[d] == 0) != (quarters[d] == 0):
                         checks["B"].violations.append(
                             (t, f"front {d} active={m.active[d]} but phi={m.phi[d]}")
                         )
-        if m.perimeter >= 2 * m.supply - 1:
-            if not (2 * m.phi_total >= m.perimeter - 1):
+        if perim >= 2 * m.supply - 1:
+            if not (2 * m.phi_total >= perim - 1):
                 checks["C"].violations.append(
-                    (t, f"phi={m.phi_total} < (perimeter-1)/2 = ({m.perimeter}-1)/2")
+                    (t, f"phi={m.phi_total} < (perimeter-1)/2 = ({perim}-1)/2")
                 )
             for sx, sy in ((1, 1), (1, -1)):
-                joint = m.phi[(sx, sy)] + m.phi[(-sx, -sy)]
-                if not joint > 0:
+                if not quarters[(sx, sy)] + quarters[(-sx, -sy)]:
                     checks["D"].violations.append(
                         (t, f"opposing fronts ({sx},{sy})/({-sx},{-sy}) both at zero")
                     )
-        if cap_ok and 2 * m.supply > 3 * t + 1:
-            cap_ok = False
+        if cap_void_from is None and 2 * m.supply > 3 * t + 1:
             cap_void_from = t
-        if cap_ok and m.perimeter < 3 * t:
-            checks["E"].violations.append(
-                (t, f"perimeter {m.perimeter} < {3 * t}")
-            )
-        if t >= 1:
-            for d in DIRECTIONS:
-                slack = m.phi[d] - (_QUARTER + m.offsets[d] - m.attributed[d])
-                if min_slack is None or slack < min_slack:
-                    min_slack = slack
+        if cap_void_from is None and perim < 3 * t:
+            checks["E"].violations.append((t, f"perimeter {perim} < {3 * t}"))
 
     for c in checks.values():
         c.passed = not c.violations
     if cap_void_from is not None:
         checks["E"].note = f"precondition void from t={cap_void_from}"
-    return MonitorReport(metrics=metrics, checks=checks, min_front_slack=min_slack)
+    # F: phi - (1/4 + offset - attributed), in quarters.
+    slack = min((m.quarters[d] - 1 - 4 * (m.offsets[d] - m.attributed[d])
+                 for m in metrics if m.t >= 1 for d in DIRECTIONS), default=None)
+    return MonitorReport(metrics=metrics, checks=checks,
+                         min_front_slack=None if slack is None else Fraction(slack, 4))

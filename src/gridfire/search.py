@@ -123,15 +123,16 @@ class _Window:
         # sym_bits[i][b] is the single-bit mask of cell b under symmetry i;
         # sym_bits[0] is the identity, which every neighborhood keeps.
         self.sym_bits = [list(map((1).__lshift__, perm)) for perm in perms]
-        cells = self.points(range(self.nbits))
         # lines[d][c]: the cells on front line c of direction d = (sx, sy),
         # sx*x + sy*y = c for c = 0, 1, ...; each list ends in an empty line,
-        # so every scan stops.
-        self.lines = [[0] * (self.side + 1) for _ in DIRECTIONS]
-        for b, (x, y) in enumerate(cells):
-            for lines, (sx, sy) in zip(self.lines, DIRECTIONS):
-                if (value := sx * x + sy * y) >= 0:
-                    lines[value] |= 1 << b
+        # so every scan stops. Line c is line 0, the cells (x, -sx*sy*x),
+        # moved by sy*c rows.
+        shifts = range(0, (self.side + 1) * self.side, self.side)  # c rows, in bits
+        self.lines = []
+        for sx, sy in DIRECTIONS:
+            base = sum(1 << self.bit(x, -sx * sy * x) for x in range(-half, half + 1))
+            self.lines.append([(base << r) & self.full if sy > 0 else base >> r
+                               for r in shifts])
         self.cell_nbrs = [self.neighbors_mask(1 << i) for i in range(self.nbits)]
         self.degree = len(offsets)
 

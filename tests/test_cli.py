@@ -380,6 +380,8 @@ PARSE_ERRORS = {
         lambda tmp: ["run", "--config", _config_file(tmp, extra={"horizon": 0})],
     "run-config-not-json":
         lambda tmp: ["run", "--config", _trace_file(tmp)],
+    "run-config-deeply-nested":
+        lambda tmp: ["run", "--config", _text_file(tmp, "[" * 200_000 + "]" * 200_000)],
     "run-config-int-budget":
         lambda tmp: ["run", "--config", _config_file(tmp, extra={"budget": 5})],
     "run-config-int-strategy":

@@ -5,7 +5,8 @@ The package stays pure Python with no runtime dependencies:
 code to it by reading every import. Source balls are built in one place,
 ``FireState.source``, so only the engine calls ``grid.ball``. The minimum-burnt
 walk ends a node at its gate before the seal and the children: the gate is a
-step of the walk, not of the child ranking.
+step of the walk, not of the child ranking. The front monitor counts its
+potentials in quarter units and builds a ``Fraction`` only for the report.
 """
 
 from __future__ import annotations
@@ -72,3 +73,11 @@ def test_the_walk_gates_a_node_before_its_seal_and_children():
     walk = [name for name in _called(_function(_function(tree, "min_burnt_search"), "visit"))
             if name in ("gate", "seal", "ranked_children")]
     assert walk == ["gate", "seal", "ranked_children"]
+
+
+def test_the_monitor_walk_counts_in_quarters():
+    path = next(path for path in SOURCES if path.name == "monitor.py")
+    tree = ast.parse(path.read_text(), str(path))
+    assert "Fraction" not in _called(_function(tree, "_line_potentials"))
+    # The one Fraction of check_invariants is the minimum front slack.
+    assert _called(_function(tree, "check_invariants")).count("Fraction") <= 1

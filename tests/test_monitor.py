@@ -253,6 +253,25 @@ def test_check_invariants_reports_potential_beyond_front_length():
     assert report.checks["A"].violations == [(5, "phi(1, 1)=25 > length 5")]
 
 
+def test_violations_print_potentials_and_lengths_as_fractions():
+    # Forged records: round 1 ignites only (1, 0), so at t=2 the (1, 1) front
+    # has length (2 + 1)/2; round 2 puts the corner (2, 0) and two more cells
+    # on its line x + y = 2. The report prints reduced fractions and whole
+    # counts, never quarter units.
+    trace = free_trace(2)
+    trace.rounds[:] = [
+        RoundRecord(t=1, f=0, placed=(), ignited=((1, 0),)),
+        RoundRecord(t=2, f=0, placed=(), ignited=((2, 0), (0, 2), (-1, 3))),
+    ]
+    report = check_invariants(trace, validate=False)
+    assert report.checks["A"].violations == [(2, "phi(1, 1)=5/2 > length 3/2")]
+    assert report.checks["C"].violations == [(1, "phi=1 < (perimeter-1)/2 = (4-1)/2")]
+    assert report.min_front_slack == Fraction(-7, 4)
+    table = report.to_table().splitlines()
+    assert "check A: FAIL first violation at t=2: phi(1, 1)=5/2 > length 3/2" in table
+    assert "check C: FAIL first violation at t=1: phi=1 < (perimeter-1)/2 = (4-1)/2" in table
+
+
 def test_check_invariants_reports_a_fire_that_stops_spreading():
     # A null const:1 run whose records from round 2 on ignite nothing: the
     # fronts freeze with no potential while the supply stays under the cap.

@@ -13,7 +13,7 @@ from gridfire import search
 from gridfire.budget import constant, periodic
 from gridfire.engine import FireState, endangered, replay_validate
 from gridfire.grid import _OFFSETS, Topology, neighbors
-from gridfire.monitor import check_invariants, front_offsets
+from gridfire.monitor import DIRECTIONS, check_invariants, front_offsets
 from gridfire.search import SearchConfig, exhaustive_search, min_burnt_search
 
 from conftest import naive_ranking
@@ -303,6 +303,25 @@ def test_symmetry_tables_match_the_per_cell_maps(topo, half):
     oracle = [[1 << win.bit(*sym(x, y)) for x, y in cells] for sym in syms]
     assert win.sym_bits[0] == oracle[0]
     assert sorted(win.sym_bits) == sorted(oracle)
+
+
+def per_cell_lines(win):
+    """Oracle: the front-line masks set one cell at a time. Line c of
+    direction (sx, sy) holds the cells with sx*x + sy*y = c, for c = 0 up to
+    the window's side, which no cell reaches."""
+    lines = [[0] * (win.side + 1) for _ in DIRECTIONS]
+    for b, (x, y) in enumerate(win.points(range(win.nbits))):
+        for masks, (sx, sy) in zip(lines, DIRECTIONS):
+            if (value := sx * x + sy * y) >= 0:
+                masks[value] |= 1 << b
+    return lines
+
+
+@pytest.mark.parametrize("half", [1, 2, 5, 10, 18])
+@pytest.mark.parametrize("topo", list(Topology))
+def test_front_lines_match_the_per_cell_loop(topo, half):
+    win = search._Window(half, topo)
+    assert win.lines == per_cell_lines(win)
 
 
 @settings(max_examples=40, deadline=None)
