@@ -101,9 +101,21 @@ def parse_budget(spec: str, root: str | Path = "") -> Budget:
             raise ValueError(f"cannot read budget table: {exc}") from exc
         except RecursionError as exc:
             raise ValueError(f"budget table {rest!r} is nested too deeply") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"budget table {rest!r} is not JSON: {exc}") from exc
         # Exact types: JSON true/false load as bools, which Python treats as 1 and 0.
         if type(values) is not list or not all(type(v) is int for v in values):
             raise ValueError("budget table file must hold a JSON list of integers")
         # Beyond the table the supply is exhausted.
         return Budget(prefix=tuple(values), cycle=(0,), label=spec)
     raise ValueError(f"cannot parse budget spec: {spec!r}")
+
+
+def label_budget(label: str) -> Budget | None:
+    """The Budget a trace header's label names; None for a "table:PATH" label,
+    whose file checking an untrusted trace must never open. Any other label
+    that does not parse raises ValueError."""
+    kind, _, rest = label.partition(":")
+    if kind == "table" and rest:
+        return None
+    return parse_budget(label)

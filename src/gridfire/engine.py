@@ -14,7 +14,7 @@ from itertools import compress, repeat
 from operator import add, floordiv, mod, not_
 from typing import Collection, Iterable, Sequence
 
-from .budget import Budget, parse_budget
+from .budget import Budget, label_budget
 from .grid import (
     _OFFSETS, Interned, Point, Topology, ball, bounding_box, check_range,
     columns, row_major,
@@ -324,13 +324,10 @@ def replay_validate(trace: RunTrace) -> None:
     if (trace.error is not None) != (trace.status == "strategy-error"):
         raise MalformedTraceError(
             f"header status {trace.status!r} contradicts its error {trace.error!r}", line=1)
-    desc, budget = trace.budget_desc, None
-    # A "table:" label names a file, which checking an untrusted trace must never open.
-    if isinstance(desc, str) and desc.partition(":")[0] in ("const", "periodic", "prefix"):
-        try:
-            budget = parse_budget(desc)
-        except ValueError as exc:
-            raise MalformedTraceError(f"bad header budget: {exc}", line=1) from exc
+    try:
+        budget = label_budget(trace.budget_desc)
+    except ValueError as exc:
+        raise MalformedTraceError(f"bad header budget: {exc}", line=1) from exc
     initial = FireState(frozenset(trace.initial), frozenset(), 0, trace.topology)
     view = SimView(initial, len(trace.rounds))
     placed = set().union(*(rec.placed for rec in trace.rounds))

@@ -44,68 +44,71 @@ def reduced_strategy(strong_trace: RunTrace) -> ScriptedStrategy:
 
 @dataclass
 class ReductionOutcome:
+    """One Cartesian game of the reduction; every fact is read off its trace."""
+
     source_radius: int
     trace: RunTrace
-    controlled: bool
-    control_round: int | None
-    placements_all_even: bool
-    ignition_parity_ok: bool
+
+    @property
+    def controlled(self) -> bool:
+        return self.trace.status == "controlled"
+
+    @property
+    def control_round(self) -> int | None:
+        return self.trace.control_round
+
+    @property
+    def placements_all_even(self) -> bool:
+        return all(is_even_point(p) for rec in self.trace.rounds for p in rec.placed)
+
+    @property
+    def ignition_parity_ok(self) -> bool:
+        """Ignitions alternate odd/even with the round: even exactly on even rounds."""
+        return all(is_even_point(q) == (rec.t % 2 == 0)
+                   for rec in self.trace.rounds for q in rec.ignited)
 
 
 @dataclass
 class ReductionReport:
+    """The strong game and its Cartesian images, doubled source radius first."""
+
     strong_trace: RunTrace
-    strong_controlled: bool
-    strong_control_round: int | None
     outcomes: list[ReductionOutcome]
+
+    @property
+    def strong_controlled(self) -> bool:
+        return self.strong_trace.status == "controlled"
+
+    @property
+    def strong_control_round(self) -> int | None:
+        return self.strong_trace.control_round
 
     def contained(self) -> list[ReductionOutcome]:
         return [o for o in self.outcomes if o.controlled]
 
+    @property
+    def ok(self) -> bool:
+        """The reduction holds: the strong side is controlled, and the doubled
+        source is controlled, with even placements and clean parity, within
+        twice the strong time on the analysis clock (round + 1)."""
+        doubled = self.outcomes[0]
+        return (self.strong_controlled and doubled.controlled
+                and doubled.control_round + 1 <= 2 * (self.strong_control_round + 1)
+                and doubled.placements_all_even and doubled.ignition_parity_ok)
 
-def audit_parity(trace: RunTrace) -> tuple[bool, bool]:
-    """(all placements even, ignition parity alternates odd/even with the round)."""
-    placements_even = all(is_even_point(p) for rec in trace.rounds for p in rec.placed)
-    parity_ok = all(
-        is_even_point(q) == (rec.t % 2 == 0) for rec in trace.rounds for q in rec.ignited
-    )
-    return placements_even, parity_ok
 
-
-def run_reduction(
-    strong_strategy,
-    strong_budget: Budget,
-    strong_radius: int,
-    horizon: int,
-) -> ReductionReport:
+def run_reduction(strong_strategy, strong_budget: Budget, strong_radius: int,
+                  horizon: int) -> ReductionReport:
     """Simulate the strong game, derive the Cartesian strategy, and run both.
 
     The Cartesian source is tried at twice the strong radius, then at the
-    strong radius itself; the report records which of them end up contained.
+    strong radius itself.
     """
-    strong_initial = FireState.source(Topology.STRONG, strong_radius)
-    strong_trace = run(strong_initial, strong_budget, strong_strategy, horizon)
+    strong_trace = run(FireState.source(Topology.STRONG, strong_radius),
+                       strong_budget, strong_strategy, horizon)
     g = reduced_budget(strong_budget)
-    outcomes = []
-    for rho in (2 * strong_radius, strong_radius):
-        cart_initial = FireState.source(Topology.CARTESIAN, rho)
-        cart_trace = run(
-            cart_initial, g, reduced_strategy(strong_trace), 2 * horizon + 2
-        )
-        placements_even, parity_ok = audit_parity(cart_trace)
-        outcomes.append(
-            ReductionOutcome(
-                source_radius=rho,
-                trace=cart_trace,
-                controlled=cart_trace.status == "controlled",
-                control_round=cart_trace.control_round,
-                placements_all_even=placements_even,
-                ignition_parity_ok=parity_ok,
-            )
-        )
-    return ReductionReport(
-        strong_trace=strong_trace,
-        strong_controlled=strong_trace.status == "controlled",
-        strong_control_round=strong_trace.control_round,
-        outcomes=outcomes,
-    )
+    return ReductionReport(strong_trace, [
+        ReductionOutcome(rho, run(FireState.source(Topology.CARTESIAN, rho), g,
+                                  reduced_strategy(strong_trace), 2 * horizon + 2))
+        for rho in (2 * strong_radius, strong_radius)
+    ])

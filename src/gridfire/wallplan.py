@@ -45,18 +45,9 @@ class WallTask:
 
 
 @dataclass(frozen=True)
-class PlanGeometry:
-    north_row: int
-    east_col: int
-    west_col: int
-    south_row: int
-
-
-@dataclass(frozen=True)
 class WallPlan:
     m: int
     r: int
-    geometry: PlanGeometry
     phase_ends: tuple[int, int, int, int]
     tasks: tuple[WallTask, ...]  # by deadline, then in wall order
 
@@ -131,7 +122,6 @@ def wall_plan(m: int, r: int) -> WallPlan:
     return WallPlan(
         m=m,
         r=r,
-        geometry=PlanGeometry(north_row=n, east_col=e, west_col=w, south_row=s),
         phase_ends=phase_ends,
         # A task's phase is the first whose end is at or after its deadline.
         tasks=tuple(

@@ -1,9 +1,8 @@
 """Acceptance suite: one criterion per test, one printed PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. On a 2-vCPU machine with Python 3.11 the whole test suite takes
-17-19 s. The longest test is criterion 2's 200-round lower-bound suite, at
-about 7 s. Criterion 4's exhaustive search takes about 0.17 s, since whole
+lines. The longest test is criterion 2's 200-round lower-bound suite; README
+gives the timings. Criterion 4's exhaustive search stays short, since whole
 groups of its 2.4M last-level leaves are refuted by one cover test each.
 """
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,15 @@ def test_unreadable_table_is_a_value_error(tmp_path):
     for target in (tmp_path / "absent.json", tmp_path):
         with pytest.raises(ValueError, match="cannot read budget table"):
             parse_budget(f"table:{target}")
+
+
+@pytest.mark.parametrize("content", [b"root:x:0:0", b"\xff\xfe[1]"], ids=["text", "not-utf-8"])
+def test_table_that_is_not_json_is_named(tmp_path, content):
+    path = tmp_path / "budget.json"
+    path.write_bytes(content)
+    name = re.escape(repr(str(path)))
+    with pytest.raises(ValueError, match=f"^budget table {name} is not JSON: "):
+        parse_budget(f"table:{path}")
 
 
 _BUDGET_TEXT = st.one_of(

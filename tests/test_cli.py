@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import re
@@ -137,18 +138,48 @@ def test_monitor_const2_void_precondition(capsys, tmp_path):
 def test_reduce_containment(capsys):
     code = run_cli("reduce", "--strategy", "contain:m=1,r=1",
                    "--budget", "const:4")
-    captured = capsys.readouterr().out
     assert code == 0
-    assert "controlled=True" in captured
-    assert "placements_even=True" in captured
+    assert capsys.readouterr().out == (
+        "strong grid: status=controlled control_round=39\n"
+        "cartesian source radius 2: controlled=True control_round=79 "
+        "placements_even=True ignition_parity=True\n"
+        "cartesian source radius 1: controlled=True control_round=80 "
+        "placements_even=True ignition_parity=False\n"
+        "analysis-clock rounds: cartesian 80 vs 2x strong 80\n"
+    )
 
 
 def test_reduce_thin_budget_fails(capsys):
     code = run_cli("reduce", "--strategy", "contain:m=1,r=1",
                    "--budget", "const:3")
-    captured = capsys.readouterr().out
     assert code == 1
-    assert "failed" in captured
+    assert capsys.readouterr().out == (
+        "strong grid: status=strategy-error control_round=None\n"
+        "cartesian source radius 2: controlled=False control_round=None "
+        "placements_even=True ignition_parity=True\n"
+        "cartesian source radius 1: controlled=False control_round=None "
+        "placements_even=True ignition_parity=False\n"
+        "strong-grid strategy failed; reduction inherits the failure\n"
+    )
+
+
+def test_reduce_exits_1_when_the_report_is_not_ok(capsys, monkeypatch):
+    """A controlled strong side does not make the reduction hold: the exit
+    code is the report's verdict."""
+    real = cli.run_reduction
+
+    def odd_doubled(*args):
+        report = real(*args)
+        trace = report.outcomes[0].trace
+        first = trace.rounds[0]
+        trace.rounds[0] = dataclasses.replace(first, placed=first.placed + ((1, 0),))
+        return report
+
+    monkeypatch.setattr(cli, "run_reduction", odd_doubled)
+    code = run_cli("reduce", "--strategy", "contain:m=1,r=1", "--budget", "const:4")
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "status=controlled" in out and "placements_even=False" in out
 
 
 def test_search_cli_small(capsys):
@@ -464,6 +495,9 @@ PARSE_ERRORS = {
                      "--horizon", "0"],
     "reduce-not-a-containment-plan":
         lambda tmp: ["reduce", "--strategy", "greedy", "--budget", "const:4"],
+    "reduce-budget-table-not-json":
+        lambda tmp: ["reduce", "--strategy", "contain:m=1,r=1",
+                     "--budget", f"table:{_text_file(tmp, 'root:x:0:0')}"],
     "unknown-option": lambda tmp: ["run", "--colour", "red"],
 }
 
@@ -485,6 +519,12 @@ def test_parse_errors_exit_2_with_one_line(case, tmp_path, capsys):
 def test_config_center_error_names_the_field(center, tmp_path, capsys):
     assert main(["run", "--config", _config_file(tmp_path, extra={"center": center})]) == 2
     assert capsys.readouterr().err == f"error: center must be two ints, got {center!r}\n"
+
+
+def test_budget_table_error_names_the_table(tmp_path, capsys):
+    assert main(PARSE_ERRORS["reduce-budget-table-not-json"](tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: budget table {str(tmp_path / 'text.jsonl')!r} is not JSON: ")
 
 
 def test_readme_commands_parse():

@@ -7,6 +7,7 @@ code to it by reading every import. Source balls are built in one place,
 walk ends a node at its gate before the seal and the children: the gate is a
 step of the walk, not of the child ranking. The front monitor counts its
 potentials in quarter units and builds a ``Fraction`` only for the report.
+The reduction's verdict is ``ReductionReport.ok``, which the CLI only reads.
 """
 
 from __future__ import annotations
@@ -81,3 +82,9 @@ def test_the_monitor_walk_counts_in_quarters():
     assert "Fraction" not in _called(_function(tree, "_line_potentials"))
     # The one Fraction of check_invariants is the minimum front slack.
     assert _called(_function(tree, "check_invariants")).count("Fraction") <= 1
+
+
+def test_the_cli_reads_the_reduction_verdict_off_the_report():
+    path = next(path for path in SOURCES if path.name == "cli.py")
+    cmd_reduce = _function(ast.parse(path.read_text(), str(path)), "cmd_reduce")
+    assert not any(isinstance(node, ast.Compare) for node in ast.walk(cmd_reduce))

@@ -475,6 +475,11 @@ def _forged(trace: RunTrace, **header) -> RunTrace:
         (GreedyNearest(), constant(1), {"budget_desc": "periodic:1,2"}),
         (GreedyNearest(), constant(1), {"budget_desc": "prefix:1|0"}),
         (GreedyNearest(), constant(1), {"budget_desc": "const:x"}),
+        # A label that names no budget at all.
+        (GreedyNearest(), constant(1), {"budget_desc": "nonsense"}),
+        (GreedyNearest(), constant(1), {"budget_desc": "foo:1"}),
+        (GreedyNearest(), constant(1), {"budget_desc": ""}),
+        (GreedyNearest(), constant(1), {"budget_desc": "table:"}),
         (GreedyNearest(), constant(1), {"control_round": 3}),
         (PlugFour(), constant(4), {"status": "horizon", "control_round": None}),
         (PlugFour(), constant(4), {"control_round": 2}),
@@ -485,7 +490,9 @@ def _forged(trace: RunTrace, **header) -> RunTrace:
         (GreedyNearest(), constant(1), {"status": "strategy-error"}),
     ],
     ids=["all-at-once", "controlled-still-burning", "periodic-budget",
-         "prefix-budget", "unparsable-budget", "uncontrolled-with-round",
+         "prefix-budget", "unparsable-budget", "unknown-budget-kind",
+         "unknown-budget-kind-with-value", "empty-budget", "table-budget-without-path",
+         "uncontrolled-with-round",
          "controlled-as-horizon", "late-control-round", "unknown-status",
          "controlled-with-error", "horizon-with-error",
          "strategy-error-without-error"],
@@ -496,7 +503,7 @@ def test_replay_validate_rejects_forged_header(origin_cartesian, strategy, budge
     with pytest.raises(MalformedTraceError) as exc:
         replay_validate(_forged(trace, **header))
     assert exc.value.line == 1
-    if header.get("budget_desc") == "const:x":
+    if header.get("budget_desc") in ("const:x", "nonsense", "foo:1", "", "table:"):
         assert str(exc.value).startswith("bad header budget: ")
     if "error" in header or header.get("status") == "strategy-error":
         assert "status" in str(exc.value) and "error" in str(exc.value)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 from gridfire.budget import constant, containment_budget, parse_budget, periodic
 from gridfire.grid import is_even_point, skew_map
-from gridfire.reduction import reduced_budget, run_reduction
+from gridfire.reduction import ReductionOutcome, reduced_budget, run_reduction
 from gridfire.strategies import NullStrategy
+from gridfire.trace import RunTrace
 from gridfire.wallplan import ContainmentStrategy, wall_plan
 
 
@@ -90,3 +95,39 @@ def test_reduction_all_small_cells():
             assert doubled.placements_all_even
             assert doubled.ignition_parity_ok
             assert doubled.control_round + 1 <= 2 * (report.strong_control_round + 1)
+
+
+def _copy(trace: RunTrace) -> RunTrace:
+    return RunTrace.from_text(trace.to_text())
+
+
+def _with_doubled(report, trace: RunTrace):
+    """``report`` with its doubled-source trace replaced by ``trace``."""
+    return dataclasses.replace(report, outcomes=[ReductionOutcome(2, trace),
+                                                 *report.outcomes[1:]])
+
+
+def _odd_placement(report):
+    trace = _copy(report.outcomes[0].trace)
+    first = trace.rounds[0]
+    trace.rounds[0] = dataclasses.replace(first, placed=first.placed + ((1, 0),))
+    return _with_doubled(report, trace)
+
+
+def _late_control(report):
+    trace = _copy(report.outcomes[0].trace)
+    trace.control_round = 2 * (report.strong_control_round + 1)  # one instant past 2x
+    return _with_doubled(report, trace)
+
+
+def _strong_uncontrolled(report):
+    thin = run_reduction(ContainmentStrategy(wall_plan(1, 1)), constant(3), 1, horizon=45)
+    return dataclasses.replace(report, strong_trace=thin.strong_trace)
+
+
+@pytest.mark.parametrize("spoil", [_odd_placement, _late_control, _strong_uncontrolled],
+                         ids=["odd-placement", "late-control", "strong-uncontrolled"])
+def test_report_ok_reads_the_verdict_off_the_traces(spoil):
+    report = run_reduction(ContainmentStrategy(wall_plan(1, 1)), constant(4), 1, horizon=45)
+    assert report.ok
+    assert not spoil(report).ok
