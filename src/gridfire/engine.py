@@ -69,41 +69,51 @@ class FireState:
         return cls(ball(center, radius, metric), frozenset(), 0, topology)
 
 
-class _CodeBox:
-    """Integer codes for the cells within ``reach`` steps of ``cells``.
+# A view's box starts this many cells beyond the state's burnt cells on
+# every side, and grows once E comes within _EDGE cells of its edge.
+_MARGIN = 4
+_EDGE = 2
 
-    The box is the bounding box of ``cells`` grown by ``reach`` on every side;
-    a cell (x, y) in it has code ``(y - y0)*W + (x - x0)``, where W is the box
-    width and (x0, y0) its lowest corner. Each code names one cell, integer
-    order is row-major (y, x) order, and a neighbor offset (dx, dy) is the
-    constant ``dy*W + dx``. A fire from ``cells`` moves at most one cell a
-    round, so in ``reach - 1`` rounds it burns and endangers only cells of
-    the box. A point outside the box is never encoded, because its code could
-    alias a cell inside.
+
+class _CodeBox:
+    """Integer codes for the cells of a ``width`` x ``height`` box whose
+    lowest corner is (x0, y0).
+
+    A cell (x, y) in the box has code ``(y - y0)*W + (x - x0)``, where W is
+    the width: each code names one cell, integer order is row-major
+    (y, x) order, and a neighbor offset (dx, dy) is the constant
+    ``dy*W + dx`` for every cell off the box's edge. A point outside the box
+    is never encoded, because its code could alias a cell inside.
 
     ``decode`` takes each coordinate from the box's ``Interned`` tables of
     column and row ints, so the points it returns share one int object per
     column and one per row; fresh ints from arithmetic would cost a trace of
     large coordinates two int objects per point. The tables fill as codes
-    are decoded, so a long horizon costs nothing until the fire gets there.
+    are decoded, and a larger box ``adopt``s them under shifted keys.
     """
 
-    __slots__ = ("x0", "x1", "y0", "y1", "width", "xs", "ys", "steps")
+    __slots__ = ("x0", "y0", "width", "height", "xs", "ys", "steps")
 
-    def __init__(self, cells: Sequence[Point], reach: int, topology: Topology):
-        xmin, xmax, ymin, ymax = bounding_box(cells) if cells else (0, 0, 0, 0)
-        self.x0, self.x1 = xmin - reach, xmax + reach
-        self.y0, self.y1 = ymin - reach, ymax + reach
-        self.width = width = self.x1 - self.x0 + 1
-        self.xs = Interned(partial(add, self.x0))
-        self.ys = Interned(partial(add, self.y0))
+    def __init__(self, x0: int, y0: int, width: int, height: int, topology: Topology):
+        self.x0, self.y0 = x0, y0
+        self.width, self.height = width, height
+        self.xs = Interned(partial(add, x0))
+        self.ys = Interned(partial(add, y0))
         self.steps = tuple(dy * width + dx for dx, dy in _OFFSETS[topology])
+
+    def code(self, p: Point) -> int | None:
+        """The code of ``p``, or None outside the box."""
+        x = p[0] - self.x0
+        y = p[1] - self.y0
+        if 0 <= x < self.width and 0 <= y < self.height:
+            return y * self.width + x
+        return None
 
     def encode(self, points: Iterable[Point]) -> set[int]:
         """Codes of those of ``points`` that lie in the box."""
-        x0, x1, y0, y1, width = self.x0, self.x1, self.y0, self.y1, self.width
-        return {(y - y0) * width + x - x0 for x, y in points
-                if x0 <= x <= x1 and y0 <= y <= y1}
+        codes = set(map(self.code, points))
+        codes.discard(None)
+        return codes
 
     def decode(self, codes: Sequence[int]) -> tuple[Point, ...]:
         """The cells of ``codes``, in the same order."""
@@ -122,6 +132,27 @@ class _CodeBox:
             near.update(map(add, codes, repeat(step)))
         return near
 
+    def gaps(self, codes: Sequence[int]) -> tuple[int, int, int, int]:
+        """How many cells lie between the sorted, nonempty ``codes`` and the
+        box's low-x, high-x, low-y and high-y edges."""
+        width = self.width
+        cols = list(map(mod, codes, repeat(width)))
+        return (min(cols), width - 1 - max(cols),
+                codes[0] // width, self.height - 1 - codes[-1] // width)
+
+    def adopt(self, old: _CodeBox) -> None:
+        """Take over the column and row ints of ``old``, a box inside this
+        one, so that points decoded before and after share them."""
+        for mine, theirs, shift in ((self.xs, old.xs, old.x0 - self.x0),
+                                    (self.ys, old.ys, old.y0 - self.y0)):
+            mine.update(zip(map(add, theirs, repeat(shift)), theirs.values()))
+
+    def recode(self, codes: Iterable[int], old: _CodeBox) -> list[int]:
+        """This box's codes for the cells of ``old``'s ``codes``, in order."""
+        w = old.width
+        shift = (old.y0 - self.y0) * self.width + old.x0 - self.x0
+        return [c // w * self.width + c % w + shift for c in codes]
+
 
 def _column_sums(points: Iterable[Point]) -> tuple[int, int]:
     """(sum of x, sum of y) over ``points``; (0, 0) when there are none."""
@@ -132,91 +163,126 @@ def _column_sums(points: Iterable[Point]) -> tuple[int, int]:
 class SimView:
     """The state of one run, and the one place a round is played.
 
-    ``SimView(state, rounds)`` starts from ``state`` and may play up to
-    ``rounds`` rounds; ``SimView(state, 0)`` only answers E. Strategies read
-    ``topology``, ``round``, ``burnt``, ``protected``, ``burnt_sum`` (the x
-    and y sums over ``burnt``) and E, whose one accessor is
-    ``endangered_row_major``; ``play`` places a squad and spreads the fire.
+    ``SimView(state)`` starts from ``state`` and plays any number of rounds.
+    Strategies read ``topology``, ``round``, ``protected``, ``burnt_count``
+    (how many cells have burnt), ``burnt_sum`` (the x and y sums over the
+    burnt cells) and E, whose one accessor is ``endangered_row_major``;
+    ``play`` places a squad and spreads the fire. Which cells have burnt is
+    the view's own: no strategy and no caller reads it.
 
-    E is held as integer codes in a ``_CodeBox`` grown by ``rounds + 1``, so
-    every cell the fire can reach, and every cell it can endanger, has a
-    code. E's codes are kept sorted and decoded once a round into a
-    row-major tuple of points, which is the strategies' view of E and, less
-    the squad, the round's ignitions. No burnt code set is kept. A burnt
-    neighbor of a cell ignited in round t was itself ignited in round t or
-    t - 1 (the state's whole burnt set standing in for round 0), or the cell
-    would have burnt a round earlier; so E' is the neighbors of this round's
-    ignitions less those ignitions, the previous layer, and the protected
-    cells in the box.
+    The fire is held as integer codes in a ``_CodeBox`` that follows it: the
+    box starts ``_MARGIN`` cells beyond the state's burnt cells, and once E
+    comes within ``_EDGE`` cells of an edge it grows by half its width or
+    height on that side, so every cell the fire can burn or endanger next
+    has a code. Each burnt cell is a byte mark in the box, set as its layer
+    burns; a cell outside the box has never burnt. E's codes are kept sorted
+    and decoded once a round into a row-major tuple of points, which is the
+    strategies' view of E and, less the squad, the round's ignitions. A
+    burnt neighbor of a cell ignited in round t was itself ignited in round
+    t or t - 1 (the state's whole burnt set standing in for round 0), or the
+    cell would have burnt a round earlier; so E' is the neighbors of this
+    round's ignitions less those ignitions, the previous layer, and the
+    protected cells in the box.
 
-    ``play`` adds nothing to ``burnt`` and reads it only to reject a squad
-    cell: the caller adds the ignitions it records, and keeps
-    ``burnt_sum``. ``run`` adds every ignition, so its burnt set shares the
-    record's point tuples, whose coordinates share the box's ints;
-    ``replay_validate`` adds only the cells that some record places on, so
-    a replayed trace is not held in memory twice.
+    ``play`` keeps ``burnt_count``; ``run`` keeps ``burnt_sum``, which a
+    replay never reads.
     """
 
-    __slots__ = ("topology", "round", "burnt", "protected", "burnt_sum",
-                 "_last", "_box", "_layer", "_held", "_codes", "_endangered")
+    __slots__ = ("topology", "round", "protected", "burnt_count", "burnt_sum",
+                 "_box", "_marks", "_layer", "_held", "_codes", "_endangered",
+                 "_slack")
 
-    def __init__(self, state: FireState, rounds: int):
+    def __init__(self, state: FireState):
         cells = list(state.burnt)
         self.topology = state.topology
         self.round = state.round
-        self.burnt = set(cells)
         self.protected = set(state.protected)
+        self.burnt_count = len(cells)
         self.burnt_sum = _column_sums(cells)
-        self._last = state.round + rounds
-        self._box = _CodeBox(cells, rounds + 1, state.topology)
-        self._held = self._box.encode(state.protected)
+        xmin, xmax, ymin, ymax = bounding_box(cells) if cells else (0, 0, 0, 0)
+        self._box = box = _CodeBox(xmin - _MARGIN, ymin - _MARGIN,
+                                   xmax - xmin + 1 + 2 * _MARGIN,
+                                   ymax - ymin + 1 + 2 * _MARGIN, state.topology)
+        self._marks = bytearray(box.width * box.height)
+        self._held = box.encode(state.protected)
         self._layer: Collection[int] = ()
-        self._spread(self._box.encode(cells))
+        self._slack = 0  # rounds before E may come within _EDGE of the edge
+        self._spread(box.encode(cells))
 
     def _spread(self, codes: Collection[int]) -> None:
-        """Set E to the neighbors of the newly burnt ``codes`` outside the
-        last two layers and the protected codes."""
+        """Burn ``codes`` and set E to their neighbors outside the last two
+        layers and the protected codes."""
+        marks = self._marks
+        for code in codes:
+            marks[code] = 1
         near = self._box.near(codes)
         near.difference_update(codes, self._layer, self._held)
         self._layer = codes
         self._codes = sorted(near)
+        # The fire moves at most one cell a round, so E's gap to the edge
+        # shrinks by at most one.
+        self._slack -= 1
+        if self._slack < 0 and self._codes:
+            self._fit()
         self._endangered = self._box.decode(self._codes)
+
+    def _fit(self) -> None:
+        """Grow the box on each side that E has come within ``_EDGE`` cells
+        of, then count the rounds before it can come that near again."""
+        old = self._box
+        gaps = old.gaps(self._codes)
+        if min(gaps) < _EDGE:
+            wide, high = max(_MARGIN, old.width // 2), max(_MARGIN, old.height // 2)
+            lo_x, hi_x, lo_y, hi_y = (pad if gap < _EDGE else 0 for gap, pad
+                                      in zip(gaps, (wide, wide, high, high)))
+            box = _CodeBox(old.x0 - lo_x, old.y0 - lo_y, old.width + lo_x + hi_x,
+                           old.height + lo_y + hi_y, self.topology)
+            box.adopt(old)
+            # Copy the marks row by row, each to where its first cell now is.
+            marks = bytearray(box.width * box.height)
+            w = old.width
+            firsts = range(0, len(self._marks), w)
+            for first, start in zip(firsts, box.recode(firsts, old)):
+                marks[start:start + w] = self._marks[first:first + w]
+            self._box, self._marks = box, marks
+            self._layer = box.recode(self._layer, old)
+            self._codes = box.recode(self._codes, old)
+            self._held = box.encode(self.protected)
+            gaps = box.gaps(self._codes)
+        self._slack = min(gaps) - _EDGE
 
     def play(self, squad: Sequence[Point], available: int) -> tuple[Point, ...]:
         """Play one round: protect ``squad``, then burn the rest of E.
 
         Raises PlacementError, changing nothing, when ``squad`` exceeds
-        ``available`` or repeats, or lands on a burnt or protected point; and
-        RuntimeError, changing nothing, once the view has played the rounds
-        it was built for, because its box may not hold the fire's next layer.
-        Returns the ignited cells in row-major order; see the class docstring
-        for why they are not added to ``burnt`` here.
+        ``available`` or repeats, or lands on a burnt or protected point.
+        Returns the ignited cells in row-major order.
         """
-        if self.round == self._last:
-            raise RuntimeError(
-                f"view box too small: it was built to play up to round {self._last}")
         if len(squad) > available:
             raise PlacementError(
                 f"{len(squad)} placements exceed the {available} available"
             )
+        box, marks = self._box, self._marks
         seen: set[Point] = set()
         for p in squad:
             if p in seen:
                 raise PlacementError("duplicate placement", p)
-            if p in self.burnt:
+            code = box.code(p)
+            if code is not None and marks[code]:
                 raise PlacementError("placement on a burnt point", p)
             if p in self.protected:
                 raise PlacementError("placement on a protected point", p)
             seen.add(p)
         self.protected.update(squad)
         codes, cells = self._codes, self._endangered
-        held = self._box.encode(squad)
+        held = box.encode(squad)
         if held:
             self._held |= held
             keep = list(map(not_, map(held.__contains__, codes)))
             codes = list(compress(codes, keep))
             cells = tuple(compress(cells, keep))
         self._spread(codes)
+        self.burnt_count += len(cells)
         self.round += 1
         return cells
 
@@ -229,7 +295,7 @@ class SimView:
 def endangered(state: FireState) -> frozenset[Point]:
     """Unburnt, unprotected points adjacent to a burning point."""
     check_range(state.burnt)
-    return frozenset(SimView(state, 0).endangered_row_major())
+    return frozenset(SimView(state).endangered_row_major())
 
 
 def is_controlled(state: FireState) -> bool:
@@ -240,10 +306,10 @@ def is_controlled(state: FireState) -> bool:
 def step(state: FireState, placements: Sequence[Point], budget: Budget) -> FireState:
     """Advance one round: place the next squad, then spread the fire."""
     check_range(state.burnt)
-    view = SimView(state, 1)
-    view.burnt.update(view.play(placements, budget.at(state.round + 1)))
+    view = SimView(state)
+    ignited = view.play(placements, budget.at(state.round + 1))
     return FireState(
-        burnt=frozenset(view.burnt),
+        burnt=state.burnt.union(ignited),
         protected=frozenset(view.protected),
         round=view.round,
         topology=view.topology,
@@ -276,7 +342,7 @@ def run(
         strategy_id=getattr(strategy, "identifier", "unknown"),
         seed=seed,
     )
-    view = SimView(initial, horizon)
+    view = SimView(initial)
     t = 0
     try:
         reset = getattr(strategy, "reset", None)
@@ -290,7 +356,6 @@ def run(
             f_t = budget.at(t)
             placements = list(strategy.next_placements(view, f_t))
             ignited = view.play(placements, f_t)
-            view.burnt.update(ignited)
             sx, sy = view.burnt_sum
             ix, iy = _column_sums(ignited)
             view.burnt_sum = (sx + ix, sy + iy)
@@ -316,10 +381,6 @@ def replay_validate(trace: RunTrace) -> None:
     ``RunTrace.write`` lays it out (header on line 1, round t on line t + 1),
     which can differ from the file it was read from if that file held blank
     lines.
-
-    The view's burnt set holds only the burnt cells that some record places
-    on, which is all that ``play`` tests a squad against; no set of every
-    burnt cell is built.
     """
     if (trace.error is not None) != (trace.status == "strategy-error"):
         raise MalformedTraceError(
@@ -329,9 +390,7 @@ def replay_validate(trace: RunTrace) -> None:
     except ValueError as exc:
         raise MalformedTraceError(f"bad header budget: {exc}", line=1) from exc
     initial = FireState(frozenset(trace.initial), frozenset(), 0, trace.topology)
-    view = SimView(initial, len(trace.rounds))
-    placed = set().union(*(rec.placed for rec in trace.rounds))
-    view.burnt &= placed
+    view = SimView(initial)
     for i, rec in enumerate(trace.rounds):
         line = i + 2  # header is line 1
         if not view.endangered_row_major():
@@ -356,7 +415,6 @@ def replay_validate(trace: RunTrace) -> None:
                 f"round {rec.t}: recorded ignitions do not match the spread rule",
                 line=line,
             )
-        view.burnt.update(placed.intersection(rec.ignited))
     spreading = bool(view.endangered_row_major())
     final = trace.final_round()
     controlled = trace.status == "controlled"

@@ -60,6 +60,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -133,7 +134,19 @@ class _Window:
             base = sum(1 << self.bit(x, -sx * sy * x) for x in range(-half, half + 1))
             self.lines.append([(base << r) & self.full if sy > 0 else base >> r
                                for r in shifts])
-        self.cell_nbrs = [self.neighbors_mask(1 << i) for i in range(self.nbits)]
+        # cell_nbrs[b]: the neighbors of cell b. The pattern of a cell in
+        # column x holds the moves dy*side + dx of the offsets that keep it
+        # in the window sideways, lifted by side + 1 so that none is
+        # negative; shifted up by b and back down by the lift, it drops the
+        # moves off the bottom, and the window mask those off the top.
+        side = self.side
+        lift = side + 1
+        row = [sum(1 << (dy * side + dx + lift) for dx, dy in offsets if 0 <= x + dx < side)
+               for x in range(side)]
+        self.cell_nbrs = list(map(
+            self.full.__and__,
+            map(operator.rshift, map(operator.lshift, row * side, range(self.nbits)),
+                itertools.repeat(lift))))
         self.degree = len(offsets)
 
     def bit(self, x: int, y: int) -> int:

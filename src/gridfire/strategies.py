@@ -15,6 +15,13 @@ from .wallplan import ContainmentStrategy, wall_plan
 
 
 class Strategy(Protocol):
+    """A player: each round it names the next squad from the run's view.
+
+    A strategy sees the view's ``topology``, ``round``, ``protected``,
+    ``burnt_count``, ``burnt_sum`` and ``endangered_row_major()``. Which
+    cells have burnt stays inside the view.
+    """
+
     identifier: str
 
     def next_placements(self, view: SimView, available: int) -> Sequence[Point]:
@@ -45,7 +52,7 @@ class GreedyNearest:
         targets = view.endangered_row_major()
         # Rank (|n*p - burnt_sum|², y, x) triples built column-wise; they are
         # distinct, so the order is the same as sorting E by that key.
-        n = len(view.burnt)
+        n = view.burnt_count
         sx, sy = view.burnt_sum
         xs, ys = columns(targets)
         dx = list(map(sub, map(mul, xs, repeat(n)), repeat(sx)))

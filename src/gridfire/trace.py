@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from functools import partial
@@ -81,8 +82,6 @@ class RunTrace:
             fp.write(_encode(obj) + "\n")
 
     def to_text(self) -> str:
-        import io
-
         buf = io.StringIO()
         self.write(buf)
         return buf.getvalue()
@@ -92,14 +91,16 @@ class RunTrace:
         """Parse a trace written by ``write``, checking every field's type.
 
         Raises MalformedTraceError with the file's own line number, blank
-        lines included. Every line is parsed by ``json.loads``, whose C
+        lines included. Lines end at line feeds only: JSON strings may hold
+        U+0085, U+2028 and U+2029 raw, which ``str.splitlines`` would also
+        break at. Every line is parsed by ``json.loads``, whose C
         scanner checks the grammar, with its integers taken from one
         ``Interned`` table keyed by literal: the trace read holds one int
         object per distinct number, as a trace from ``run`` does.
         """
         loads = partial(json.loads, parse_int=Interned(int).__getitem__)
         # (physical line number, text) of every non-blank line
-        lines = [(n, ln) for n, ln in enumerate(fp.read().splitlines(), start=1)
+        lines = [(n, ln) for n, ln in enumerate(fp.read().split("\n"), start=1)
                  if ln.strip()]
         if not lines:
             raise MalformedTraceError("empty trace file", line=1)
@@ -142,13 +143,22 @@ class RunTrace:
 
     @classmethod
     def load(cls, path: str) -> "RunTrace":
-        with open(path, encoding="utf-8") as fp:
-            return cls.read(fp)
+        """Read the trace file at ``path``, whose lines may end in LF, CRLF
+        or CR. A file that is not UTF-8 is malformed at the line of its
+        first bad byte."""
+        with open(path, "rb") as fp:
+            data = fp.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # bytes.splitlines breaks where text mode does, at "\n", "\r\n"
+            # and "\r"; the bad byte ends the last line of its prefix.
+            line = len((data[:exc.start] + b"?").splitlines())
+            raise MalformedTraceError(f"not UTF-8: {exc.reason}", line=line) from exc
+        return cls.read(io.StringIO(text, newline=None))
 
     @classmethod
     def from_text(cls, text: str) -> "RunTrace":
-        import io
-
         return cls.read(io.StringIO(text))
 
 

@@ -389,6 +389,15 @@ def _text_file(tmp_path, text: str) -> str:
     return str(path)
 
 
+def _latin1_trace_file(tmp_path) -> str:
+    """A trace whose third line holds the Latin-1 byte of "é", which is not UTF-8."""
+    path = tmp_path / "latin1.jsonl"
+    lines = Path(_trace_file(tmp_path)).read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b'"t"', b'"t\xe9"')
+    path.write_bytes(b"\n".join(lines))
+    return str(path)
+
+
 def _table_trace_with_fractional_f(tmp_path) -> str:
     with open(_trace_file(tmp_path)) as fp:
         lines = fp.read().splitlines()
@@ -468,6 +477,11 @@ PARSE_ERRORS = {
         lambda tmp: ["monitor", "--trace", _text_file(tmp, "[" * 100_000)],
     "monitor-fractional-f":
         lambda tmp: ["monitor", "--trace", _table_trace_with_fractional_f(tmp)],
+    "monitor-trace-not-utf8":
+        lambda tmp: ["monitor", "--trace", _latin1_trace_file(tmp)],
+    "render-trace-not-utf8":
+        lambda tmp: ["render", "--trace", _latin1_trace_file(tmp), "--round", "0",
+                     "--window=0,1,0,1"],
     "search-negative-node-cap":
         lambda tmp: ["search", "--budget", "const:1", "--horizon", "1", "--node-cap", "-5"],
     "search-negative-bound":
@@ -513,6 +527,13 @@ def test_parse_errors_exit_2_with_one_line(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("case", ["monitor-trace-not-utf8", "render-trace-not-utf8"])
+def test_a_trace_that_is_not_utf8_is_malformed_at_its_line(case, tmp_path, capsys):
+    assert main(PARSE_ERRORS[case](tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        "malformed trace: not UTF-8: invalid continuation byte (line 3)\n")
 
 
 @pytest.mark.parametrize("center", [5, "ab"])

@@ -8,6 +8,7 @@ walk ends a node at its gate before the seal and the children: the gate is a
 step of the walk, not of the child ranking. The front monitor counts its
 potentials in quarter units and builds a ``Fraction`` only for the report.
 The reduction's verdict is ``ReductionReport.ok``, which the CLI only reads.
+A view's burnt cells are its own: only ``SimView`` marks or reads them.
 """
 
 from __future__ import annotations
@@ -88,3 +89,48 @@ def test_the_cli_reads_the_reduction_verdict_off_the_report():
     path = next(path for path in SOURCES if path.name == "cli.py")
     cmd_reduce = _function(ast.parse(path.read_text(), str(path)), "cmd_reduce")
     assert not any(isinstance(node, ast.Compare) for node in ast.walk(cmd_reduce))
+
+
+def _view_names(tree: ast.AST) -> set[str]:
+    """Names bound to a view: parameters annotated ``SimView`` and targets
+    of ``SimView(...)``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and getattr(node.annotation, "id", None) == "SimView":
+            names.add(node.arg)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and getattr(node.value.func, "id", None) == "SimView"):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_only_the_view_touches_its_burnt_cells():
+    """No set of burnt points rides on a view: ``SimView`` has no ``burnt``
+    slot, and outside its class no code reads or writes a view's burnt
+    state. Strategies may read ``burnt_count``; only the view sets it."""
+    engine = next(path for path in SOURCES if path.name == "engine.py")
+    view_class = next(node for node in ast.walk(ast.parse(engine.read_text(), str(engine)))
+                      if isinstance(node, ast.ClassDef) and node.name == "SimView")
+    slots = next(ast.literal_eval(node.value) for node in view_class.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["__slots__"])
+    assert "burnt" not in slots and {"_marks", "burnt_count"} <= set(slots)
+    touches = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        views = _view_names(tree)
+        if path == engine:
+            assert "view" in views
+            # The class's own nodes are the only ones allowed in.
+            tree.body = [node for node in tree.body
+                         if not (isinstance(node, ast.ClassDef) and node.name == "SimView")]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            on_view = getattr(node.value, "id", None) in views
+            if (node.attr == "_marks"
+                    or on_view and node.attr == "burnt"
+                    or on_view and node.attr == "burnt_count"
+                    and isinstance(node.ctx, ast.Store)):
+                touches.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert touches == []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,23 +178,37 @@ def test_step_is_the_spread_rule_on_any_state(state, data):
     assert after.topology is state.topology
 
 
+def _moved(state: FireState, dx: int, dy: int) -> FireState:
+    """``state`` with every cell moved by (dx, dy)."""
+    def move(cells):
+        return frozenset((x + dx, y + dy) for x, y in cells)
+    return FireState(move(state.burnt), move(state.protected), state.round, state.topology)
+
+
 @settings(max_examples=100, deadline=None)
-@given(state=_fire_states(), rounds=st.integers(1, 5), data=st.data())
-def test_view_plays_any_state_like_a_full_scan(state, rounds, data):
-    """Over several rounds from any state, E stays the full scan of the view's
-    burnt and protected sets, and the state's burnt set serves as round 0's
-    ignitions."""
-    view = SimView(state, rounds)
+@given(state=_fire_states(), rounds=st.integers(1, 12),
+       dx=st.integers(-10**6, 10**6), dy=st.integers(-10**6, 10**6), data=st.data())
+def test_view_plays_any_state_like_a_full_scan(state, rounds, dx, dy, data):
+    """Over several rounds from any state, E stays the full scan of the burnt
+    set that ``play``'s returns build up and of the view's protected set, and
+    the state's burnt set serves as round 0's ignitions. The state sits
+    anywhere, and a dozen rounds take the fire past the view's first box."""
+    state = _moved(state, dx, dy)
+    view = SimView(state)
+    burnt = set(state.burnt)
     for _ in range(rounds):
-        danger = scan_endangered(view.burnt, view.protected, view.topology)
+        danger = scan_endangered(burnt, view.protected, view.topology)
         assert view.endangered_row_major() == tuple(sorted(danger, key=row_major))
-        squad = data.draw(_legal_squads(view.burnt, view.protected))
+        squad = [(x + dx, y + dy) for x, y in data.draw(_legal_squads(
+            {(x - dx, y - dy) for x, y in burnt},
+            {(x - dx, y - dy) for x, y in view.protected}))]
         ignited = view.play(squad, len(squad))
         assert ignited == tuple(sorted(danger - set(squad), key=row_major))
-        view.burnt.update(ignited)
+        burnt.update(ignited)
+        assert view.burnt_count == len(burnt)
     assert view.round == state.round + rounds
     assert set(view.endangered_row_major()) == scan_endangered(
-        view.burnt, view.protected, view.topology)
+        burnt, view.protected, view.topology)
 
 
 @pytest.mark.parametrize("topo", list(Topology), ids=lambda t: t.value)
@@ -204,8 +219,8 @@ def test_play_rejects_bad_squads_and_changes_nothing(topo):
         round=7,
         topology=topo,
     )
-    view = SimView(state, 2)
-    before = (set(view.burnt), set(view.protected), view.round,
+    view = SimView(state)
+    before = (view.burnt_count, set(view.protected), view.round,
               view.endangered_row_major())
     cases = [
         ([(1, 0), (0, 1)], 1, "2 placements exceed the 1 available"),
@@ -217,29 +232,37 @@ def test_play_rejects_bad_squads_and_changes_nothing(topo):
         with pytest.raises(PlacementError) as exc:
             view.play(squad, available)
         assert str(exc.value) == message
-        assert (set(view.burnt), set(view.protected), view.round,
+        assert (view.burnt_count, set(view.protected), view.round,
                 view.endangered_row_major()) == before
     ignited = view.play([(1, 0)], 1)
     assert set(ignited) == scan_endangered(state.burnt, state.protected, topo) - {(1, 0)}
     assert view.round == 8
 
 
-@pytest.mark.parametrize("rounds", [0, 1, 3])
-def test_play_refuses_rounds_past_its_box(rounds):
-    """Played past its ``rounds``, a view's box would clip the fire: from one
-    source, a view built for one round and played four times burnt 33 cells,
-    not the 41 of the radius-4 ball. It raises instead, changing nothing."""
+def test_a_view_burns_the_ball_its_rounds_reach():
+    """A box that did not follow the fire would clip it: from one source, a
+    view whose box held only one round's reach burnt 33 cells in four
+    rounds, not the 41 of the radius-4 ball."""
     source = single_source()
-    view = SimView(FireState(source.burnt, frozenset(), 5, source.topology), rounds)
-    for _ in range(rounds):
-        view.burnt.update(view.play([], 0))
-    assert view.burnt == ball((0, 0), rounds, "l1")
-    before = (set(view.burnt), set(view.protected), view.round,
-              view.endangered_row_major())
-    with pytest.raises(RuntimeError, match=f"up to round {5 + rounds}$"):
-        view.play([(9, 9)], 1)
-    assert (set(view.burnt), set(view.protected), view.round,
-            view.endangered_row_major()) == before
+    view = SimView(FireState(source.burnt, frozenset(), 5, source.topology))
+    burnt = set(source.burnt)
+    for _ in range(4):
+        burnt.update(view.play([], 0))
+    assert burnt == ball((0, 0), 4, "l1")
+    assert view.burnt_count == 41
+    assert view.round == 9
+    assert set(view.endangered_row_major()) == ball((0, 0), 5, "l1") - burnt
+
+
+def test_a_controlled_run_costs_nothing_for_its_horizon():
+    """Four firefighters seal one Cartesian source at round 1, whatever the
+    horizon: the view's box is sized by the fire, not by the rounds it may
+    last."""
+    started = time.perf_counter()
+    trace = run(single_source(Topology.CARTESIAN), constant(4), GreedyNearest(), 10**9)
+    assert time.perf_counter() - started < 1
+    assert (trace.status, trace.control_round) == ("controlled", 1)
+    assert trace.rounds[0].ignited == ()
 
 
 @settings(max_examples=200, deadline=None)
@@ -404,8 +427,8 @@ def _forged_round(trace: RunTrace, t: int, **fields) -> RunTrace:
     (4, (0, -2), "ignited in round 2"),
 ])
 def test_replay_validate_rejects_placements_on_burnt_cells(origin_cartesian, t, cell, why):
-    """The replay's burnt set holds only cells some record places on, so a
-    placement on the source or on an earlier ignition must still be caught."""
+    """A placement on the source or on an earlier ignition is caught by the
+    view's byte marks, which the replay sets as each layer burns."""
     trace = run(origin_cartesian, constant(1), NullStrategy(), 5)
     forged = _forged_round(trace, t, placed=(cell,))
     with pytest.raises(MalformedTraceError) as exc:
@@ -427,7 +450,9 @@ def test_replay_validate_rejects_ignition_of_a_protected_cell(origin_cartesian):
 
 def test_traces_share_one_int_object_per_coordinate():
     """Far from the origin every coordinate is its own int object unless the
-    decoder and the reader share them; a trace then holds two per point."""
+    decoder and the reader share them; a trace then holds two per point.
+    The 20-round fire outgrows the view's first box three times, so the
+    shared ints also survive the box's regrowth."""
     start = FireState(frozenset({(1000, -1000)}), frozenset(), 0, Topology.CARTESIAN)
     trace = run(start, constant(0), NullStrategy(), 20)
     for t in (trace, RunTrace.from_text(trace.to_text())):
@@ -574,6 +599,34 @@ def test_trace_read_reports_physical_line_numbers():
     with pytest.raises(MalformedTraceError, match="bad header") as exc:
         RunTrace.read(io.StringIO("\n\n{}\n" + "\n".join(lines[1:])))
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize("separator", ["\u0085", "\u2028", "\u2029"],
+                         ids=["U+0085", "U+2028", "U+2029"])
+def test_trace_read_keeps_unicode_line_separators_inside_strings(separator, tmp_path):
+    """JSON allows these characters raw in a string, and ``str.splitlines``
+    breaks lines at them: the header read as two lines and failed with
+    ``bad header: Unterminated string``."""
+    plain = _greedy_const1_text()
+    text = plain.replace('"strategy":"greedy"', f'"strategy":"gr{separator}eedy"')
+    path = tmp_path / "t.jsonl"
+    path.write_text(text, encoding="utf-8")
+    for trace in (RunTrace.from_text(text), RunTrace.load(str(path))):
+        assert trace.strategy_id == f"gr{separator}eedy"
+        assert trace.rounds == RunTrace.from_text(plain).rounds
+        replay_validate(trace)
+
+
+@pytest.mark.parametrize("line, newline", [(1, "\n"), (3, "\n"), (3, "\r\n"), (3, "\r")])
+def test_trace_load_names_the_line_of_a_byte_that_is_not_utf8(line, newline, tmp_path):
+    raw = [ln.encode() for ln in _greedy_const1_text().splitlines()]
+    raw[line - 1] = raw[line - 1].replace(b'"t"', b'"\xff"').replace(b'"budget"', b'"\xff"')
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(newline.encode().join(raw) + newline.encode())
+    with pytest.raises(MalformedTraceError) as exc:
+        RunTrace.load(str(path))
+    assert str(exc.value) == f"not UTF-8: invalid start byte (line {line})"
+    assert exc.value.line == line
 
 
 def _greedy_const1_text() -> str:

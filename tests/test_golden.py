@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridfire.budget import parse_budget
-from gridfire.engine import FireState, run
+from gridfire.engine import FireState, SimView, run
 from gridfire.grid import Topology, row_major
 from gridfire.strategies import parse_strategy
 
@@ -70,43 +70,41 @@ def test_golden_trace_digest(topology, budget, strategy):
     data=st.data(),
 )
 def test_view_endangered_matches_full_scan(radius, budget, data):
-    """Every round, on every topology, the view's E equals a fresh scan of its
-    burnt and protected sets.
+    """Every round, on every topology, the view's E equals a fresh scan of the
+    burnt set that ``play``'s returns build up and of the view's protected set.
 
     The initial fire is a square with holes punched in it (possibly none, and
     possibly so many that it falls apart), so ignitions can fill holes and
     meet cells burnt rounds earlier.
     """
-
-    class Probe:
-        identifier = "probe"
-
-        def next_placements(self, view, available):
+    square = sorted((x, y) for x in range(-radius, radius + 1)
+                    for y in range(-radius, radius + 1))
+    holes = data.draw(st.sets(st.sampled_from(square), max_size=len(square) - 1))
+    supply = parse_budget("periodic:" + ",".join(map(str, budget)))
+    for topology in Topology:
+        initial = FireState(
+            burnt=frozenset(square) - holes, protected=frozenset(), round=0,
+            topology=topology,
+        )
+        view = SimView(initial)
+        burnt = set(initial.burnt)
+        for t in range(1, 9):
             assert view.endangered_row_major() == tuple(sorted(
-                scan_endangered(view.burnt, view.protected, view.topology),
+                scan_endangered(burnt, view.protected, view.topology),
                 key=row_major,
             ))
+            if not view.endangered_row_major():
+                break
             # Draw squads from a window around the fire, so some firefighters
             # land ahead of the front and later rounds must leave them out of E.
             vacant = sorted(
                 (x, y)
                 for x in range(-6, 7)
                 for y in range(-6, 7)
-                if (x, y) not in view.burnt and (x, y) not in view.protected
+                if (x, y) not in burnt and (x, y) not in view.protected
             )
-            if not vacant or not available:
-                return []
-            return data.draw(
+            available = supply.at(t)
+            squad = data.draw(
                 st.lists(st.sampled_from(vacant), max_size=available, unique=True)
-            )
-
-    square = sorted((x, y) for x in range(-radius, radius + 1)
-                    for y in range(-radius, radius + 1))
-    holes = data.draw(st.sets(st.sampled_from(square), max_size=len(square) - 1))
-    budget_spec = "periodic:" + ",".join(map(str, budget))
-    for topology in Topology:
-        initial = FireState(
-            burnt=frozenset(square) - holes, protected=frozenset(), round=0,
-            topology=topology,
-        )
-        run(initial, parse_budget(budget_spec), Probe(), 8)
+            ) if vacant and available else []
+            burnt.update(view.play(squad, available))

@@ -324,6 +324,26 @@ def test_front_lines_match_the_per_cell_loop(topo, half):
     assert win.lines == per_cell_lines(win)
 
 
+def per_cell_neighbors(win, topo):
+    """Oracle: each cell's neighbor mask set one neighbor at a time, from
+    ``grid._OFFSETS``, keeping the neighbors inside the window."""
+    masks = []
+    for x, y in win.points(range(win.nbits)):
+        mask = 0
+        for dx, dy in _OFFSETS[topo]:
+            if abs(x + dx) <= win.half and abs(y + dy) <= win.half:
+                mask |= 1 << win.bit(x + dx, y + dy)
+        masks.append(mask)
+    return masks
+
+
+@pytest.mark.parametrize("half", [1, 2, 5, 10, 18])
+@pytest.mark.parametrize("topo", list(Topology))
+def test_cell_neighbors_match_the_per_cell_loop(topo, half):
+    win = search._Window(half, topo)
+    assert win.cell_nbrs == per_cell_neighbors(win, topo)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     topo=st.sampled_from(list(Topology)),

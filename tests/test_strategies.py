@@ -24,7 +24,7 @@ from conftest import single_source
 
 
 def _view(burnt, protected, topo=Topology.CARTESIAN, round_no=0):
-    return SimView(FireState(frozenset(burnt), frozenset(protected), round_no, topo), 1)
+    return SimView(FireState(frozenset(burnt), frozenset(protected), round_no, topo))
 
 
 def test_null_strategy_places_nothing():
@@ -54,11 +54,12 @@ def test_greedy_respects_budget_and_legality():
     assert (0, 1) not in picks
 
 
-def per_cell_greedy(view, available):
-    """The former GreedyNearest: sort E by a per-cell Python key."""
-    n = len(view.burnt)
-    sx = sum(p[0] for p in view.burnt)
-    sy = sum(p[1] for p in view.burnt)
+def per_cell_greedy(burnt, view, available):
+    """The former GreedyNearest: sort E by a per-cell Python key over the
+    view's ``burnt`` cells."""
+    n = len(burnt)
+    sx = sum(p[0] for p in burnt)
+    sy = sum(p[1] for p in burnt)
 
     def key(p):
         dx = n * p[0] - sx
@@ -78,8 +79,9 @@ def per_cell_greedy(view, available):
 )
 def test_greedy_matches_per_cell_key(topo, burnt, protected, available):
     view = _view(burnt, protected - burnt, topo)
+    assert view.burnt_count == len(burnt)
     assert GreedyNearest().next_placements(view, available) == per_cell_greedy(
-        view, available
+        burnt, view, available
     )
 
 
