@@ -239,19 +239,21 @@ def test_play_rejects_bad_squads_and_changes_nothing(topo):
     assert view.round == 8
 
 
-def test_a_view_burns_the_ball_its_rounds_reach():
+@pytest.mark.parametrize("radius", [0, 1, 3])
+def test_a_view_burns_the_ball_its_rounds_reach(radius):
     """A box that did not follow the fire would clip it: from one source, a
     view whose box held only one round's reach burnt 33 cells in four
-    rounds, not the 41 of the radius-4 ball."""
-    source = single_source()
-    view = SimView(FireState(source.burnt, frozenset(), 5, source.topology))
-    burnt = set(source.burnt)
+    rounds, not the 41 of the radius-4 ball. A view built on a burnt ball
+    of any radius burns four rounds further, to the ball of radius + 4."""
+    start = ball((0, 0), radius, "l1")
+    view = SimView(FireState(frozenset(start), frozenset(), 5, single_source().topology))
+    burnt = set(start)
     for _ in range(4):
         burnt.update(view.play([], 0))
-    assert burnt == ball((0, 0), 4, "l1")
-    assert view.burnt_count == 41
+    assert burnt == ball((0, 0), radius + 4, "l1")
+    assert view.burnt_count == len(burnt) == 2 * (radius + 4) * (radius + 5) + 1
     assert view.round == 9
-    assert set(view.endangered_row_major()) == ball((0, 0), 5, "l1") - burnt
+    assert set(view.endangered_row_major()) == ball((0, 0), radius + 5, "l1") - burnt
 
 
 def test_a_controlled_run_costs_nothing_for_its_horizon():
