@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from operator import add, floordiv, mod, not_
 from typing import Collection, Iterable, Sequence
 
@@ -73,6 +73,12 @@ class FireState:
 # every side, and grows once E comes within _EDGE cells of its edge.
 _MARGIN = 4
 _EDGE = 2
+# A box marks its burnt cells with one byte per cell while it has at most
+# _DENSE_FLOOR cells or at most _DENSE per burnt cell; a larger box, such as
+# that of a few cells far apart, keeps its burnt codes in a set. A view's
+# memory then follows how many cells have burnt, not how far apart they lie.
+_DENSE = 64
+_DENSE_FLOOR = 1 << 20
 
 
 class _CodeBox:
@@ -154,6 +160,23 @@ class _CodeBox:
         return [c // w * self.width + c % w + shift for c in codes]
 
 
+class _CodeSet(set):
+    """The burnt codes of a box too sparse for a byte per cell, read and set
+    as a ``bytearray`` of marks is."""
+
+    __slots__ = ()
+    __getitem__ = set.__contains__
+
+    def __setitem__(self, code: int, mark: int) -> None:
+        self.add(code)
+
+
+def _blank_marks(box: _CodeBox, burnt: int) -> bytearray | _CodeSet:
+    """No marks, for a box that will hold ``burnt`` burnt cells."""
+    size = box.width * box.height
+    return bytearray(size) if size <= max(_DENSE_FLOOR, _DENSE * burnt) else _CodeSet()
+
+
 def _column_sums(points: Iterable[Point]) -> tuple[int, int]:
     """(sum of x, sum of y) over ``points``; (0, 0) when there are none."""
     xs, ys = columns(points)
@@ -175,14 +198,15 @@ class SimView:
     comes within ``_EDGE`` cells of an edge it grows by half its width or
     height on that side, so every cell the fire can burn or endanger next
     has a code. Each burnt cell is a byte mark in the box, set as its layer
-    burns; a cell outside the box has never burnt. E's codes are kept sorted
-    and decoded once a round into a row-major tuple of points, which is the
-    strategies' view of E and, less the squad, the round's ignitions. A
-    burnt neighbor of a cell ignited in round t was itself ignited in round
-    t or t - 1 (the state's whole burnt set standing in for round 0), or the
-    cell would have burnt a round earlier; so E' is the neighbors of this
-    round's ignitions less those ignitions, the previous layer, and the
-    protected cells in the box.
+    burns, or its code in a set when the box is far larger than the fire
+    (``_blank_marks``); a cell outside the box has never burnt. E's codes
+    are kept sorted and decoded once a round into a row-major tuple of
+    points, which is the strategies' view of E and, less the squad, the
+    round's ignitions. A burnt neighbor of a cell ignited in round t was
+    itself ignited in round t or t - 1 (the state's whole burnt set standing
+    in for round 0), or the cell would have burnt a round earlier; so E' is
+    the neighbors of this round's ignitions less those ignitions, the
+    previous layer, and the protected cells in the box.
 
     ``play`` keeps ``burnt_count``; ``run`` keeps ``burnt_sum``, which a
     replay never reads.
@@ -203,7 +227,7 @@ class SimView:
         self._box = box = _CodeBox(xmin - _MARGIN, ymin - _MARGIN,
                                    xmax - xmin + 1 + 2 * _MARGIN,
                                    ymax - ymin + 1 + 2 * _MARGIN, state.topology)
-        self._marks = bytearray(box.width * box.height)
+        self._marks = _blank_marks(box, len(cells))
         self._held = box.encode(state.protected)
         self._layer: Collection[int] = ()
         self._slack = 0  # rounds before E may come within _EDGE of the edge
@@ -220,36 +244,41 @@ class SimView:
         self._layer = codes
         self._codes = sorted(near)
         # The fire moves at most one cell a round, so E's gap to the edge
-        # shrinks by at most one.
+        # shrinks by at most one a round: the gaps need measuring again only
+        # once E may have come within _EDGE of the edge.
         self._slack -= 1
         if self._slack < 0 and self._codes:
-            self._fit()
+            if min(self._box.gaps(self._codes)) < _EDGE:
+                self._grow()
+            self._slack = min(self._box.gaps(self._codes)) - _EDGE
         self._endangered = self._box.decode(self._codes)
 
-    def _fit(self) -> None:
-        """Grow the box on each side that E has come within ``_EDGE`` cells
-        of, then count the rounds before it can come that near again."""
+    def _grow(self) -> None:
+        """Grow the box by half its width or height on each side that E has
+        come within ``_EDGE`` cells of, and carry the fire over."""
         old = self._box
-        gaps = old.gaps(self._codes)
-        if min(gaps) < _EDGE:
-            wide, high = max(_MARGIN, old.width // 2), max(_MARGIN, old.height // 2)
-            lo_x, hi_x, lo_y, hi_y = (pad if gap < _EDGE else 0 for gap, pad
-                                      in zip(gaps, (wide, wide, high, high)))
-            box = _CodeBox(old.x0 - lo_x, old.y0 - lo_y, old.width + lo_x + hi_x,
-                           old.height + lo_y + hi_y, self.topology)
-            box.adopt(old)
+        wide, high = max(_MARGIN, old.width // 2), max(_MARGIN, old.height // 2)
+        lo_x, hi_x, lo_y, hi_y = (pad if gap < _EDGE else 0 for gap, pad
+                                  in zip(old.gaps(self._codes), (wide, wide, high, high)))
+        box = _CodeBox(old.x0 - lo_x, old.y0 - lo_y, old.width + lo_x + hi_x,
+                       old.height + lo_y + hi_y, self.topology)
+        box.adopt(old)
+        marks = _blank_marks(box, self.burnt_count)
+        if type(marks) is type(self._marks) is bytearray:
             # Copy the marks row by row, each to where its first cell now is.
-            marks = bytearray(box.width * box.height)
             w = old.width
             firsts = range(0, len(self._marks), w)
             for first, start in zip(firsts, box.recode(firsts, old)):
                 marks[start:start + w] = self._marks[first:first + w]
-            self._box, self._marks = box, marks
-            self._layer = box.recode(self._layer, old)
-            self._codes = box.recode(self._codes, old)
-            self._held = box.encode(self.protected)
-            gaps = box.gaps(self._codes)
-        self._slack = min(gaps) - _EDGE
+        else:
+            burnt = compress(count(), self._marks) if type(self._marks) is bytearray \
+                else self._marks
+            for code in box.recode(burnt, old):
+                marks[code] = 1
+        self._box, self._marks = box, marks
+        self._layer = box.recode(self._layer, old)
+        self._codes = box.recode(self._codes, old)
+        self._held = box.encode(self.protected)
 
     def play(self, squad: Sequence[Point], available: int) -> tuple[Point, ...]:
         """Play one round: protect ``squad``, then burn the rest of E.

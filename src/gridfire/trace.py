@@ -155,11 +155,12 @@ class RunTrace:
             # and "\r"; the bad byte ends the last line of its prefix.
             line = len((data[:exc.start] + b"?").splitlines())
             raise MalformedTraceError(f"not UTF-8: {exc.reason}", line=line) from exc
-        return cls.read(io.StringIO(text, newline=None))
+        return cls.from_text(text)
 
     @classmethod
     def from_text(cls, text: str) -> "RunTrace":
-        return cls.read(io.StringIO(text))
+        """Parse the text of a trace whose lines may end in LF, CRLF or CR."""
+        return cls.read(io.StringIO(text, newline=None))
 
 
 def _typed(value, name: str, *kinds: type):

@@ -123,6 +123,20 @@ def test_monitor_rejects_corrupt_trace(capsys, tmp_path):
     assert "line" in err
 
 
+def test_monitor_replays_a_trace_of_cells_far_apart(capsys, tmp_path):
+    """A header whose two initial cells are 10**5 apart: the replay holds a
+    few cells, not a byte for each of the 10**10 cells between them."""
+    path = tmp_path / "far.jsonl"
+    path.write_text(json.dumps({
+        "topology": "cartesian", "initial": [[0, 0], [100000, 100000]],
+        "budget": "const:0", "strategy": "null", "status": "horizon"}) + "\n")
+    code = run_cli("monitor", "--trace", str(path))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    for name in "ABCDE":
+        assert f"check {name}: pass" in captured.out
+
+
 def test_monitor_const2_void_precondition(capsys, tmp_path):
     out = tmp_path / "c2.jsonl"
     run_cli("run", "--topology", "cartesian", "--radius", "0",

@@ -6,10 +6,13 @@ import dataclasses
 import io
 import json
 import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridfire import engine
 from gridfire.budget import constant, periodic
 from gridfire.engine import (
     FireState,
@@ -187,28 +190,68 @@ def _moved(state: FireState, dx: int, dy: int) -> FireState:
 
 @settings(max_examples=100, deadline=None)
 @given(state=_fire_states(), rounds=st.integers(1, 12),
-       dx=st.integers(-10**6, 10**6), dy=st.integers(-10**6, 10**6), data=st.data())
-def test_view_plays_any_state_like_a_full_scan(state, rounds, dx, dy, data):
+       dx=st.integers(-10**6, 10**6), dy=st.integers(-10**6, 10**6),
+       density=st.sampled_from([None, 2, 8, 32]), data=st.data())
+def test_view_plays_any_state_like_a_full_scan(state, rounds, dx, dy, density, data):
     """Over several rounds from any state, E stays the full scan of the burnt
     set that ``play``'s returns build up and of the view's protected set, and
     the state's burnt set serves as round 0's ignitions. The state sits
-    anywhere, and a dozen rounds take the fire past the view's first box."""
+    anywhere, and a dozen rounds take the fire past the view's first box.
+    With ``density`` set, a box holds a byte per cell only while it has at
+    most that many cells per burnt cell, so the marks also pass between
+    bytes and a set of codes as the box grows."""
     state = _moved(state, dx, dy)
-    view = SimView(state)
-    burnt = set(state.burnt)
-    for _ in range(rounds):
-        danger = scan_endangered(burnt, view.protected, view.topology)
-        assert view.endangered_row_major() == tuple(sorted(danger, key=row_major))
-        squad = [(x + dx, y + dy) for x, y in data.draw(_legal_squads(
-            {(x - dx, y - dy) for x, y in burnt},
-            {(x - dx, y - dy) for x, y in view.protected}))]
-        ignited = view.play(squad, len(squad))
-        assert ignited == tuple(sorted(danger - set(squad), key=row_major))
-        burnt.update(ignited)
-        assert view.burnt_count == len(burnt)
+    floor, dense = ((engine._DENSE_FLOOR, engine._DENSE) if density is None
+                    else (0, density))
+    with mock.patch.multiple(engine, _DENSE_FLOOR=floor, _DENSE=dense):
+        view = SimView(state)
+        burnt = set(state.burnt)
+        for _ in range(rounds):
+            danger = scan_endangered(burnt, view.protected, view.topology)
+            assert view.endangered_row_major() == tuple(sorted(danger, key=row_major))
+            squad = [(x + dx, y + dy) for x, y in data.draw(_legal_squads(
+                {(x - dx, y - dy) for x, y in burnt},
+                {(x - dx, y - dy) for x, y in view.protected}))]
+            ignited = view.play(squad, len(squad))
+            assert ignited == tuple(sorted(danger - set(squad), key=row_major))
+            burnt.update(ignited)
+            assert view.burnt_count == len(burnt)
+            if burnt:
+                with pytest.raises(PlacementError, match="placement on a burnt point"):
+                    view.play([data.draw(st.sampled_from(sorted(burnt)))], 1)
     assert view.round == state.round + rounds
     assert set(view.endangered_row_major()) == scan_endangered(
         burnt, view.protected, view.topology)
+
+
+def test_marks_pass_between_bytes_and_a_set_of_codes():
+    """A filled square whose fire escapes along a corridor of firefighters:
+    with a byte per cell allowed for at most 6 box cells per burnt cell, its
+    box goes from bytes to a set of codes as the fire runs down the
+    corridor, back to bytes as it spreads out beyond, and to a set again;
+    every round still plays as a full scan says, and no burnt cell takes a
+    firefighter."""
+    start = ball((0, 0), 6, "linf")
+    ring = ball((0, 0), 7, "linf") - start - {(7, 0)}
+    walls = {(x, y) for x in range(8, 10) for y in (-1, 1)}
+    state = FireState(start, frozenset(ring | walls), 0, Topology.CARTESIAN)
+    with mock.patch.multiple(engine, _DENSE_FLOOR=0, _DENSE=6):
+        view = SimView(state)
+        burnt = set(start)
+        kinds = [type(view._marks)]
+        for _ in range(40):
+            danger = scan_endangered(burnt, view.protected, view.topology)
+            assert view.endangered_row_major() == tuple(sorted(danger, key=row_major))
+            ignited = view.play([], 0)
+            assert ignited == tuple(sorted(danger, key=row_major))
+            burnt.update(ignited)
+            for cell in ((-6, -6), (6, 6), ignited[0], ignited[-1]):
+                with pytest.raises(PlacementError, match="placement on a burnt point"):
+                    view.play([cell], 1)
+            if type(view._marks) is not kinds[-1]:
+                kinds.append(type(view._marks))
+    assert kinds == [bytearray, engine._CodeSet, bytearray, engine._CodeSet]
+    assert view.burnt_count == len(burnt)
 
 
 @pytest.mark.parametrize("topo", list(Topology), ids=lambda t: t.value)
@@ -265,6 +308,26 @@ def test_a_controlled_run_costs_nothing_for_its_horizon():
     assert time.perf_counter() - started < 1
     assert (trace.status, trace.control_round) == ("controlled", 1)
     assert trace.rounds[0].ignited == ()
+
+
+def test_cells_far_apart_cost_memory_by_their_number():
+    """Two sources 10**5 apart burn as two balls, and running, replaying and
+    stepping them holds well under a MB each: a byte per cell of their
+    bounding box would be 10**10 bytes."""
+    far = (10**5, 10**5)
+    start = FireState(frozenset({(0, 0), far}), frozenset(), 0, Topology.CARTESIAN)
+    tracemalloc.start()
+    try:
+        trace = run(start, constant(0), NullStrategy(), 30)
+        replay_validate(RunTrace.from_text(trace.to_text()))
+        after = step(start, [(1, 0)], constant(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    burnt = start.burnt.union(*(rec.ignited for rec in trace.rounds))
+    assert burnt == ball((0, 0), 30, "l1") | ball(far, 30, "l1")
+    assert after.burnt == (ball((0, 0), 1, "l1") | ball(far, 1, "l1")) - {(1, 0)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -603,16 +666,20 @@ def test_trace_read_reports_physical_line_numbers():
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
 @pytest.mark.parametrize("separator", ["\u0085", "\u2028", "\u2029"],
                          ids=["U+0085", "U+2028", "U+2029"])
-def test_trace_read_keeps_unicode_line_separators_inside_strings(separator, tmp_path):
+def test_trace_read_keeps_unicode_line_separators_inside_strings(separator, newline,
+                                                                 tmp_path):
     """JSON allows these characters raw in a string, and ``str.splitlines``
     breaks lines at them: the header read as two lines and failed with
-    ``bad header: Unterminated string``."""
+    ``bad header: Unterminated string``. Text and file alike may end their
+    lines in LF, CRLF or CR."""
     plain = _greedy_const1_text()
     text = plain.replace('"strategy":"greedy"', f'"strategy":"gr{separator}eedy"')
+    text = text.replace("\n", newline)
     path = tmp_path / "t.jsonl"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8"))
     for trace in (RunTrace.from_text(text), RunTrace.load(str(path))):
         assert trace.strategy_id == f"gr{separator}eedy"
         assert trace.rounds == RunTrace.from_text(plain).rounds
