@@ -8,10 +8,11 @@ free-burning fire from a single point occupies the metric ball of radius k.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, count, repeat
-from operator import add, floordiv, mod, not_
+from operator import add, floordiv, mod
 from typing import Collection, Iterable, Sequence
 
 from .budget import Budget, label_budget
@@ -189,7 +190,8 @@ class SimView:
     ``SimView(state)`` starts from ``state`` and plays any number of rounds.
     Strategies read ``topology``, ``round``, ``protected``, ``burnt_count``
     (how many cells have burnt), ``burnt_sum`` (the x and y sums over the
-    burnt cells) and E, whose one accessor is ``endangered_row_major``;
+    burnt cells, a read-only property) and E, whose one accessor is
+    ``endangered_row_major``;
     ``play`` places a squad and spreads the fire. Which cells have burnt is
     the view's own: no strategy and no caller reads it.
 
@@ -206,15 +208,19 @@ class SimView:
     itself ignited in round t or t - 1 (the state's whole burnt set standing
     in for round 0), or the cell would have burnt a round earlier; so E' is
     the neighbors of this round's ignitions less those ignitions, the
-    previous layer, and the protected cells in the box.
+    previous layer, and the protected cells in the box. ``play`` takes the
+    squad out of E by bisecting each of its codes in E's sorted codes, so a
+    round pays per squad cell, not per cell of E.
 
-    ``play`` keeps ``burnt_count``; ``run`` keeps ``burnt_sum``, which a
-    replay never reads.
+    ``play`` keeps ``burnt_count``. ``burnt_sum`` is summed only when read:
+    the state's burnt cells and the ignitions ``run`` appends each round
+    wait in ``_unsummed`` and are folded into ``_sum`` on the next read, so
+    a run whose strategy never reads it, and a replay, sum no cell.
     """
 
-    __slots__ = ("topology", "round", "protected", "burnt_count", "burnt_sum",
-                 "_box", "_marks", "_layer", "_held", "_codes", "_endangered",
-                 "_slack")
+    __slots__ = ("topology", "round", "protected", "burnt_count", "_sum",
+                 "_unsummed", "_box", "_marks", "_layer", "_held", "_codes",
+                 "_endangered", "_slack")
 
     def __init__(self, state: FireState):
         cells = list(state.burnt)
@@ -222,7 +228,8 @@ class SimView:
         self.round = state.round
         self.protected = set(state.protected)
         self.burnt_count = len(cells)
-        self.burnt_sum = _column_sums(cells)
+        self._sum = (0, 0)
+        self._unsummed: list[Collection[Point]] = [state.burnt]
         xmin, xmax, ymin, ymax = bounding_box(cells) if cells else (0, 0, 0, 0)
         self._box = box = _CodeBox(xmin - _MARGIN, ymin - _MARGIN,
                                    xmax - xmin + 1 + 2 * _MARGIN,
@@ -305,15 +312,31 @@ class SimView:
         self.protected.update(squad)
         codes, cells = self._codes, self._endangered
         held = box.encode(squad)
-        if held:
-            self._held |= held
-            keep = list(map(not_, map(held.__contains__, codes)))
-            codes = list(compress(codes, keep))
-            cells = tuple(compress(cells, keep))
+        self._held |= held
+        for code in held:
+            i = bisect_left(codes, code)
+            if i < len(codes) and codes[i] == code:
+                if type(cells) is tuple:  # E is copied only once a squad cell is in it
+                    cells = list(cells)
+                del codes[i], cells[i]
+        cells = tuple(cells)
         self._spread(codes)
         self.burnt_count += len(cells)
         self.round += 1
         return cells
+
+    @property
+    def burnt_sum(self) -> tuple[int, int]:
+        """(sum of x, sum of y) over the burnt cells, folding in the
+        ignitions that ``run`` has appended since the last read."""
+        if self._unsummed:
+            sx, sy = self._sum
+            for cells in self._unsummed:
+                ix, iy = _column_sums(cells)
+                sx, sy = sx + ix, sy + iy
+            self._sum = (sx, sy)
+            self._unsummed.clear()
+        return self._sum
 
     def endangered_row_major(self) -> tuple[Point, ...]:
         """The cells that burn next round unless this squad protects them, in
@@ -385,9 +408,7 @@ def run(
             f_t = budget.at(t)
             placements = list(strategy.next_placements(view, f_t))
             ignited = view.play(placements, f_t)
-            sx, sy = view.burnt_sum
-            ix, iy = _column_sums(ignited)
-            view.burnt_sum = (sx + ix, sy + iy)
+            view._unsummed.append(ignited)
             trace.rounds.append(
                 RoundRecord(t=t, f=f_t, placed=tuple(placements), ignited=ignited)
             )

@@ -41,7 +41,8 @@ class NullStrategy:
 class GreedyNearest:
     """Protects endangered points closest to the fire's centroid.
 
-    Distance ties break row-major by (y, x).
+    E's indices are ranked by distance; E is row-major, so distance ties
+    break by (y, x).
     """
 
     identifier = "greedy"
@@ -50,15 +51,16 @@ class GreedyNearest:
         if available == 0:
             return []
         targets = view.endangered_row_major()
-        # Rank (|n*p - burnt_sum|², y, x) triples built column-wise; they are
-        # distinct, so the order is the same as sorting E by that key.
+        # Rank by |n*p - burnt_sum|², computed column-wise; ``nsmallest``
+        # keeps the earlier of equal keys, so no per-cell key tuple is built.
         n = view.burnt_count
         sx, sy = view.burnt_sum
         xs, ys = columns(targets)
         dx = list(map(sub, map(mul, xs, repeat(n)), repeat(sx)))
         dy = list(map(sub, map(mul, ys, repeat(n)), repeat(sy)))
-        dist = map(add, map(mul, dx, dx), map(mul, dy, dy))
-        return [(x, y) for _, y, x in nsmallest(available, zip(dist, ys, xs))]
+        dist = list(map(add, map(mul, dx, dx), map(mul, dy, dy)))
+        return [targets[i] for i in nsmallest(available, range(len(dist)),
+                                               key=dist.__getitem__)]
 
 
 class RandomStrategy:

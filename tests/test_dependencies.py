@@ -9,6 +9,9 @@ step of the walk, not of the child ranking. The front monitor counts its
 potentials in quarter units and builds a ``Fraction`` only for the report.
 The reduction's verdict is ``ReductionReport.ok``, which the CLI only reads.
 A view's burnt cells are its own: only ``SimView`` marks or reads them.
+No code assigns ``burnt_sum``, and outside ``SimView`` only ``run`` hands
+the view the ignitions it sums when read. ``SimView.play`` takes the squad
+out of E by bisection, with no mask or ``compress`` over E.
 """
 
 from __future__ import annotations
@@ -134,3 +137,31 @@ def test_only_the_view_touches_its_burnt_cells():
                     and isinstance(node.ctx, ast.Store)):
                 touches.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert touches == []
+
+
+def test_burnt_sum_is_read_only_and_only_run_feeds_it():
+    """``burnt_sum`` is never assigned, in ``SimView`` or anywhere else, and
+    outside ``SimView`` only ``run`` touches the ignitions waiting to be
+    summed (``_unsummed``)."""
+    assigned, pending, in_run = [], [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "burnt_sum" \
+                    and not isinstance(node.ctx, ast.Load):
+                assigned.append(f"{path.name}:{node.lineno}")
+        if path.name == "engine.py":
+            in_run = [f"{path.name}:{node.lineno}" for node in ast.walk(_function(tree, "run"))
+                      if isinstance(node, ast.Attribute) and node.attr == "_unsummed"]
+            tree.body = [node for node in tree.body
+                         if not (isinstance(node, ast.ClassDef) and node.name == "SimView")]
+        pending += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "_unsummed"]
+    assert assigned == []
+    assert in_run and pending == in_run
+
+
+def test_play_takes_the_squad_out_of_E_by_bisection():
+    engine = next(path for path in SOURCES if path.name == "engine.py")
+    called = _called(_function(ast.parse(engine.read_text(), str(engine)), "play"))
+    assert "bisect_left" in called and {"compress", "map"}.isdisjoint(called)

@@ -282,6 +282,48 @@ def test_play_rejects_bad_squads_and_changes_nothing(topo):
     assert view.round == 8
 
 
+# The squads below are played on the radius-1 ball of _BISECT_START. E's
+# lowest code is its row-major first cell and its highest code its last.
+_BISECT_START = {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+_BISECT_SQUADS = {
+    "lowest": lambda e: [e[0]],
+    "highest": lambda e: [e[-1]],
+    "off-E-between": lambda e: [(3, 0)],  # sorts right after (2, 0)
+    "outside-box": lambda e: [(100, -100)],
+    "ends-and-more": lambda e: [(100, -100), e[-1], (3, 0), e[len(e) // 2], e[0]],
+    "all-of-E": lambda e: list(reversed(e)),
+}
+
+
+@pytest.mark.parametrize("topo", list(Topology), ids=lambda t: t.value)
+@pytest.mark.parametrize("case", list(_BISECT_SQUADS))
+def test_play_bisects_the_squad_out_of_E(topo, case):
+    """A squad cell on E's lowest or highest code, a box cell off E that
+    sorts between two of E's codes, a cell outside the box, several at once
+    and the whole of E leave E as a full scan says, round after round, and
+    a squad rejected on its last cell changes nothing."""
+    view = SimView(FireState(frozenset(_BISECT_START), frozenset(), 0, topo))
+    e = view.endangered_row_major()
+    after = e.index((2, 0)) + 1
+    assert (3, 0) not in e and row_major(e[after - 1]) < (0, 3) < row_major(e[after])
+    squad = _BISECT_SQUADS[case](e)
+    with pytest.raises(PlacementError, match="placement on a burnt point"):
+        view.play([*squad, (0, 0)], len(squad) + 1)
+    assert view.endangered_row_major() == e and view.protected == set()
+    burnt = set(_BISECT_START)
+    for _ in range(3):
+        danger = scan_endangered(burnt, view.protected, topo)
+        assert view.endangered_row_major() == tuple(sorted(danger, key=row_major))
+        ignited = view.play(squad, len(squad))
+        assert ignited == tuple(sorted(danger - set(squad), key=row_major))
+        burnt.update(ignited)
+        squad = []
+    assert view.burnt_count == len(burnt)
+    assert set(view.endangered_row_major()) == scan_endangered(burnt, view.protected, topo)
+    if case == "all-of-E":
+        assert burnt == _BISECT_START and view.endangered_row_major() == ()
+
+
 @pytest.mark.parametrize("radius", [0, 1, 3])
 def test_a_view_burns_the_ball_its_rounds_reach(radius):
     """A box that did not follow the fire would clip it: from one source, a
@@ -328,6 +370,53 @@ def test_cells_far_apart_cost_memory_by_their_number():
     burnt = start.burnt.union(*(rec.ignited for rec in trace.rounds))
     assert burnt == ball((0, 0), 30, "l1") | ball(far, 30, "l1")
     assert after.burnt == (ball((0, 0), 1, "l1") | ball(far, 1, "l1")) - {(1, 0)}
+
+
+class SumReader(RandomStrategy):
+    """Plays as ``RandomStrategy(seed)`` and, before the rounds in ``reads``,
+    records the view's ``burnt_sum``."""
+
+    def __init__(self, seed: int, reads):
+        super().__init__(seed)
+        self.reads = reads
+        self.seen: dict[int, tuple[int, int]] = {}
+        self.reading = False
+
+    def next_placements(self, view, available):
+        t = view.round + 1
+        if t in self.reads:
+            self.reading = True
+            self.seen[t] = view.burnt_sum
+            self.reading = False
+        return super().next_placements(view, available)
+
+
+def test_burnt_sum_is_summed_only_when_read():
+    """A strategy that reads ``burnt_sum`` before rounds 1, 4 and 9 sees the
+    x and y sums of the burnt cells the trace holds then, and the cells are
+    summed during those reads only; a run whose strategy never reads it,
+    and a replay, sum no cell."""
+    start = FireState(frozenset({(5, -3), (6, -3), (5, -2)}), frozenset(), 0,
+                      Topology.CARTESIAN)
+    reader = SumReader(3, {1, 4, 9})
+    summed = []  # for each call, whether the strategy was reading
+
+    def counted(cells, sums=engine._column_sums):
+        summed.append(reader.reading)
+        return sums(cells)
+
+    with mock.patch.object(engine, "_column_sums", counted):
+        trace = run(start, periodic([2, 1]), reader, 12)
+        assert summed and all(summed)
+        summed.clear()
+        silent = run(start, periodic([2, 1]), RandomStrategy(3), 12)
+        replay_validate(trace)
+        assert summed == []
+    assert trace.status == "horizon" and silent.rounds == trace.rounds
+    assert set(reader.seen) == {1, 4, 9}
+    for t, seen in reader.seen.items():
+        burnt = trace.state_at(t - 1)[0]
+        assert seen == (sum(x for x, _ in burnt), sum(y for _, y in burnt))
 
 
 @settings(max_examples=200, deadline=None)

@@ -114,6 +114,28 @@ def _odd_placement(report):
     return _with_doubled(report, trace)
 
 
+def _odd_last_placement(report):
+    """An odd placement last in a later squad of several."""
+    trace = _copy(report.outcomes[0].trace)
+    i = next(i for i, rec in enumerate(trace.rounds) if i > 2 and len(rec.placed) > 1)
+    rec = trace.rounds[i]
+    x, y = rec.placed[-1]
+    trace.rounds[i] = dataclasses.replace(rec, placed=rec.placed[:-1] + ((x + 1, y),))
+    return _with_doubled(report, trace)
+
+
+def _odd_ignition_mid_round(report):
+    """An ignition of the wrong parity in the middle of a round's list."""
+    trace = _copy(report.outcomes[0].trace)
+    i = next(i for i, rec in enumerate(trace.rounds) if i > 2 and len(rec.ignited) > 2)
+    rec = trace.rounds[i]
+    mid = len(rec.ignited) // 2
+    x, y = rec.ignited[mid]
+    ignited = rec.ignited[:mid] + ((x + 1, y),) + rec.ignited[mid + 1:]
+    trace.rounds[i] = dataclasses.replace(rec, ignited=ignited)
+    return _with_doubled(report, trace)
+
+
 def _late_control(report):
     trace = _copy(report.outcomes[0].trace)
     trace.control_round = 2 * (report.strong_control_round + 1)  # one instant past 2x
@@ -125,8 +147,12 @@ def _strong_uncontrolled(report):
     return dataclasses.replace(report, strong_trace=thin.strong_trace)
 
 
-@pytest.mark.parametrize("spoil", [_odd_placement, _late_control, _strong_uncontrolled],
-                         ids=["odd-placement", "late-control", "strong-uncontrolled"])
+@pytest.mark.parametrize("spoil", [_odd_placement, _odd_last_placement,
+                                   _odd_ignition_mid_round, _late_control,
+                                   _strong_uncontrolled],
+                         ids=["odd-placement", "odd-last-placement",
+                              "odd-ignition-mid-round", "late-control",
+                              "strong-uncontrolled"])
 def test_report_ok_reads_the_verdict_off_the_traces(spoil):
     report = run_reduction(ContainmentStrategy(wall_plan(1, 1)), constant(4), 1, horizon=45)
     assert report.ok
