@@ -24,7 +24,7 @@ from .strategies import (
     parse_strategy,
 )
 from .trace import MalformedTraceError, RunTrace
-from .wallplan import ContainmentStrategy, plan_parameters, wall_plan
+from .wallplan import ContainmentStrategy, wall_plan
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "parse_budget",
     "parse_strategy",
     "periodic",
-    "plan_parameters",
     "potentials",
     "reduced_budget",
     "replay_validate",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 
@@ -45,10 +44,6 @@ class Budget:
         k = t - len(self.prefix)
         full, rem = divmod(k, len(self.cycle))
         return total + full * sum(self.cycle) + sum(self.cycle[:rem])
-
-    def cycle_average(self) -> Fraction:
-        """Long-run firefighters per round, averaged over one cycle."""
-        return Fraction(sum(self.cycle), len(self.cycle))
 
     def describe(self) -> str:
         if self.label is not None:

@@ -440,6 +440,8 @@ def replay_validate(trace: RunTrace) -> None:
     except ValueError as exc:
         raise MalformedTraceError(f"bad header budget: {exc}", line=1) from exc
     initial = FireState(frozenset(trace.initial), frozenset(), 0, trace.topology)
+    if len(initial.burnt) != len(trace.initial):
+        raise MalformedTraceError("header initial lists a cell twice", line=1)
     view = SimView(initial)
     for i, rec in enumerate(trace.rounds):
         line = i + 2  # header is line 1
@@ -471,7 +473,7 @@ def replay_validate(trace: RunTrace) -> None:
     # A strategy may fail in reset, before round 1, on a fire with no front.
     if (
         trace.status not in ("controlled", "horizon", "strategy-error")
-        or spreading == controlled and (trace.rounds or trace.status == "horizon")
+        or spreading == controlled and (trace.rounds or trace.status != "strategy-error")
         or trace.control_round != (final if controlled else None)
     ):
         raise MalformedTraceError(

@@ -36,7 +36,7 @@ class RoundRecord:
 @dataclass
 class RunTrace:
     topology: Topology
-    initial: tuple[Point, ...]  # sorted row-major
+    initial: tuple[Point, ...]  # distinct cells; ``run`` writes them row-major
     budget_desc: str
     strategy_id: str
     seed: int | None = None

@@ -27,10 +27,8 @@ stands, its south end is extended downward ahead of the fire's corner.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .budget import Budget
 from .engine import FireState, SimView, StrategyError
@@ -184,41 +182,3 @@ class ContainmentStrategy:
             )
         return picked
 
-
-class InsufficientBudgetError(ValueError):
-    pass
-
-
-class InconclusiveScanError(ValueError):
-    pass
-
-
-def plan_parameters(
-    source_radius: int, budget: Budget, horizon: int = 10_000
-) -> tuple[int, int]:
-    """Choose (m, r) for a containment plan from the budget's long-run surplus.
-
-    The cycle average must exceed 3 by some eps; then m = ceil(1/eps), and r
-    enlarges the source radius by the first round from which the cumulative
-    supply stays at or above (3+eps)t through the scan horizon.
-    """
-    eps = budget.cycle_average() - 3
-    if eps <= 0:
-        raise InsufficientBudgetError(
-            f"cycle average {budget.cycle_average()} does not exceed 3"
-        )
-    m = math.ceil(Fraction(1) / eps)
-    rate = 3 + eps
-    last_violation = 0
-    for t in range(1, horizon + 1):
-        if budget.cumulative(t) < rate * t:
-            last_violation = t
-    t0 = last_violation + 1
-    if t0 > 1:
-        # A violation inside the final cycle recurs forever: no t0 exists.
-        if last_violation > horizon - len(budget.cycle):
-            raise InconclusiveScanError(
-                "supply still dips below the target rate near the scan "
-                "horizon; pass an explicit start round"
-            )
-    return m, source_radius + t0

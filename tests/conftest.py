@@ -6,8 +6,10 @@ from collections import deque
 
 import pytest
 
+from gridfire.budget import label_budget
 from gridfire.engine import FireState
 from gridfire.grid import _OFFSETS, Point, Topology, neighbors
+from gridfire.trace import RunTrace
 
 
 def bfs_ball(center: Point, radius: int, topo: Topology) -> set[Point]:
@@ -58,6 +60,47 @@ def scan_near(cells, burnt, protected, topo: Topology) -> set[Point]:
 def scan_endangered(burnt, protected, topo: Topology) -> set[Point]:
     """Full-scan oracle: every unburnt, unprotected neighbor of a burnt point."""
     return scan_near(burnt, burnt, protected, topo)
+
+
+def reference_accepts(trace: RunTrace) -> bool:
+    """Point-set oracle for ``replay_validate``: whether ``trace`` records a
+    true run, each round as the spread rule plays it and a header that agrees
+    with them. It replays the rounds on plain sets, taking each round's E
+    afresh from every burnt cell's ``grid.neighbors``, with no ``SimView``."""
+    if (trace.error is not None) != (trace.status == "strategy-error"):
+        return False
+    try:
+        budget = label_budget(trace.budget_desc)
+    except ValueError:
+        return False
+    burnt, protected = set(trace.initial), set()
+    if len(burnt) != len(trace.initial):
+        return False
+
+    def front() -> set[Point]:
+        return {q for p in burnt for q in neighbors(p, trace.topology)} - burnt - protected
+
+    for t, rec in enumerate(trace.rounds, start=1):
+        placed = set(rec.placed)
+        if (rec.t != t or not front()
+                or budget is not None and rec.f != budget.at(t)
+                or len(placed) != len(rec.placed) or len(placed) > rec.f
+                or placed & (burnt | protected)):
+            return False
+        protected |= placed
+        ignited = front()
+        if len(rec.ignited) != len(ignited) or set(rec.ignited) != ignited:
+            return False
+        burnt |= ignited
+    spreading = bool(front())
+    if trace.status == "controlled":
+        return not spreading and trace.control_round == len(trace.rounds)
+    if trace.control_round is not None:
+        return False
+    if trace.status == "horizon":
+        return spreading
+    # A strategy fails while the fire spreads, or in reset before round 1.
+    return trace.status == "strategy-error" and (spreading or not trace.rounds)
 
 
 def naive_ranking(core, depth, burnt, prot, e_mask):

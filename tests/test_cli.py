@@ -423,6 +423,15 @@ def _table_trace_with_fractional_f(tmp_path) -> str:
     )
 
 
+def _repeated_initial_trace_file(tmp_path) -> str:
+    """A true trace whose header lists its one source cell twice."""
+    with open(_trace_file(tmp_path)) as fp:
+        lines = fp.read().splitlines()
+    header = json.loads(lines[0])
+    header["initial"] = header["initial"] * 2
+    return _text_file(tmp_path, "\n".join([json.dumps(header)] + lines[1:]) + "\n")
+
+
 PARSE_ERRORS = {
     "run-config-missing-file":
         lambda tmp: ["run", "--config", str(tmp / "absent.json")],
@@ -493,6 +502,8 @@ PARSE_ERRORS = {
         lambda tmp: ["monitor", "--trace", _table_trace_with_fractional_f(tmp)],
     "monitor-trace-not-utf8":
         lambda tmp: ["monitor", "--trace", _latin1_trace_file(tmp)],
+    "monitor-repeated-initial-cell":
+        lambda tmp: ["monitor", "--trace", _repeated_initial_trace_file(tmp)],
     "render-trace-not-utf8":
         lambda tmp: ["render", "--trace", _latin1_trace_file(tmp), "--round", "0",
                      "--window=0,1,0,1"],
@@ -548,6 +559,12 @@ def test_a_trace_that_is_not_utf8_is_malformed_at_its_line(case, tmp_path, capsy
     assert main(PARSE_ERRORS[case](tmp_path)) == 2
     assert capsys.readouterr().err == (
         "malformed trace: not UTF-8: invalid continuation byte (line 3)\n")
+
+
+def test_a_trace_whose_source_repeats_a_cell_is_malformed_at_line_1(tmp_path, capsys):
+    assert main(PARSE_ERRORS["monitor-repeated-initial-cell"](tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        "malformed trace: header initial lists a cell twice (line 1)\n")
 
 
 @pytest.mark.parametrize("center", [5, "ab"])

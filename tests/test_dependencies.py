@@ -11,7 +11,8 @@ The reduction's verdict is ``ReductionReport.ok``, which the CLI only reads.
 A view's burnt cells are its own: only ``SimView`` marks or reads them.
 No code assigns ``burnt_sum``, and outside ``SimView`` only ``run`` hands
 the view the ignitions it sums when read. ``SimView.play`` takes the squad
-out of E by bisection, with no mask or ``compress`` over E.
+out of E by bisection, with no mask or ``compress`` over E. The package's
+``__all__`` names each name that ``__init__`` imports, once, and no other.
 """
 
 from __future__ import annotations
@@ -42,6 +43,21 @@ def test_package_imports_only_itself_and_the_standard_library():
         if module not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+def test_all_lists_exactly_what_the_package_imports():
+    import gridfire
+
+    init = next(path for path in SOURCES if path.name == "__init__.py")
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init.read_text(), str(init)))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert len(gridfire.__all__) == len(set(gridfire.__all__))
+    assert set(gridfire.__all__) == imported
+    assert all(hasattr(gridfire, name) for name in gridfire.__all__)
 
 
 def test_only_the_engine_calls_ball():

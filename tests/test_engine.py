@@ -667,6 +667,10 @@ def _forged(trace: RunTrace, **header) -> RunTrace:
         (PlugFour(), constant(4), {"error": "boom"}),
         (GreedyNearest(), constant(1), {"error": "boom"}),
         (GreedyNearest(), constant(1), {"status": "strategy-error"}),
+        # Control claimed before round 1 while the source still spreads.
+        (GreedyNearest(), constant(1), {"rounds": [], "status": "controlled", "control_round": 0}),
+        # A cell listed twice in the source.
+        (GreedyNearest(), constant(1), {"initial": ((0, 0), (0, 0))}),
     ],
     ids=["all-at-once", "controlled-still-burning", "periodic-budget",
          "prefix-budget", "unparsable-budget", "unknown-budget-kind",
@@ -674,7 +678,8 @@ def _forged(trace: RunTrace, **header) -> RunTrace:
          "uncontrolled-with-round",
          "controlled-as-horizon", "late-control-round", "unknown-status",
          "controlled-with-error", "horizon-with-error",
-         "strategy-error-without-error"],
+         "strategy-error-without-error", "controlled-at-round-0-while-spreading",
+         "repeated-initial-cell"],
 )
 def test_replay_validate_rejects_forged_header(origin_cartesian, strategy, budget, header):
     trace = run(origin_cartesian, budget, strategy, 10)
@@ -686,6 +691,8 @@ def test_replay_validate_rejects_forged_header(origin_cartesian, strategy, budge
         assert str(exc.value).startswith("bad header budget: ")
     if "error" in header or header.get("status") == "strategy-error":
         assert "status" in str(exc.value) and "error" in str(exc.value)
+    if "initial" in header:
+        assert str(exc.value) == "header initial lists a cell twice (line 1)"
 
 
 def test_replay_validate_rejects_rounds_after_control(origin_cartesian):

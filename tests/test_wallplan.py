@@ -11,9 +11,6 @@ from gridfire.engine import FireState, run
 from gridfire.grid import Topology, ball
 from gridfire.wallplan import (
     ContainmentStrategy,
-    InconclusiveScanError,
-    InsufficientBudgetError,
-    plan_parameters,
     schedule_is_feasible,
     wall_plan,
 )
@@ -199,27 +196,7 @@ def test_containment_requires_matching_source():
     assert trace.error.startswith("round 0: ")
 
 
-def test_plan_parameters_periodic_433():
-    m, r = plan_parameters(1, periodic([4, 3, 3]))
-    assert (m, r) == (3, 2)
-
-
-def test_plan_parameters_constant_four():
-    assert plan_parameters(0, constant(4)) == (1, 1)
-
-
-def test_plan_parameters_average_three_rejected():
-    with pytest.raises(InsufficientBudgetError):
-        plan_parameters(0, constant(3))
-
-
 @pytest.mark.parametrize("m, r", [(0, 1), (1, 0)])
 def test_wall_plan_rejects_nonpositive_parameters(m, r):
     with pytest.raises(ValueError, match="^m and r must be positive"):
         wall_plan(m, r)
-
-
-def test_plan_parameters_steady_violations_inconclusive():
-    # Average exceeds 3 but the supply dips below (3+eps)t every cycle.
-    with pytest.raises(InconclusiveScanError):
-        plan_parameters(0, periodic([3, 4]), horizon=500)
