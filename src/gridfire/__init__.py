@@ -6,14 +6,11 @@ from .engine import (
     PlacementError,
     SimulationError,
     StrategyError,
-    endangered,
-    is_controlled,
     replay_validate,
     run,
-    step,
 )
 from .grid import Point, Topology, ball, is_even_point, neighbors, skew_map
-from .monitor import check_invariants, front_offsets, potentials
+from .monitor import check_invariants, front_offsets
 from .reduction import reduced_budget, run_reduction
 from .search import SearchConfig, SearchResult, exhaustive_search, min_burnt_search
 from .strategies import (
@@ -49,22 +46,18 @@ __all__ = [
     "check_invariants",
     "constant",
     "containment_budget",
-    "endangered",
     "exhaustive_search",
     "front_offsets",
-    "is_controlled",
     "is_even_point",
     "min_burnt_search",
     "neighbors",
     "parse_budget",
     "parse_strategy",
     "periodic",
-    "potentials",
     "reduced_budget",
     "replay_validate",
     "run",
     "run_reduction",
     "skew_map",
-    "step",
     "wall_plan",
 ]

@@ -16,10 +16,7 @@ from operator import add, floordiv, mod
 from typing import Collection, Iterable, Sequence
 
 from .budget import Budget, label_budget
-from .grid import (
-    _OFFSETS, Interned, Point, Topology, ball, bounding_box, check_range,
-    columns, row_major,
-)
+from .grid import _OFFSETS, Interned, Point, Topology, ball, bounding_box, row_major
 from .trace import MalformedTraceError, RoundRecord, RunTrace
 
 
@@ -178,22 +175,15 @@ def _blank_marks(box: _CodeBox, burnt: int) -> bytearray | _CodeSet:
     return bytearray(size) if size <= max(_DENSE_FLOOR, _DENSE * burnt) else _CodeSet()
 
 
-def _column_sums(points: Iterable[Point]) -> tuple[int, int]:
-    """(sum of x, sum of y) over ``points``; (0, 0) when there are none."""
-    xs, ys = columns(points)
-    return sum(xs), sum(ys)
-
-
 class SimView:
     """The state of one run, and the one place a round is played.
 
     ``SimView(state)`` starts from ``state`` and plays any number of rounds.
     Strategies read ``topology``, ``round``, ``protected``, ``burnt_count``
-    (how many cells have burnt), ``burnt_sum`` (the x and y sums over the
-    burnt cells, a read-only property) and E, whose one accessor is
-    ``endangered_row_major``;
-    ``play`` places a squad and spreads the fire. Which cells have burnt is
-    the view's own: no strategy and no caller reads it.
+    (how many cells have burnt) and E, whose one accessor is
+    ``endangered_row_major``; ``play`` places a squad and spreads the fire.
+    Which cells have burnt is the view's own: no strategy and no caller
+    reads it.
 
     The fire is held as integer codes in a ``_CodeBox`` that follows it: the
     box starts ``_MARGIN`` cells beyond the state's burnt cells, and once E
@@ -211,16 +201,10 @@ class SimView:
     previous layer, and the protected cells in the box. ``play`` takes the
     squad out of E by bisecting each of its codes in E's sorted codes, so a
     round pays per squad cell, not per cell of E.
-
-    ``play`` keeps ``burnt_count``. ``burnt_sum`` is summed only when read:
-    the state's burnt cells and the ignitions ``run`` appends each round
-    wait in ``_unsummed`` and are folded into ``_sum`` on the next read, so
-    a run whose strategy never reads it, and a replay, sum no cell.
     """
 
-    __slots__ = ("topology", "round", "protected", "burnt_count", "_sum",
-                 "_unsummed", "_box", "_marks", "_layer", "_held", "_codes",
-                 "_endangered", "_slack")
+    __slots__ = ("topology", "round", "protected", "burnt_count", "_box",
+                 "_marks", "_layer", "_held", "_codes", "_endangered", "_slack")
 
     def __init__(self, state: FireState):
         cells = list(state.burnt)
@@ -228,8 +212,6 @@ class SimView:
         self.round = state.round
         self.protected = set(state.protected)
         self.burnt_count = len(cells)
-        self._sum = (0, 0)
-        self._unsummed: list[Collection[Point]] = [state.burnt]
         xmin, xmax, ymin, ymax = bounding_box(cells) if cells else (0, 0, 0, 0)
         self._box = box = _CodeBox(xmin - _MARGIN, ymin - _MARGIN,
                                    xmax - xmin + 1 + 2 * _MARGIN,
@@ -325,47 +307,10 @@ class SimView:
         self.round += 1
         return cells
 
-    @property
-    def burnt_sum(self) -> tuple[int, int]:
-        """(sum of x, sum of y) over the burnt cells, folding in the
-        ignitions that ``run`` has appended since the last read."""
-        if self._unsummed:
-            sx, sy = self._sum
-            for cells in self._unsummed:
-                ix, iy = _column_sums(cells)
-                sx, sy = sx + ix, sy + iy
-            self._sum = (sx, sy)
-            self._unsummed.clear()
-        return self._sum
-
     def endangered_row_major(self) -> tuple[Point, ...]:
         """The cells that burn next round unless this squad protects them, in
         row-major (y, x) order."""
         return self._endangered
-
-
-def endangered(state: FireState) -> frozenset[Point]:
-    """Unburnt, unprotected points adjacent to a burning point."""
-    check_range(state.burnt)
-    return frozenset(SimView(state).endangered_row_major())
-
-
-def is_controlled(state: FireState) -> bool:
-    """True when the fire has nowhere left to spread."""
-    return not endangered(state)
-
-
-def step(state: FireState, placements: Sequence[Point], budget: Budget) -> FireState:
-    """Advance one round: place the next squad, then spread the fire."""
-    check_range(state.burnt)
-    view = SimView(state)
-    ignited = view.play(placements, budget.at(state.round + 1))
-    return FireState(
-        burnt=state.burnt.union(ignited),
-        protected=frozenset(view.protected),
-        round=view.round,
-        topology=view.topology,
-    )
 
 
 def run(
@@ -408,7 +353,6 @@ def run(
             f_t = budget.at(t)
             placements = list(strategy.next_placements(view, f_t))
             ignited = view.play(placements, f_t)
-            view._unsummed.append(ignited)
             trace.rounds.append(
                 RoundRecord(t=t, f=f_t, placed=tuple(placements), ignited=ignited)
             )
@@ -432,9 +376,17 @@ def replay_validate(trace: RunTrace) -> None:
     which can differ from the file it was read from if that file held blank
     lines.
     """
-    if (trace.error is not None) != (trace.status == "strategy-error"):
+    # ``run`` fails one round past its last record, or in round 0 or 1.
+    k = len(trace.rounds)
+    stops = tuple(f"round {t}: " for t in ((k + 1,) if k else (0, 1)))
+    if ((trace.error is not None) != (trace.status == "strategy-error")
+            or trace.error is not None and not trace.error.startswith(stops)):
         raise MalformedTraceError(
-            f"header status {trace.status!r} contradicts its error {trace.error!r}", line=1)
+            f"header status {trace.status!r} after {k} rounds contradicts its "
+            f"error {trace.error!r}", line=1)
+    if trace.status == "horizon" and not k:
+        raise MalformedTraceError(
+            "header status 'horizon' with no rounds: a run's horizon is at least 1", line=1)
     try:
         budget = label_budget(trace.budget_desc)
     except ValueError as exc:

@@ -51,7 +51,7 @@ from fractions import Fraction
 from operator import add, sub
 from typing import Iterable, Sequence
 
-from .engine import FireState, endangered as _endangered, replay_validate
+from .engine import replay_validate
 from .grid import Point, Topology, columns, row_major
 from .trace import RunTrace
 
@@ -108,23 +108,6 @@ def front_lengths(offsets: dict[Direction, int]) -> dict[Direction, Fraction]:
 
 def perimeter(offsets: dict[Direction, int]) -> int:
     return sum(offsets.values())
-
-
-def potentials(
-    burnt: set[Point],
-    protected: set[Point],
-    offsets: dict[Direction, int] | None = None,
-    endangered: Iterable[Point] | None = None,
-) -> tuple[dict[Direction, Fraction], Fraction]:
-    """Per-front and total potential of the current state."""
-    if offsets is None:
-        offsets = front_offsets(burnt)
-    if endangered is None:
-        endangered = _endangered(FireState(
-            frozenset(burnt), frozenset(protected), 0, Topology.CARTESIAN))
-    cells = tuple(endangered)
-    quarters, total = _line_potentials(cells, *_diagonals(cells), offsets)
-    return {d: Fraction(q, 4) for d, q in quarters.items()}, Fraction(total)
 
 
 def _line_potentials(

@@ -8,7 +8,7 @@ from itertools import repeat
 from operator import add, mul, sub
 from typing import Mapping, Protocol, Sequence
 
-from .engine import SimView
+from .engine import FireState, SimView
 from .grid import Point, columns
 from .trace import MalformedTraceError, RunTrace
 from .wallplan import ContainmentStrategy, wall_plan
@@ -18,8 +18,9 @@ class Strategy(Protocol):
     """A player: each round it names the next squad from the run's view.
 
     A strategy sees the view's ``topology``, ``round``, ``protected``,
-    ``burnt_count``, ``burnt_sum`` and ``endangered_row_major()``. Which
-    cells have burnt stays inside the view.
+    ``burnt_count`` and ``endangered_row_major()``. Which cells have burnt
+    stays inside the view. A strategy may also have ``reset(state)``, which
+    ``run`` calls with the initial state before round 1.
     """
 
     identifier: str
@@ -42,25 +43,35 @@ class GreedyNearest:
     """Protects endangered points closest to the fire's centroid.
 
     E's indices are ranked by distance; E is row-major, so distance ties
-    break by (y, x).
+    break by (y, x). The player keeps the x and y sums of the burnt cells
+    itself: ``reset`` takes those of the source, and each round adds those
+    of E less its squad, which is what burns in that round.
     """
 
     identifier = "greedy"
 
+    def reset(self, state: FireState) -> None:
+        xs, ys = columns(state.burnt)
+        self._sums = (sum(xs), sum(ys))
+
     def next_placements(self, view: SimView, available: int) -> list[Point]:
-        if available == 0:
-            return []
         targets = view.endangered_row_major()
-        # Rank by |n*p - burnt_sum|², computed column-wise; ``nsmallest``
-        # keeps the earlier of equal keys, so no per-cell key tuple is built.
-        n = view.burnt_count
-        sx, sy = view.burnt_sum
         xs, ys = columns(targets)
-        dx = list(map(sub, map(mul, xs, repeat(n)), repeat(sx)))
-        dy = list(map(sub, map(mul, ys, repeat(n)), repeat(sy)))
-        dist = list(map(add, map(mul, dx, dx), map(mul, dy, dy)))
-        return [targets[i] for i in nsmallest(available, range(len(dist)),
-                                               key=dist.__getitem__)]
+        sx, sy = self._sums
+        picks: list[Point] = []
+        if available:
+            # Rank by |n*p - (sx, sy)|², computed column-wise; ``nsmallest``
+            # keeps the earlier of equal keys, so no per-cell key tuple is built.
+            n = view.burnt_count
+            dx = list(map(sub, map(mul, xs, repeat(n)), repeat(sx)))
+            dy = list(map(sub, map(mul, ys, repeat(n)), repeat(sy)))
+            dist = list(map(add, map(mul, dx, dx), map(mul, dy, dy)))
+            picks = [targets[i] for i in nsmallest(available, range(len(dist)),
+                                                    key=dist.__getitem__)]
+        # The squad lies inside E, and the rest of E burns this round.
+        self._sums = (sx + sum(xs) - sum(x for x, _ in picks),
+                      sy + sum(ys) - sum(y for _, y in picks))
+        return picks
 
 
 class RandomStrategy:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 
 import pytest
 
 from gridfire.budget import label_budget
 from gridfire.engine import FireState
 from gridfire.grid import _OFFSETS, Point, Topology, neighbors
+from gridfire.monitor import _diagonals, _line_potentials
 from gridfire.trace import RunTrace
 
 
@@ -62,6 +64,14 @@ def scan_endangered(burnt, protected, topo: Topology) -> set[Point]:
     return scan_near(burnt, burnt, protected, topo)
 
 
+def potentials(cells, offsets):
+    """Per-front and total potential of the endangered ``cells`` against
+    the front ``offsets``, as the monitor counts them, in ``Fraction``s."""
+    cells = tuple(cells)
+    quarters, total = _line_potentials(cells, *_diagonals(cells), offsets)
+    return {d: Fraction(q, 4) for d, q in quarters.items()}, Fraction(total)
+
+
 def reference_accepts(trace: RunTrace) -> bool:
     """Point-set oracle for ``replay_validate``: whether ``trace`` records a
     true run, each round as the spread rule plays it and a header that agrees
@@ -69,6 +79,13 @@ def reference_accepts(trace: RunTrace) -> bool:
     afresh from every burnt cell's ``grid.neighbors``, with no ``SimView``."""
     if (trace.error is not None) != (trace.status == "strategy-error"):
         return False
+    # A run fails in round k + 1 after k rounds, or in round 0 or 1 with none.
+    k = len(trace.rounds)
+    if trace.error is not None and not any(
+            trace.error.startswith(f"round {t}: ") for t in ((k + 1,) if k else (0, 1))):
+        return False
+    if trace.status == "horizon" and not k:
+        return False  # a run's horizon is at least 1
     try:
         budget = label_budget(trace.budget_desc)
     except ValueError:

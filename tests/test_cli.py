@@ -125,11 +125,13 @@ def test_monitor_rejects_corrupt_trace(capsys, tmp_path):
 
 def test_monitor_replays_a_trace_of_cells_far_apart(capsys, tmp_path):
     """A header whose two initial cells are 10**5 apart: the replay holds a
-    few cells, not a byte for each of the 10**10 cells between them."""
+    few cells, not a byte for each of the 10**10 cells between them. The
+    trace is the one ``run`` writes when the strategy fails in ``reset``."""
     path = tmp_path / "far.jsonl"
     path.write_text(json.dumps({
         "topology": "cartesian", "initial": [[0, 0], [100000, 100000]],
-        "budget": "const:0", "strategy": "null", "status": "horizon"}) + "\n")
+        "budget": "const:0", "strategy": "contain:m=1,r=1", "status": "strategy-error",
+        "error": "round 0: containment walls assume the strong grid"}) + "\n")
     code = run_cli("monitor", "--trace", str(path))
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")

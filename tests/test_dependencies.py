@@ -8,11 +8,12 @@ walk ends a node at its gate before the seal and the children: the gate is a
 step of the walk, not of the child ranking. The front monitor counts its
 potentials in quarter units and builds a ``Fraction`` only for the report.
 The reduction's verdict is ``ReductionReport.ok``, which the CLI only reads.
-A view's burnt cells are its own: only ``SimView`` marks or reads them.
-No code assigns ``burnt_sum``, and outside ``SimView`` only ``run`` hands
-the view the ignitions it sums when read. ``SimView.play`` takes the squad
-out of E by bisection, with no mask or ``compress`` over E. The package's
-``__all__`` names each name that ``__init__`` imports, once, and no other.
+A view's burnt cells are its own: only ``SimView`` marks or reads them, and
+outside the engine no code touches a view's underscore attributes. The
+monitor takes only ``replay_validate`` from the engine. ``SimView.play``
+takes the squad out of E by bisection, with no mask or ``compress`` over E.
+The package's ``__all__`` names each name that ``__init__`` imports, once,
+and no other.
 """
 
 from __future__ import annotations
@@ -155,26 +156,33 @@ def test_only_the_view_touches_its_burnt_cells():
     assert touches == []
 
 
-def test_burnt_sum_is_read_only_and_only_run_feeds_it():
-    """``burnt_sum`` is never assigned, in ``SimView`` or anywhere else, and
-    outside ``SimView`` only ``run`` touches the ignitions waiting to be
-    summed (``_unsummed``)."""
-    assigned, pending, in_run = [], [], []
+def test_only_the_engine_touches_a_views_private_state():
+    """Outside ``engine.py`` no code reads or writes an underscore attribute
+    of a view; strategies keep what they need of the fire themselves."""
+    touches = []
     for path in SOURCES:
-        tree = ast.parse(path.read_text(), str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "burnt_sum" \
-                    and not isinstance(node.ctx, ast.Load):
-                assigned.append(f"{path.name}:{node.lineno}")
         if path.name == "engine.py":
-            in_run = [f"{path.name}:{node.lineno}" for node in ast.walk(_function(tree, "run"))
-                      if isinstance(node, ast.Attribute) and node.attr == "_unsummed"]
-            tree.body = [node for node in tree.body
-                         if not (isinstance(node, ast.ClassDef) and node.name == "SimView")]
-        pending += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute) and node.attr == "_unsummed"]
-    assert assigned == []
-    assert in_run and pending == in_run
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        views = _view_names(tree)
+        touches += [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and getattr(node.value, "id", None) in views]
+    assert touches == []
+
+
+def test_the_monitor_takes_only_replay_validate_from_the_engine():
+    """The monitor reads E off the trace, so of the engine it needs only the
+    replay that checks the trace first."""
+    path = next(path for path in SOURCES if path.name == "monitor.py")
+    taken = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("engine", "gridfire.engine"):
+            taken += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            taken += [alias.name for alias in node.names
+                      if alias.name.rpartition(".")[2] == "engine"]
+    assert taken == ["replay_validate"]
 
 
 def test_play_takes_the_squad_out_of_E_by_bisection():

@@ -1,4 +1,4 @@
-"""Process-dynamics tests: step, run, control detection, traces."""
+"""Process-dynamics tests: a view's rounds, run, control detection, traces."""
 
 from __future__ import annotations
 
@@ -19,11 +19,8 @@ from gridfire.engine import (
     PlacementError,
     SimulationError,
     SimView,
-    endangered,
-    is_controlled,
     replay_validate,
     run,
-    step,
 )
 from gridfire.grid import Topology, ball, row_major
 from gridfire.strategies import (
@@ -37,31 +34,38 @@ from gridfire.trace import MalformedTraceError, RoundRecord, RunTrace
 from conftest import bfs_ball, scan_endangered, scan_near, single_source
 
 
+def _played(state: FireState, squad, available: int) -> tuple[set, SimView]:
+    """The burnt cells after one round from ``state``, and the view that played it."""
+    view = SimView(state)
+    return state.burnt | set(view.play(squad, available)), view
+
+
 def test_step_free_spread_cartesian(origin_cartesian):
-    s1 = step(origin_cartesian, [], constant(0))
-    assert s1.burnt == ball((0, 0), 1, "l1")
-    assert s1.round == 1
+    burnt, view = _played(origin_cartesian, [], 0)
+    assert burnt == ball((0, 0), 1, "l1")
+    assert view.round == 1
 
 
 def test_step_free_spread_strong(origin_strong):
-    s1 = step(origin_strong, [], constant(0))
-    assert s1.burnt == ball((0, 0), 1, "linf")
+    burnt, _ = _played(origin_strong, [], 0)
+    assert burnt == ball((0, 0), 1, "linf")
 
 
 def test_step_with_placement_blocks_one_cell(origin_cartesian):
-    s1 = step(origin_cartesian, [(0, 1)], constant(1))
-    assert s1.burnt - origin_cartesian.burnt == {(1, 0), (-1, 0), (0, -1)}
-    assert s1.protected == {(0, 1)}
+    burnt, view = _played(origin_cartesian, [(0, 1)], 1)
+    assert burnt - origin_cartesian.burnt == {(1, 0), (-1, 0), (0, -1)}
+    assert view.protected == {(0, 1)}
 
 
 def test_step_rejects_bad_placements(origin_cartesian):
+    view = SimView(origin_cartesian)
     with pytest.raises(PlacementError) as exc:
-        step(origin_cartesian, [(0, 0)], constant(1))
+        view.play([(0, 0)], 1)
     assert exc.value.point == (0, 0)
     with pytest.raises(PlacementError):
-        step(origin_cartesian, [(0, 1), (0, 1)], constant(2))
+        view.play([(0, 1), (0, 1)], 2)
     with pytest.raises(PlacementError):
-        step(origin_cartesian, [(0, 1), (1, 0)], constant(1))  # over budget
+        view.play([(0, 1), (1, 0)], 1)  # over budget
     protected = FireState(
         burnt=frozenset({(0, 0)}),
         protected=frozenset({(0, 1)}),
@@ -69,7 +73,7 @@ def test_step_rejects_bad_placements(origin_cartesian):
         topology=Topology.CARTESIAN,
     )
     with pytest.raises(PlacementError):
-        step(protected, [(0, 1)], constant(1))
+        SimView(protected).play([(0, 1)], 1)
 
 
 def test_is_controlled_cartesian_plug():
@@ -79,11 +83,11 @@ def test_is_controlled_cartesian_plug():
         round=0,
         topology=Topology.CARTESIAN,
     )
-    assert is_controlled(s)
+    assert SimView(s).endangered_row_major() == ()
     strong = FireState(
         burnt=s.burnt, protected=s.protected, round=0, topology=Topology.STRONG
     )
-    assert not is_controlled(strong)  # diagonals open
+    assert SimView(strong).endangered_row_major()  # diagonals open
 
 
 def test_is_controlled_vacuous_on_empty():
@@ -91,18 +95,18 @@ def test_is_controlled_vacuous_on_empty():
         burnt=frozenset(), protected=frozenset(), round=0,
         topology=Topology.CARTESIAN,
     )
-    assert is_controlled(s)
+    assert SimView(s).endangered_row_major() == ()
 
 
 def test_endangered_counts(origin_cartesian):
-    assert len(endangered(origin_cartesian)) == 4
+    assert len(SimView(origin_cartesian).endangered_row_major()) == 4
     shielded = FireState(
         burnt=frozenset({(0, 0)}),
         protected=frozenset({(0, 1)}),
         round=0,
         topology=Topology.CARTESIAN,
     )
-    assert len(endangered(shielded)) == 3
+    assert len(SimView(shielded).endangered_row_major()) == 3
 
 
 @pytest.mark.parametrize("topology", list(Topology))
@@ -124,21 +128,8 @@ def test_endangered_of_ball_is_bfs_sphere():
         burnt=b2, protected=frozenset(), round=0, topology=Topology.CARTESIAN
     )
     sphere = bfs_ball((0, 0), 3, Topology.CARTESIAN) - b2
-    assert endangered(s) == sphere
+    assert set(SimView(s).endangered_row_major()) == sphere
     assert len(sphere) == 12
-
-
-def test_endangered_and_step_reject_runaway_coordinates():
-    from gridfire.grid import COORD_LIMIT
-
-    far = FireState(
-        burnt=frozenset({(0, 0), (COORD_LIMIT, 0)}), protected=frozenset(),
-        round=0, topology=Topology.CARTESIAN,
-    )
-    with pytest.raises(OverflowError):
-        endangered(far)
-    with pytest.raises(OverflowError):
-        step(far, [], constant(0))
 
 
 _SMALL_POINTS = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
@@ -173,12 +164,12 @@ def _legal_squads(draw, burnt, protected) -> list:
 def test_step_is_the_spread_rule_on_any_state(state, data):
     squad = data.draw(_legal_squads(state.burnt, state.protected))
     slack = data.draw(st.integers(0, 2))
-    after = step(state, squad, constant(len(squad) + slack))
+    burnt, view = _played(state, squad, len(squad) + slack)
     danger = scan_endangered(state.burnt, state.protected, state.topology)
-    assert after.burnt == state.burnt | (danger - set(squad))
-    assert after.protected == state.protected | set(squad)
-    assert after.round == state.round + 1
-    assert after.topology is state.topology
+    assert burnt == state.burnt | (danger - set(squad))
+    assert view.protected == state.protected | set(squad)
+    assert view.round == state.round + 1
+    assert view.topology is state.topology
 
 
 def _moved(state: FireState, dx: int, dy: int) -> FireState:
@@ -354,7 +345,7 @@ def test_a_controlled_run_costs_nothing_for_its_horizon():
 
 def test_cells_far_apart_cost_memory_by_their_number():
     """Two sources 10**5 apart burn as two balls, and running, replaying and
-    stepping them holds well under a MB each: a byte per cell of their
+    playing a round on a view of them holds well under a MB each: a byte per cell of their
     bounding box would be 10**10 bytes."""
     far = (10**5, 10**5)
     start = FireState(frozenset({(0, 0), far}), frozenset(), 0, Topology.CARTESIAN)
@@ -362,70 +353,23 @@ def test_cells_far_apart_cost_memory_by_their_number():
     try:
         trace = run(start, constant(0), NullStrategy(), 30)
         replay_validate(RunTrace.from_text(trace.to_text()))
-        after = step(start, [(1, 0)], constant(1))
+        after, _ = _played(start, [(1, 0)], 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
     burnt = start.burnt.union(*(rec.ignited for rec in trace.rounds))
     assert burnt == ball((0, 0), 30, "l1") | ball(far, 30, "l1")
-    assert after.burnt == (ball((0, 0), 1, "l1") | ball(far, 1, "l1")) - {(1, 0)}
-
-
-class SumReader(RandomStrategy):
-    """Plays as ``RandomStrategy(seed)`` and, before the rounds in ``reads``,
-    records the view's ``burnt_sum``."""
-
-    def __init__(self, seed: int, reads):
-        super().__init__(seed)
-        self.reads = reads
-        self.seen: dict[int, tuple[int, int]] = {}
-        self.reading = False
-
-    def next_placements(self, view, available):
-        t = view.round + 1
-        if t in self.reads:
-            self.reading = True
-            self.seen[t] = view.burnt_sum
-            self.reading = False
-        return super().next_placements(view, available)
-
-
-def test_burnt_sum_is_summed_only_when_read():
-    """A strategy that reads ``burnt_sum`` before rounds 1, 4 and 9 sees the
-    x and y sums of the burnt cells the trace holds then, and the cells are
-    summed during those reads only; a run whose strategy never reads it,
-    and a replay, sum no cell."""
-    start = FireState(frozenset({(5, -3), (6, -3), (5, -2)}), frozenset(), 0,
-                      Topology.CARTESIAN)
-    reader = SumReader(3, {1, 4, 9})
-    summed = []  # for each call, whether the strategy was reading
-
-    def counted(cells, sums=engine._column_sums):
-        summed.append(reader.reading)
-        return sums(cells)
-
-    with mock.patch.object(engine, "_column_sums", counted):
-        trace = run(start, periodic([2, 1]), reader, 12)
-        assert summed and all(summed)
-        summed.clear()
-        silent = run(start, periodic([2, 1]), RandomStrategy(3), 12)
-        replay_validate(trace)
-        assert summed == []
-    assert trace.status == "horizon" and silent.rounds == trace.rounds
-    assert set(reader.seen) == {1, 4, 9}
-    for t, seen in reader.seen.items():
-        burnt = trace.state_at(t - 1)[0]
-        assert seen == (sum(x for x, _ in burnt), sum(y for _, y in burnt))
+    assert after == (ball((0, 0), 1, "l1") | ball(far, 1, "l1")) - {(1, 0)}
 
 
 @settings(max_examples=200, deadline=None)
 @given(state=_fire_states())
 def test_kernel_matches_per_cell_scan(state):
-    """endangered(state) equals a per-cell neighbor scan on any state."""
-    got = endangered(state)
-    assert type(got) is frozenset
-    assert got == scan_endangered(state.burnt, state.protected, state.topology)
+    """A fresh view's E is a per-cell neighbor scan of any state, in
+    row-major order."""
+    danger = scan_endangered(state.burnt, state.protected, state.topology)
+    assert SimView(state).endangered_row_major() == tuple(sorted(danger, key=row_major))
 
 
 def test_run_free_burn_reaches_ball(origin_cartesian):
@@ -476,8 +420,9 @@ def test_controlled_iff_noop_step():
             round=0,
             topology=Topology.CARTESIAN,
         )
-        noop = step(s, [], constant(0))
-        assert is_controlled(s) == (noop.burnt == s.burnt)
+        view = SimView(s)
+        controlled = not view.endangered_row_major()
+        assert controlled == (view.play([], 0) == ())
 
 
 def test_trace_serialization_round_trip(origin_cartesian):
@@ -671,6 +616,11 @@ def _forged(trace: RunTrace, **header) -> RunTrace:
         (GreedyNearest(), constant(1), {"rounds": [], "status": "controlled", "control_round": 0}),
         # A cell listed twice in the source.
         (GreedyNearest(), constant(1), {"initial": ((0, 0), (0, 0))}),
+        # ``run`` fails in round 11 after 10 rounds, and names the round.
+        (GreedyNearest(), constant(1), {"status": "strategy-error", "error": "round 2: boom"}),
+        (GreedyNearest(), constant(1), {"status": "strategy-error", "error": "boom"}),
+        # ``run`` refuses a horizon below 1, so it stops at one only after a round.
+        (GreedyNearest(), constant(1), {"rounds": []}),
     ],
     ids=["all-at-once", "controlled-still-burning", "periodic-budget",
          "prefix-budget", "unparsable-budget", "unknown-budget-kind",
@@ -679,7 +629,8 @@ def _forged(trace: RunTrace, **header) -> RunTrace:
          "controlled-as-horizon", "late-control-round", "unknown-status",
          "controlled-with-error", "horizon-with-error",
          "strategy-error-without-error", "controlled-at-round-0-while-spreading",
-         "repeated-initial-cell"],
+         "repeated-initial-cell", "strategy-error-in-a-past-round",
+         "strategy-error-naming-no-round", "horizon-with-no-rounds"],
 )
 def test_replay_validate_rejects_forged_header(origin_cartesian, strategy, budget, header):
     trace = run(origin_cartesian, budget, strategy, 10)
@@ -693,6 +644,44 @@ def test_replay_validate_rejects_forged_header(origin_cartesian, strategy, budge
         assert "status" in str(exc.value) and "error" in str(exc.value)
     if "initial" in header:
         assert str(exc.value) == "header initial lists a cell twice (line 1)"
+    if header.get("error") == "round 2: boom":
+        assert str(exc.value) == ("header status 'strategy-error' after 10 rounds "
+                                  "contradicts its error 'round 2: boom' (line 1)")
+    if header.get("rounds") == [] and "status" not in header:
+        assert str(exc.value) == ("header status 'horizon' with no rounds: a run's "
+                                  "horizon is at least 1 (line 1)")
+
+
+class BurnAt:
+    """Places on the source (0, 0) in round ``t``, which ``play`` refuses;
+    with ``t`` = 0 its ``reset`` fails instead."""
+
+    identifier = "burn-at"
+
+    def __init__(self, t: int):
+        self.t = t
+
+    def reset(self, state):
+        if self.t == 0:
+            raise SimulationError("no plan for this source")
+
+    def next_placements(self, view, available):
+        return [(0, 0)] if view.round + 1 == self.t else []
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 5])
+def test_replay_validate_accepts_the_error_round_run_writes(origin_cartesian, t):
+    """A run that fails in ``reset`` names round 0 and one that fails in
+    round t >= 1 names round t, after t - 1 records; the replay accepts
+    exactly that round."""
+    trace = run(origin_cartesian, constant(1), BurnAt(t), 10)
+    assert trace.status == "strategy-error" and trace.error.startswith(f"round {t}: ")
+    assert len(trace.rounds) == max(t - 1, 0)
+    replay_validate(RunTrace.from_text(trace.to_text()))
+    for other in {0, 1, t - 1, t + 1} - ({0, 1} if t <= 1 else {t}):
+        with pytest.raises(MalformedTraceError) as exc:
+            replay_validate(_forged(trace, error=f"round {other}: boom"))
+        assert exc.value.line == 1
 
 
 def test_replay_validate_rejects_rounds_after_control(origin_cartesian):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridfire.budget import constant, periodic
-from gridfire.engine import run
+from gridfire.engine import FireState, SimView, run
 from gridfire.grid import Topology, ball
 from gridfire.monitor import (
     DIRECTIONS,
@@ -17,12 +17,11 @@ from gridfire.monitor import (
     front_lengths,
     front_offsets,
     perimeter,
-    potentials,
 )
 from gridfire.strategies import GreedyNearest, NullStrategy, RandomStrategy
 from gridfire.trace import RoundRecord, RunTrace
 
-from conftest import single_source
+from conftest import potentials, single_source
 
 
 def free_trace(rounds: int) -> RunTrace:
@@ -90,14 +89,20 @@ def test_front_lengths_identity_and_corner_distance():
         assert lengths[(sx, sy)] == Fraction(dist2, 2)
 
 
+def _state_potentials(burnt, protected):
+    """Potentials of the Cartesian state's E against its burnt set's offsets."""
+    view = SimView(FireState(frozenset(burnt), frozenset(protected), 0, Topology.CARTESIAN))
+    return potentials(view.endangered_row_major(), front_offsets(burnt))
+
+
 def test_potentials_single_source():
-    phi, total = potentials({(0, 0)}, set())
+    phi, total = _state_potentials({(0, 0)}, set())
     assert total == 4
     assert all(v == 1 for v in phi.values())
 
 
 def test_potentials_zero_when_plugged():
-    phi, total = potentials({(0, 0)}, {(1, 0), (-1, 0), (0, 1), (0, -1)})
+    phi, total = _state_potentials({(0, 0)}, {(1, 0), (-1, 0), (0, 1), (0, -1)})
     assert total == 0
     assert all(v == 0 for v in phi.values())
 
@@ -152,7 +157,8 @@ def test_potentials_off_diagonal_source_all_fronts_meet():
     # From {(1, 0)} every offset is 0: parallel fronts coincide, and (0, 0)
     # lies on all four fronts with a quarter each.
     offsets = dict.fromkeys(DIRECTIONS, 0)
-    phi, total = potentials({(1, 0)}, set(), offsets=offsets)
+    view = SimView(FireState(frozenset({(1, 0)}), frozenset(), 0, Topology.CARTESIAN))
+    phi, total = potentials(view.endangered_row_major(), offsets)
     assert total == 3
     assert all(v == Fraction(3, 4) for v in phi.values())
     assert (phi, total) == per_cell_potentials([(0, 0), (1, -1), (1, 1), (2, 0)], offsets)
@@ -174,7 +180,7 @@ def test_potentials_match_per_cell_loop(offsets, cells, with_corners, as_generat
     if with_corners:
         cells = cells + _corners(offsets)
     endangered = iter(cells) if as_generator else cells
-    got = potentials({(0, 0)}, set(), offsets=offsets, endangered=endangered)
+    got = potentials(endangered, offsets)
     assert got == per_cell_potentials(cells, offsets)
 
 

@@ -24,8 +24,10 @@ import pytest
 from gridfire.budget import parse_budget
 from gridfire.engine import FireState, run
 from gridfire.grid import Topology
-from gridfire.monitor import check_invariants, front_offsets, potentials
+from gridfire.monitor import check_invariants, front_offsets
 from gridfire.strategies import parse_strategy
+
+from conftest import potentials
 
 # (budget, strategy, horizon) from source (0, 0) -> (report, instants) digests
 GOLDEN_REPORTS = {
@@ -112,9 +114,7 @@ def off_diagonal_record(budget, strategy, horizon) -> tuple[str, str]:
     for rec in trace.rounds:
         # Instant t: squads 1..t are down, spreads 1..t-1 have burnt.
         burnt = trace.state_at(rec.t - 1)[0]
-        protected = trace.state_at(rec.t)[1]
-        phi, total = potentials(burnt, protected, offsets=front_offsets(burnt),
-                                endangered=rec.ignited)
+        phi, total = potentials(rec.ignited, front_offsets(burnt))
         instants.append([rec.t, _keyed(phi), str(total)])
     return str(err.value), _digest(instants)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import cache
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridfire.budget import parse_budget
 from gridfire.engine import replay_validate, run
@@ -81,7 +81,9 @@ def rewrite_header(draw, trace):
     final = trace.final_round()
     trace.status = draw(st.sampled_from(("controlled", "horizon", "strategy-error", "done")))
     trace.control_round = draw(st.sampled_from((None, 0, final - 1, final, final + 1)))
-    trace.error = draw(st.sampled_from((None, f"round {final + 1}: boom")))
+    # ``run`` names round final + 1, or round 0 or 1 when there are no rounds.
+    trace.error = draw(st.sampled_from(
+        (None, f"round {final}: boom", f"round {final + 1}: boom", f"round {final + 2}: boom")))
 
 
 def drop_last_round(draw, trace):
@@ -131,6 +133,16 @@ def _mutants(draw) -> tuple[RunTrace, RunTrace]:
     return original, mutant
 
 
+def _forged(budget: str, **fields) -> tuple[RunTrace, RunTrace]:
+    """The Cartesian greedy run under ``budget``, and a copy with ``fields`` set."""
+    original = next(trace for trace in _traces() if trace.topology is Topology.CARTESIAN
+                    and trace.budget_desc == budget and trace.strategy_id == "greedy")
+    mutant = _copy(original)
+    for name, value in fields.items():
+        setattr(mutant, name, value)
+    return original, mutant
+
+
 def test_the_run_traces_pass_the_reference_and_end_both_ways():
     statuses = {trace.status for trace in _traces()}
     assert statuses == {"controlled", "horizon"}
@@ -139,6 +151,10 @@ def test_the_run_traces_pass_the_reference_and_end_both_ways():
 
 @settings(max_examples=300, deadline=None)
 @given(_mutants())
+# A 6-round run cannot fail in round 2, and a run of no rounds cannot stop
+# at its horizon.
+@example(_forged("const:1", status="strategy-error", error="round 2: boom"))
+@example(_forged("const:4", rounds=[], status="horizon", control_round=None))
 def test_replay_validate_accepts_exactly_what_the_reference_accepts(case):
     original, mutant = case
     try:

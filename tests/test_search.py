@@ -11,12 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from gridfire import search
 from gridfire.budget import constant, periodic
-from gridfire.engine import FireState, endangered, replay_validate
+from gridfire.engine import replay_validate
 from gridfire.grid import _OFFSETS, Topology, neighbors
 from gridfire.monitor import DIRECTIONS, check_invariants, front_offsets
 from gridfire.search import SearchConfig, exhaustive_search, min_burnt_search
 
-from conftest import naive_ranking
+from conftest import naive_ranking, scan_endangered
 
 
 def cfg_cart(budget, horizon, **kw):
@@ -242,8 +242,7 @@ def test_bitboard_spread_matches_engine_kernel(topo, burnt, protected):
     protected -= burnt
     win = search._Window(_HALF, topo)
     mask = win.endangered(win.encode(burnt), win.encode(protected))
-    assert set(win.points(win.bits(mask))) == endangered(
-        FireState(frozenset(burnt), frozenset(protected), 0, topo))
+    assert set(win.points(win.bits(mask))) == scan_endangered(burnt, protected, topo)
 
 
 def _transform(win, mask, sym_index):

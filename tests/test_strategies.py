@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridfire.budget import constant, periodic
+from gridfire.budget import Budget, constant, parse_budget, periodic
 from gridfire.engine import FireState, SimView, run
 from gridfire.grid import Topology
 from gridfire.strategies import (
@@ -27,6 +27,13 @@ def _view(burnt, protected, topo=Topology.CARTESIAN, round_no=0):
     return SimView(FireState(frozenset(burnt), frozenset(protected), round_no, topo))
 
 
+def _greedy(burnt) -> GreedyNearest:
+    """A greedy player reset on a fire whose burnt cells are ``burnt``."""
+    player = GreedyNearest()
+    player.reset(FireState(frozenset(burnt), frozenset(), 0, Topology.CARTESIAN))
+    return player
+
+
 def test_null_strategy_places_nothing():
     view = _view({(0, 0)}, set())
     assert NullStrategy().next_placements(view, 5) == []
@@ -34,7 +41,7 @@ def test_null_strategy_places_nothing():
 
 def test_greedy_ties_break_row_major():
     view = _view({(0, 0)}, set())
-    picks = GreedyNearest().next_placements(view, 2)
+    picks = _greedy({(0, 0)}).next_placements(view, 2)
     assert picks == [(0, -1), (-1, 0)]
 
 
@@ -43,13 +50,13 @@ def test_greedy_prefers_cells_near_centroid():
     # centroid than the western tail's.
     burnt = {(0, 0), (1, 0), (2, 0)}
     view = _view(burnt, set())
-    picks = GreedyNearest().next_placements(view, 1)
+    picks = _greedy(burnt).next_placements(view, 1)
     assert picks == [(1, -1)]
 
 
 def test_greedy_respects_budget_and_legality():
     view = _view({(0, 0)}, {(0, 1)})
-    picks = GreedyNearest().next_placements(view, 10)
+    picks = _greedy({(0, 0)}).next_placements(view, 10)
     assert len(picks) == 3
     assert (0, 1) not in picks
 
@@ -80,9 +87,47 @@ def per_cell_greedy(burnt, view, available):
 def test_greedy_matches_per_cell_key(topo, burnt, protected, available):
     view = _view(burnt, protected - burnt, topo)
     assert view.burnt_count == len(burnt)
-    assert GreedyNearest().next_placements(view, available) == per_cell_greedy(
+    assert _greedy(burnt).next_placements(view, available) == per_cell_greedy(
         burnt, view, available
     )
+
+
+class SumWatcher(GreedyNearest):
+    """Plays as ``GreedyNearest`` and records its burnt sums before each round."""
+
+    def reset(self, state):
+        super().reset(state)
+        self.seen = {}
+
+    def next_placements(self, view, available):
+        self.seen[view.round + 1] = self._sums
+        return super().next_placements(view, available)
+
+
+# Supplies with zero-supply rounds, which the player still folds into its sums.
+_ZERO_ROUNDS = (parse_budget("prefix:0,2|1"),
+                Budget(prefix=(2, 0, 0, 3, 0, 1), cycle=(0,), label="table:sums.json"))
+_CENTERS = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(topo=st.sampled_from(list(Topology)),
+       budget=st.sampled_from(_ZERO_ROUNDS + (constant(1), periodic([2, 1]))),
+       radius=st.integers(0, 2), center=_CENTERS, other=_CENTERS,
+       horizon=st.integers(1, 12))
+def test_greedy_keeps_the_burnt_sums_of_its_run(topo, budget, radius, center, other, horizon):
+    """Before round t the player's sums are those of the cells burnt after
+    round t - 1, and a player reused for a run from another source plays it
+    as a fresh one does, so ``reset`` seeds the sums anew."""
+    player = SumWatcher()
+    trace = run(FireState.source(topo, radius, center), budget, player, horizon)
+    assert sorted(player.seen) == [rec.t for rec in trace.rounds]
+    for t, sums in player.seen.items():
+        burnt = trace.state_at(t - 1)[0]
+        assert sums == (sum(x for x, _ in burnt), sum(y for _, y in burnt))
+    start = FireState.source(topo, radius, other)
+    fresh = run(start, budget, GreedyNearest(), horizon)
+    assert run(start, budget, player, horizon).to_text() == fresh.to_text()
 
 
 def test_random_is_seed_deterministic():
