@@ -16,7 +16,8 @@ from operator import add, floordiv, mod
 from typing import Collection, Iterable, Sequence
 
 from .budget import Budget, label_budget
-from .grid import _OFFSETS, Interned, Point, Topology, ball, bounding_box, row_major
+from .grid import (_OFFSETS, Interned, Point, Topology, _collector_off, ball, bounding_box,
+                   row_major)
 from .trace import MalformedTraceError, RoundRecord, RunTrace
 
 
@@ -313,6 +314,7 @@ class SimView:
         return self._endangered
 
 
+@_collector_off()
 def run(
     initial: FireState,
     budget: Budget,
@@ -365,6 +367,7 @@ def run(
     return trace
 
 
+@_collector_off()
 def replay_validate(trace: RunTrace) -> None:
     """Re-run a trace's placements and check every record and the header.
 

@@ -52,7 +52,7 @@ from operator import add, sub
 from typing import Iterable, Sequence
 
 from .engine import replay_validate
-from .grid import Point, Topology, columns, row_major
+from .grid import Point, Topology, _collector_off, columns, row_major
 from .trace import RunTrace
 
 Direction = tuple[int, int]
@@ -270,6 +270,7 @@ class MonitorReport:
         return "\n".join(lines)
 
 
+@_collector_off()
 def check_invariants(trace: RunTrace, validate: bool = True) -> MonitorReport:
     """Walk a Cartesian trace and evaluate checks A-F on every instant."""
     if trace.topology is not Topology.CARTESIAN:

@@ -9,7 +9,7 @@ from functools import partial
 from types import NoneType
 from typing import IO
 
-from .grid import Interned, Point, Topology
+from .grid import Interned, Point, Topology, _collector_off
 
 # Points are tuples of ints, which hold no containers, so the encoder's cycle
 # bookkeeping could never find a cycle; one encoder serves every line.
@@ -87,6 +87,7 @@ class RunTrace:
         return buf.getvalue()
 
     @classmethod
+    @_collector_off()
     def read(cls, fp: IO[str]) -> "RunTrace":
         """Parse a trace written by ``write``, checking every field's type.
 

@@ -13,7 +13,10 @@ outside the engine no code touches a view's underscore attributes. The
 monitor takes only ``replay_validate`` from the engine. ``SimView.play``
 takes the squad out of E by bisection, with no mask or ``compress`` over E.
 The package's ``__all__`` names each name that ``__init__`` imports, once,
-and no other.
+and no other. The cyclic collector is switched in one place: only ``grid``
+imports ``gc``, only its ``_collector_off`` calls it, and that helper
+decorates exactly ``run``, ``replay_validate``, ``RunTrace.read`` and
+``check_invariants``.
 """
 
 from __future__ import annotations
@@ -189,3 +192,39 @@ def test_play_takes_the_squad_out_of_E_by_bisection():
     engine = next(path for path in SOURCES if path.name == "engine.py")
     called = _called(_function(ast.parse(engine.read_text(), str(engine)), "play"))
     assert "bisect_left" in called and {"compress", "map"}.isdisjoint(called)
+
+
+def _decorated_by(tree: ast.AST, name: str, scope: str = ""):
+    """Qualified names of the functions in ``tree`` that ``@name()`` decorates."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            qualified = scope + node.name
+            if any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == name
+                   for d in node.decorator_list):
+                yield qualified
+            yield from _decorated_by(node, name, qualified + ".")
+
+
+def test_one_helper_holds_the_collector_off_for_four_calls():
+    importers, calls, decorated, uses = [], [], [], 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        helper = ()
+        if path.name == "grid.py":
+            helper = set(ast.walk(_function(tree, "_collector_off")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names) \
+                    or isinstance(node, ast.ImportFrom) and node.module == "gc":
+                importers.append(path.name)
+            elif (isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "gc"
+                  and node not in helper):
+                calls.append(f"{path.name}:{node.lineno}: gc.{node.attr}")
+            elif isinstance(node, ast.Name) and node.id == "_collector_off":
+                uses += 1
+        decorated += [f"{path.name}:{name}" for name in _decorated_by(tree, "_collector_off")]
+    assert importers == ["grid.py"]
+    assert calls == []
+    assert sorted(decorated) == ["engine.py:replay_validate", "engine.py:run",
+                                 "monitor.py:check_invariants", "trace.py:RunTrace.read"]
+    # The helper is used only as a decorator.
+    assert uses == len(decorated)

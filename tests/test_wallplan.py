@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from gridfire.engine import FireState, run
 from gridfire.grid import Topology, ball
 from gridfire.wallplan import (
     ContainmentStrategy,
+    WallTask,
     schedule_is_feasible,
     wall_plan,
 )
@@ -200,3 +202,48 @@ def test_containment_requires_matching_source():
 def test_wall_plan_rejects_nonpositive_parameters(m, r):
     with pytest.raises(ValueError, match="^m and r must be positive"):
         wall_plan(m, r)
+
+
+def _deadline(p, r: int) -> int:
+    """The round by which a strong fire from the radius-r square first comes
+    within reach of ``p``: its L-infinity distance from the origin less r."""
+    return max(abs(p[0]), abs(p[1])) - r
+
+
+def _west_wall_at(plan, clearance: int):
+    """The plan's tasks with the west wall ``clearance`` columns beyond the
+    fire's width at its arrival, where the plan has m + 1: the wall column
+    moves east by m + 1 - clearance, the north-row and south-row cells west
+    of it are dropped, and every deadline is recomputed by ``_deadline``."""
+    m, r = plan.m, plan.r
+    west = min(t.target[0] for t in plan.tasks)
+    north = max(t.target[1] for t in plan.tasks)
+    south = min(t.target[1] for t in plan.tasks)
+    moved = west + (m + 1 - clearance)
+    targets = []
+    for task in plan.tasks:
+        x, y = task.target
+        if x == west:
+            targets.append((moved, y))
+        elif x >= moved or y not in (north, south):
+            targets.append((x, y))
+    return [WallTask(p, _deadline(p, r), 0) for p in targets]
+
+
+@pytest.mark.parametrize("m,r", ALL_CELLS)
+def test_a_narrower_west_wall_fails_halls_condition_at_its_arrival(m, r):
+    # The plan's west wall stands m + 1 columns beyond the width that
+    # criterion 1 asserts (clearance 0). Every nearer straight wall asks for
+    # all its cells by its own arrival round, 6rm^2 + 10rm + K, one round
+    # sooner per column, and the matched budget falls short right there.
+    plan = wall_plan(m, r)
+    budget = containment_budget(m)
+    assert all(t.deadline == _deadline(t.target, r) for t in plan.tasks)
+    full = _west_wall_at(plan, m + 1)
+    assert sorted(full, key=lambda t: t.deadline) == [
+        WallTask(t.target, t.deadline, 0) for t in plan.tasks]
+    assert schedule_is_feasible(replace(plan, tasks=tuple(full)), budget) == (True, None)
+    for clearance in range(m + 1):
+        tasks = sorted(_west_wall_at(plan, clearance), key=lambda t: t.deadline)
+        assert schedule_is_feasible(replace(plan, tasks=tuple(tasks)), budget) == (
+            False, 6 * r * m * m + 10 * r * m + clearance)
