@@ -10,10 +10,6 @@ from typing import Iterable
 
 Point = tuple[int, int]
 
-# Simulations are expected to stay far below this; anything beyond signals a
-# runaway loop or corrupt input, so we fail loudly instead of wrapping.
-COORD_LIMIT = 2**31
-
 
 class Topology(Enum):
     CARTESIAN = "cartesian"  # 4-regular, adjacency at l1 distance 1
@@ -102,16 +98,8 @@ def _collector_off():
         gc.enable()
 
 
-def check_range(points: Iterable[Point]) -> None:
-    """Raise OverflowError for the first point outside the supported range."""
-    for x, y in points:
-        if not (-COORD_LIMIT < x < COORD_LIMIT and -COORD_LIMIT < y < COORD_LIMIT):
-            raise OverflowError(f"coordinate out of supported range: {(x, y)}")
-
-
 def neighbors(p: Point, topo: Topology) -> tuple[Point, ...]:
     """Adjacent points of ``p`` under ``topo``, in row-major (y, x) order."""
-    check_range((p,))
     x, y = p
     return tuple((x + dx, y + dy) for dx, dy in _OFFSETS[topo])
 

@@ -32,18 +32,18 @@ other cells protect, and the squads of a bound are built only once the walk
 reaches it.
 
 Both drivers run on one core, ``_Search``: the window and the supply, the node
-count, the child expansion, the seal test and a transposition table, one
-bucket per depth. Each driver keeps only its own walk. Squads travel as tuples
-of single-bit masks and are decoded to points only for the witness. A position
-is always keyed by its least image over the grid's symmetries (``_Window.key``),
-the identity's being the raw key ``(burnt << nbits) | prot``. The walks carry
-each node's images under the other symmetries: they are built bit by bit only
-at the root, and a child's follow from its parent's, the endangered set's and
-the squad's cells (``_Search.carry``), so no child's burnt or protected bits
-are extracted. A bucket holds at most ``_TT_CAP`` positions;
-once one is full, later duplicates at that depth are searched again. That
-costs nodes, so the node cap may come sooner, but it finds nothing different;
-the result's ``note`` names the depths where it happened.
+count, the image carry, the seal test and a transposition table, one bucket
+per depth. Each driver keeps only its own walk. Squads travel as tuples of
+single-bit masks and are decoded to points only for the witness. A node
+travels as one list, its images ``(T(burnt) << nbits) | T(prot)``, one per
+symmetry table T of the grid, the identity's first; its burnt and protected
+sets are read off that first image. One ``_Search.carry`` makes every node's
+images: a child's from its parent's, the endangered set's and the squad's
+cells, and the root's from the empty position with the source endangered. A
+position is keyed by its least image. A bucket holds at most ``_TT_CAP``
+positions; once one is full, later duplicates at that depth are searched
+again. That costs nodes, so the node cap may come sooner, but it finds nothing
+different; the result's ``note`` names the depths where it happened.
 
 The window is sized so that neither the fire nor the candidate cells reach its
 outer ring; if either ever does, the search raises RuntimeError rather than
@@ -206,23 +206,6 @@ class _Window:
             b = (b | (b << side) | (b >> side)) & self.full
         return b
 
-    def images(self, burnt: int, prot: int) -> list[int]:
-        """The position's images ``(T(burnt) << nbits) | T(prot)``, one per
-        table T of ``sym_bits`` but the identity, built bit by bit: the
-        root's, which the walks then carry (``_Search.carry``)."""
-        nbits = self.nbits
-        burnt_bits = self.bits(burnt)
-        prot_bits = self.bits(prot)
-        return [(sum(map(table.__getitem__, burnt_bits)) << nbits)
-                | sum(map(table.__getitem__, prot_bits))
-                for table in self.sym_bits[1:]]
-
-    def key(self, burnt: int, prot: int, images: list[int]) -> int:
-        """The transposition key of a position with the given ``images``: its
-        least image over the grid's symmetries, the identity's being the raw
-        key ``(burnt << nbits) | prot``."""
-        return min((burnt << self.nbits) | prot, *images)
-
     def offsets(self, burnt: int, start: Iterable[int] = _LINE_ZERO) -> list[int]:
         """Per direction of ``monitor.DIRECTIONS``, the first front line
         ``burnt`` misses.
@@ -247,9 +230,8 @@ class _Window:
 @dataclass
 class SearchConfig:
     """One search instance. No field chooses the key: a position is always
-    keyed by its least image over the grid's symmetries (``_Window.key``), of
-    which the identity's is the raw key, and the walks carry the images from
-    node to node rather than extract a child's bits."""
+    keyed by its least image over the grid's symmetries, which the walks
+    carry from node to node (``_Search.carry``)."""
 
     topology: Topology
     source: frozenset[Point]
@@ -264,6 +246,11 @@ class SearchConfig:
 
 @dataclass
 class SearchResult:
+    """What a search found. A minimum-burnt search given an
+    ``initial_bound`` looks only below it, so when it finds nothing its
+    ``note`` names the bound, "no containment burning fewer than N cells",
+    since a containment burning N or more may still exist."""
+
     outcome: str  # "controlled-found" | "exhausted-no-control" | "node-cap-hit"
     nodes: int
     min_final_perimeter: int | None = None
@@ -337,14 +324,6 @@ class _Search:
         """Every squad of min(k, |cells|) cells, in lexicographic order."""
         members = self.win.singles(cells)
         return itertools.combinations(members, min(k, len(members)))
-
-    def children(
-        self, burnt: int, prot: int, e_mask: int, cells: int, k: int
-    ) -> Iterator[tuple[Squad, int, int]]:
-        """(squad, burnt', protected') for each of ``squads(cells, k)``."""
-        for squad in self.squads(cells, k):
-            s_mask = sum(squad)  # distinct single bits: the sum is the union
-            yield squad, burnt | (e_mask & ~s_mask), prot | s_mask
 
     def groups(
         self, burnt: int, prot: int, e_mask: int, cand: int, k: int
@@ -483,19 +462,21 @@ class _Search:
             for squad in squads:
                 yield bound, squad
 
-    def carry(self, images: list[int], e_mask: int) -> Callable[[Squad], list[int]]:
+    def carry(self, images: Iterable[int], e_mask: int) -> Callable[[Squad], list[int]]:
         """The images of a node's children: a function from a squad to its
         child's ``images``, given the node's own and its endangered set E.
 
-        A squad S, protecting hs = S & E, makes burnt' = burnt + E - hs and
-        prot' = prot + S. So each image (T(burnt) << nbits) | T(prot) gains
-        T(E) << nbits, once per node, and then per cell c of S, T(c) - (T(c)
-        << nbits) when c is in E and T(c) otherwise. A cell's terms are built
-        once per node, so a child costs |S| additions per table, and no bit
-        of burnt or prot is extracted.
+        A node's images are (T(burnt) << nbits) | T(prot), one per table T of
+        ``sym_bits``, the identity's first. A squad S, protecting hs = S & E,
+        makes burnt' = burnt + E - hs and prot' = prot + S. So each image
+        gains T(E) << nbits, once per node, and then per cell c of S, T(c) -
+        (T(c) << nbits) when c is in E and T(c) otherwise. A cell's terms are
+        built once per node, so a child costs |S| additions per table. The
+        root's images are the empty position's child by the empty squad, with
+        the source as E.
         """
         nbits = self.win.nbits
-        tables = self.win.sym_bits[1:]
+        tables = self.win.sym_bits
         e_bits = self.win.bits(e_mask)
         base = [image + (sum(map(table.__getitem__, e_bits)) << nbits)
                 for image, table in zip(images, tables)]
@@ -509,9 +490,14 @@ class _Search:
         shifts = Interned(shift)
         return lambda squad: list(map(sum, zip(base, *map(shifts.__getitem__, squad))))
 
+    def root(self) -> list[int]:
+        """The root's images: ``carry`` from the empty position, whose images
+        are all 0, with the source endangered, by the empty squad."""
+        return self.carry(itertools.repeat(0), self.burnt0)(())
+
     def fresh(self, depth: int, key: int) -> bool:
-        """False when a position of transposition ``key`` (``_Window.key``)
-        was already entered at ``depth``."""
+        """False when a position of transposition ``key``, the least of its
+        images, was already entered at ``depth``."""
         bucket = self.seen[depth]
         if key in bucket:
             return False
@@ -642,14 +628,16 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
     """Exhaust play up to the horizon; exact within the candidate rule."""
     core = _Search(cfg)
     win = core.win
+    nbits, full = win.nbits, win.full
     f = core.f
     last_depth = cfg.horizon - 1
     min_perim: int | None = None
 
-    def visit(burnt: int, prot: int, images: list[int], depth: int,
-              squads: list[Squad]) -> None:
+    def visit(images: list[int], depth: int, squads: list[Squad]) -> None:
         """An interior node, above ``last_depth``."""
         core.enter()
+        burnt = images[0] >> nbits
+        prot = images[0] & full
         e_mask = core.endangered(depth, burnt, prot)
         cand = core.candidates(depth, burnt, prot)
         seal = core.seal(depth, burnt, prot, e_mask, cand)
@@ -660,10 +648,10 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
             leaves(depth + 1, burnt, prot, e_mask, cand, k, squads)
             return
         carry = core.carry(images, e_mask)
-        for squad, burnt2, prot2 in core.children(burnt, prot, e_mask, cand, f[depth]):
+        for squad in core.squads(cand, f[depth]):
             images2 = carry(squad)
-            if core.fresh(depth + 1, win.key(burnt2, prot2, images2)):
-                visit(burnt2, prot2, images2, depth + 1, squads + [squad])
+            if core.fresh(depth + 1, min(images2)):
+                visit(images2, depth + 1, squads + [squad])
 
     def leaves(
         depth: int, burnt: int, prot: int, e_mask: int, cand: int, k: int,
@@ -717,7 +705,7 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
         if last_depth == 0:
             leaves(0, core.burnt0, 0, 0, 0, 0, [])
         else:
-            visit(core.burnt0, 0, win.images(core.burnt0, 0), 0, [])
+            visit(core.root(), 0, [])
     except _CapHit:
         return core.result(
             "node-cap-hit", "inconclusive: node cap reached", min_final_perimeter=min_perim
@@ -740,15 +728,16 @@ def exhaustive_search(cfg: SearchConfig) -> SearchResult:
 def min_burnt_search(cfg: SearchConfig) -> SearchResult:
     """Branch-and-bound for a containment witness with the fewest burnt cells."""
     core = _Search(cfg)
-    win = core.win
+    nbits, full = core.win.nbits, core.win.full
     # No containment burns every window cell, so that many plus one admits all.
-    best_burnt = win.nbits + 1 if cfg.initial_bound is None else cfg.initial_bound
+    best_burnt = nbits + 1 if cfg.initial_bound is None else cfg.initial_bound
     best_squads: list[Squad] | None = None
 
-    def visit(burnt: int, prot: int, images: list[int], depth: int,
-              squads: list[Squad]) -> None:
+    def visit(images: list[int], depth: int, squads: list[Squad]) -> None:
         nonlocal best_burnt, best_squads
         core.enter()
+        burnt = images[0] >> nbits
+        prot = images[0] & full
         e_mask = core.endangered(depth, burnt, prot)
         if depth >= cfg.horizon:
             return
@@ -769,24 +758,24 @@ def min_burnt_search(cfg: SearchConfig) -> SearchResult:
                 break
             if carry is None:
                 carry = core.carry(images, e_mask)
-            s_mask = sum(squad)
-            burnt2 = burnt | (e_mask & ~s_mask)
-            prot2 = prot | s_mask
             images2 = carry(squad)
-            if core.fresh(depth + 1, win.key(burnt2, prot2, images2)):
-                visit(burnt2, prot2, images2, depth + 1, squads + [squad])
+            if core.fresh(depth + 1, min(images2)):
+                visit(images2, depth + 1, squads + [squad])
 
     capped = False
     try:
-        visit(core.burnt0, 0, win.images(core.burnt0, 0), 0, [])
+        visit(core.root(), 0, [])
     except _CapHit:
         capped = True
     finally:
         del visit  # see exhaustive_search
     if best_squads is None:
+        # A bound hides every containment at or above it, so the note names it.
+        note = "no containment " + ("found" if cfg.initial_bound is None
+                                    else f"burning fewer than {cfg.initial_bound} cells")
         return core.result(
             "node-cap-hit" if capped else "exhausted-no-control",
-            "no containment found" + (" before node cap" if capped else ""),
+            note + (" before node cap" if capped else ""),
         )
     return core.result(
         "node-cap-hit" if capped else "controlled-found",

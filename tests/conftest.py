@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from fractions import Fraction
 
@@ -120,13 +121,29 @@ def reference_accepts(trace: RunTrace) -> bool:
     return trace.status == "strategy-error" and (spreading or not trace.rounds)
 
 
+def child_masks(core, burnt, prot, e_mask, cells, k):
+    """(squad, burnt', protected') for every squad of min(k, |cells|) cells,
+    in ``combinations`` order, the child's masks set one cell at a time: the
+    endangered cells the squad leaves burn, and the squad is protected."""
+    members = [1 << b for b in core.win.bits(cells)]
+    endangered = [1 << b for b in core.win.bits(e_mask)]
+    for squad in itertools.combinations(members, min(k, len(members))):
+        burnt2, prot2 = burnt, prot
+        for cell in endangered:
+            if cell not in squad:
+                burnt2 |= cell
+        for cell in squad:
+            prot2 |= cell
+        yield squad, burnt2, prot2
+
+
 def naive_ranking(core, depth, burnt, prot, e_mask):
     """Every child of a search node with its own endangered set, ranked by
     (bound, squad): the reference for ``_Search.ranked_children``."""
     f_after = core.f[depth + 1] if depth + 1 < len(core.f) else 0
     ranked = []
     cand = core.candidates(depth, burnt, prot)
-    for squad, burnt2, prot2 in core.children(burnt, prot, e_mask, cand, core.f[depth]):
+    for squad, burnt2, prot2 in child_masks(core, burnt, prot, e_mask, cand, core.f[depth]):
         e2 = core.win.endangered(burnt2, prot2)
         ranked.append((burnt2.bit_count() + max(0, e2.bit_count() - f_after), squad))
     # Children come in squad order, so a stable sort on the bound alone
@@ -169,7 +186,7 @@ def per_subset_seal(core, depth, burnt, prot, e_mask):
         if exposure.bit_count() <= f_next:
             pool |= exposure
     best = None
-    for squad, burnt2, prot2 in core.children(burnt, prot, e_mask, pool & cand, f_next):
+    for squad, burnt2, prot2 in child_masks(core, burnt, prot, e_mask, pool & cand, f_next):
         if win.endangered(burnt2, prot2):
             continue
         n_burn = (burnt2 ^ burnt).bit_count()

@@ -5,7 +5,9 @@ The package stays pure Python with no runtime dependencies:
 code to it by reading every import. Source balls are built in one place,
 ``FireState.source``, so only the engine calls ``grid.ball``. The minimum-burnt
 walk ends a node at its gate before the seal and the children: the gate is a
-step of the walk, not of the child ranking. The front monitor counts its
+step of the walk, not of the child ranking. A search node travels as its list
+of symmetry images, and only ``_Search.carry`` (with the window that builds
+the tables) reads the tables. The front monitor counts its
 potentials in quarter units and builds a ``Fraction`` only for the report.
 The reduction's verdict is ``ReductionReport.ok``, which the CLI only reads.
 A view's burnt cells are its own: only ``SimView`` marks or reads them, and
@@ -98,6 +100,30 @@ def test_the_walk_gates_a_node_before_its_seal_and_children():
     walk = [name for name in _called(_function(_function(tree, "min_burnt_search"), "visit"))
             if name in ("gate", "seal", "ranked_children")]
     assert walk == ["gate", "seal", "ranked_children"]
+
+
+def _methods(tree: ast.AST, class_name: str) -> dict[str, ast.FunctionDef]:
+    """The methods of the one class called ``class_name`` in ``tree``."""
+    found = [node for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) and node.name == class_name]
+    assert len(found) == 1, class_name
+    return {node.name: node for node in found[0].body if isinstance(node, ast.FunctionDef)}
+
+
+def test_one_carry_holds_the_symmetry_tables():
+    """A search node is its list of images, which only ``_Search.carry``
+    makes: outside the window's constructor no other code reads the tables,
+    and no second form of a position, key or child step is kept."""
+    path = next(path for path in SOURCES if path.name == "search.py")
+    tree = ast.parse(path.read_text(), str(path))
+    window, core = _methods(tree, "_Window"), _methods(tree, "_Search")
+    allowed = set(ast.walk(window["__init__"])) | set(ast.walk(core["carry"]))
+    readers = [f"search.py:{node.lineno}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "sym_bits"
+               and node not in allowed]
+    assert readers == []
+    assert {"images", "key"}.isdisjoint(window)
+    assert "children" not in core
 
 
 def test_the_monitor_walk_counts_in_quarters():

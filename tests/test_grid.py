@@ -120,10 +120,3 @@ def test_skew_lands_on_even_points(p):
 def test_ball_rejects_bad_arguments(radius, metric, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         ball((0, 0), radius, metric)
-
-
-def test_neighbors_reject_runaway_coordinates():
-    from gridfire.grid import COORD_LIMIT
-
-    with pytest.raises(OverflowError):
-        neighbors((COORD_LIMIT, 0), Topology.CARTESIAN)

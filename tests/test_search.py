@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -125,6 +126,23 @@ def test_min_burnt_two_firefighters_quick_probe():
     assert res.witness.final_round() <= 8
     assert res.witness.status == "controlled"
     replay_validate(res.witness)
+
+
+@pytest.mark.parametrize("bound, node_cap, outcome, note", [
+    (19, 5_000_000, "controlled-found", None),
+    (18, 5_000_000, "exhausted-no-control", "no containment burning fewer than 18 cells"),
+    (18, 100, "node-cap-hit", "no containment burning fewer than 18 cells before node cap"),
+    (None, 100, "node-cap-hit", "no containment found before node cap"),
+])
+def test_a_bounded_search_that_finds_nothing_names_its_bound(bound, node_cap, outcome, note):
+    # Criterion 5's instance is contained with 18 cells at best: bound 19
+    # finds them and bound 18 finds nothing, which says nothing of
+    # containments burning 18 or more, so its note names the bound. With no
+    # bound the note says only that nothing was found.
+    res = min_burnt_search(cfg_cart(constant(2), 8, candidate_distance=2,
+                                    node_cap=node_cap, initial_bound=bound))
+    assert (res.outcome, res.note) == (outcome, note)
+    assert res.min_burnt == (18 if bound == 19 else None)
 
 
 # Recorded from the search before its drivers shared one core, and the last
@@ -252,27 +270,19 @@ def _transform(win, mask, sym_index):
 
 
 def _canonical(win, burnt, prot):
-    """The transposition key bit by bit: the least (burnt, protected) key over
-    the grid's symmetries, the reference for the keys the walks carry.
-
-    ``sym_bits[0]`` is the identity, whose image is the raw key
-    ``(burnt << nbits) | prot``, so only the other tables are walked.
-    """
-    nbits = win.nbits
-    burnt_bits = win.bits(burnt)
-    prot_bits = win.bits(prot)
-    return min(
-        (burnt << nbits) | prot,
-        *((sum(map(table.__getitem__, burnt_bits)) << nbits)
-          | sum(map(table.__getitem__, prot_bits))
-          for table in win.sym_bits[1:]),
-    )
+    """The transposition key bit by bit: the least image (T(burnt) << nbits)
+    | T(prot) over every table T of ``sym_bits``, the identity's included,
+    the reference for the keys the walks carry."""
+    return min((_transform(win, burnt, i) << win.nbits) | _transform(win, prot, i)
+               for i in range(len(win.sym_bits)))
 
 
-def _root_key(win, burnt, prot):
-    """The window's key of a position from its images built bit by bit, as
-    the walks key their root."""
-    return win.key(burnt, prot, win.images(burnt, prot))
+def _images(core, burnt, prot):
+    """The images of the position (burnt, prot), ``prot`` clear of ``burnt``,
+    as the walks make the root's: ``carry`` from the empty position, whose
+    images are all 0, with ``burnt`` endangered and ``prot``'s cells as the
+    squad."""
+    return core.carry(itertools.repeat(0), burnt)(tuple(core.win.singles(prot)))
 
 
 # The eight symmetries of the square, one cell at a time: the reference for
@@ -352,17 +362,29 @@ def test_cell_neighbors_match_the_per_cell_loop(topo, half):
                       max_size=20),
 )
 def test_canonical_key_is_symmetry_invariant(topo, burnt, protected):
-    # The key is the least image over every table, the identity's included,
-    # each walked bit by bit; the oracle takes the identity's as the raw key,
-    # and the window's key from root images is the same.
-    win = search._Window(_HALF, topo)
+    # The identity's image is the raw key, so the key is at most that; the
+    # least of the carried images is the key, and every image of the
+    # position has the same key.
+    core = search._Search(SearchConfig(topology=topo, source=frozenset({(0, 0)}),
+                                       budget=constant(1), horizon=3, candidate_distance=1))
+    win = core.win
+    assert win.half == _HALF
     b, p = win.encode(burnt), win.encode(protected - burnt)
     key = _canonical(win, b, p)
-    assert key == min((_transform(win, b, i) << win.nbits) | _transform(win, p, i)
-                      for i in range(len(win.sym_bits)))
-    assert _root_key(win, b, p) == key
+    assert (_transform(win, b, 0), _transform(win, p, 0)) == (b, p)
+    assert key <= (b << win.nbits) | p
+    assert min(_images(core, b, p)) == key
     for i in range(len(win.sym_bits)):
         assert _canonical(win, _transform(win, b, i), _transform(win, p, i)) == key
+
+
+def _assert_images_of(win, images, burnt, prot):
+    """``images`` are (burnt, prot) under every table, the identity's first,
+    and their least is the bit-by-bit key."""
+    assert [(image >> win.nbits, image & win.full) for image in images] == [
+        (_transform(win, burnt, i), _transform(win, prot, i))
+        for i in range(len(win.sym_bits))]
+    assert min(images) == _canonical(win, burnt, prot)
 
 
 _CARRY_HALF = 8  # the window of a horizon-3, distance-2 search from one cell
@@ -381,20 +403,21 @@ _CARRY_HALF = 8  # the window of a horizon-3, distance-2 search from one cell
 )
 @example(topo=Topology.CARTESIAN, burnt={(0, 0)}, protected=set(), data=None)
 def test_carried_images_match_the_child_masks(topo, burnt, protected, data):
-    # From the images built bit by bit, carried through two generations of
-    # squads, each protecting some endangered cells and some cells outside
-    # burnt, protected and endangered, a child's images are its masks under
-    # every table but the identity, and its key is the bit-by-bit key. The
-    # example starts at the root with empty squads.
+    # The root's images, and those of a position carried from the empty one
+    # as the root's are, carried on through two generations of squads, each
+    # protecting some endangered cells and some cells outside burnt,
+    # protected and endangered: a node's images are its masks under every
+    # table, the identity's first, and their least is the bit-by-bit key.
+    # The example starts at the root with empty squads.
     core = search._Search(SearchConfig(topology=topo, source=frozenset({(0, 0)}),
                                        budget=constant(2), horizon=3))
     win = core.win
     assert win.half == _CARRY_HALF
-    others = range(1, len(win.sym_bits))
-    assert win.images(core.burnt0, 0) == [_transform(win, core.burnt0, i) << win.nbits
-                                          for i in others]
+    assert core.root() == [_transform(win, core.burnt0, i) << win.nbits
+                           for i in range(len(win.sym_bits))]
     b, p = win.encode(burnt), win.encode(protected - burnt)
-    images = win.images(b, p)
+    images = _images(core, b, p)
+    _assert_images_of(win, images, b, p)
     for _ in range(2):
         e_mask = win.endangered(b, p)
         squad = ()
@@ -404,12 +427,9 @@ def test_carried_images_match_the_child_masks(topo, burnt, protected, data):
                             unique=True, max_size=3)
             squad = tuple(data.draw(hot, label="hot") if e_mask else []) + tuple(
                 data.draw(cold, label="cold"))
-        s_mask = sum(squad)
-        b, p = b | (e_mask & ~s_mask), p | s_mask
+        b, p = b | (e_mask & ~sum(squad)), p | sum(squad)
         images = core.carry(images, e_mask)(squad)
-        assert [(image >> win.nbits, image & win.full) for image in images] == [
-            (_transform(win, b, i), _transform(win, p, i)) for i in others]
-        assert win.key(b, p, images) == _canonical(win, b, p)
+        _assert_images_of(win, images, b, p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -449,12 +469,12 @@ def test_fresh_tells_protection_apart(topo):
     win = core.win
     b = win.encode({(0, 0), (1, 0)})
     for prot in ({(0, 1)}, {(0, 2)}, set(), {(0, 1), (0, 2)}):
-        assert core.fresh(1, _root_key(win, b, win.encode(prot)))
-    assert not core.fresh(1, _root_key(win, b, win.encode({(0, 2)})))
+        assert core.fresh(1, min(_images(core, b, win.encode(prot))))
+    assert not core.fresh(1, min(_images(core, b, win.encode({(0, 2)}))))
     # The reflection y -> -y fixes the burnt cells and maps this protection
     # onto {(0, 1)}, already entered. It is a symmetry of the square grids but
     # not of the triangular one.
-    mirrored = core.fresh(1, _root_key(win, b, win.encode({(0, -1)})))
+    mirrored = core.fresh(1, min(_images(core, b, win.encode({(0, -1)}))))
     assert mirrored is (topo is Topology.TRIANGULAR)
 
 

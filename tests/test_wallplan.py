@@ -210,24 +210,29 @@ def _deadline(p, r: int) -> int:
     return max(abs(p[0]), abs(p[1])) - r
 
 
-def _west_wall_at(plan, clearance: int):
+def _walls_at(plan, clearance: int, east_shift: int = 0):
     """The plan's tasks with the west wall ``clearance`` columns beyond the
-    fire's width at its arrival, where the plan has m + 1: the wall column
-    moves east by m + 1 - clearance, the north-row and south-row cells west
-    of it are dropped, and every deadline is recomputed by ``_deadline``."""
+    fire's width at its arrival, where the plan has m + 1, and the east wall
+    moved ``east_shift`` columns west: each wall column moves, the north-row
+    and south-row cells outside the two columns are dropped, and every
+    deadline is recomputed by ``_deadline``. No cell is listed twice."""
     m, r = plan.m, plan.r
-    west = min(t.target[0] for t in plan.tasks)
-    north = max(t.target[1] for t in plan.tasks)
-    south = min(t.target[1] for t in plan.tasks)
-    moved = west + (m + 1 - clearance)
+    xs = [t.target[0] for t in plan.tasks]
+    ys = [t.target[1] for t in plan.tasks]
+    west, east, north, south = min(xs), max(xs), max(ys), min(ys)
+    west2 = west + (m + 1 - clearance)
+    east2 = east - east_shift
     targets = []
     for task in plan.tasks:
         x, y = task.target
-        if x == west:
-            targets.append((moved, y))
-        elif x >= moved or y not in (north, south):
-            targets.append((x, y))
-    return [WallTask(p, _deadline(p, r), 0) for p in targets]
+        if y in (north, south):
+            if west2 <= x <= east2:
+                targets.append((x, y))
+        else:
+            targets.append((west2 if x == west else east2 if x == east else x, y))
+    assert len(set(targets)) == len(targets)
+    return sorted((WallTask(p, _deadline(p, r), 0) for p in targets),
+                  key=lambda t: t.deadline)
 
 
 @pytest.mark.parametrize("m,r", ALL_CELLS)
@@ -239,11 +244,25 @@ def test_a_narrower_west_wall_fails_halls_condition_at_its_arrival(m, r):
     plan = wall_plan(m, r)
     budget = containment_budget(m)
     assert all(t.deadline == _deadline(t.target, r) for t in plan.tasks)
-    full = _west_wall_at(plan, m + 1)
-    assert sorted(full, key=lambda t: t.deadline) == [
-        WallTask(t.target, t.deadline, 0) for t in plan.tasks]
+    full = _walls_at(plan, m + 1)
+    assert full == [WallTask(t.target, t.deadline, 0) for t in plan.tasks]
     assert schedule_is_feasible(replace(plan, tasks=tuple(full)), budget) == (True, None)
     for clearance in range(m + 1):
-        tasks = sorted(_west_wall_at(plan, clearance), key=lambda t: t.deadline)
+        tasks = _walls_at(plan, clearance)
         assert schedule_is_feasible(replace(plan, tasks=tuple(tasks)), budget) == (
             False, 6 * r * m * m + 10 * r * m + clearance)
+
+
+@pytest.mark.parametrize("m,r", ALL_CELLS)
+def test_a_nearer_east_wall_fails_halls_condition_at_its_arrival(m, r):
+    # The east wall stands on column 6rm + r + 1 and arrives at round
+    # 6rm + 1. Moved J columns west, it asks for all its cells J rounds
+    # sooner, and the matched budget falls short at that arrival, before any
+    # west wall, however near, is due.
+    plan = wall_plan(m, r)
+    budget = containment_budget(m)
+    for east_shift in range(1, 6):
+        for clearance in range(m + 2):
+            tasks = _walls_at(plan, clearance, east_shift)
+            assert schedule_is_feasible(replace(plan, tasks=tuple(tasks)), budget) == (
+                False, 6 * r * m + 1 - east_shift), (east_shift, clearance)
