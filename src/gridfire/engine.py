@@ -36,11 +36,6 @@ class PlacementError(SimulationError):
 class StrategyError(SimulationError):
     """A strategy cannot honor its own contract (e.g. a wall deadline passed)."""
 
-    def __init__(self, message: str, round_no: int | None = None):
-        self.round_no = round_no
-        where = f" at round {round_no}" if round_no is not None else ""
-        super().__init__(message + where)
-
 
 @dataclass(frozen=True)
 class FireState:

@@ -122,8 +122,10 @@ class _Window:
         perms = [perm for perm in _symmetries(self.side)
                  if sorted(perm[b] for b in around) == around]
         # sym_bits[i][b] is the single-bit mask of cell b under symmetry i;
-        # sym_bits[0] is the identity, which every neighborhood keeps.
-        self.sym_bits = [list(map((1).__lshift__, perm)) for perm in perms]
+        # sym_bits[0] is the identity, which every neighborhood keeps. Every
+        # table shares the identity's ints, one per cell.
+        cells = list(map((1).__lshift__, range(self.nbits)))
+        self.sym_bits = [list(map(cells.__getitem__, perm)) for perm in perms]
         # lines[d][c]: the cells on front line c of direction d = (sx, sy),
         # sx*x + sy*y = c for c = 0, 1, ...; each list ends in an empty line,
         # so every scan stops. Line c is line 0, the cells (x, -sx*sy*x),

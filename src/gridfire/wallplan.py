@@ -1,34 +1,38 @@
 """Four-phase wall containment for strong-grid fires.
 
-The plan boxes in a fire that starts as the axes-parallel square of radius r,
-building four straight walls in the order north, east, west, south. Each wall
-cell carries a deadline: the last round by which it must be protected, derived
-from when the advancing fire first comes within reach (distance 1) of it. An
-earliest-deadline-first scheduler then spends each round's squad on the most
-urgent unbuilt cells, pre-building future walls with any surplus.
+The plan boxes in a fire that starts as the axes-parallel square of radius r.
+Its targets are the boundary of one box. On the strong grid the unchecked fire
+is the L-infinity ball of radius r + t at round t, so one rule gives every wall
+cell its deadline: a cell is due by the round in which the free fire would
+burn it, its L-infinity distance from the origin less r. The cells are listed
+in build order (the north row from the centre outward, the east and west
+columns top-down, the south row west to east) and sorted stably by deadline.
+An earliest-deadline-first scheduler then spends each round's squad on the
+most urgent unbuilt cells, pre-building later walls with any surplus.
 
-Geometry, for parameters m >= 1 and r >= 1 (fire speed is one ring per round,
-so a side's whole wall becomes reachable in a single round once the fire closes
-in):
+Geometry, for parameters m >= 1 and r >= 1 (a straight side's wall falls due
+all at once, at the deadline of its nearest cell):
 
-* north wall on row 3r, first reached at round 2r;
-* east wall on column 6rm+r+1, first reached at round 6rm+1;
-* west wall on column -(6rm^2+10rm+r+m+1), first reached at round
+* north wall on row 3r, due at round 2r;
+* east wall on column 6rm+r+1, due at round 6rm+1;
+* west wall on column -(6rm^2+10rm+r+m+1), due at round
   6rm^2+10rm+m+1 -- the extra m+1 columns of clearance are what makes the
   east-west guard traffic plus the wall lump affordable exactly when the
   budget supplies 3t+ceil(t/m) by round t;
-* south wall on row 1-(12rm^2+30rm), first reached at round 12rm^2+30rm-r-1,
+* south wall on row 1-(12rm^2+30rm), due at round 12rm^2+30rm-r-1,
   which bounds the control round.
 
-While a side is still open, its flanks are guarded one cell per round: the
-north row grows east/west just ahead of the fire, and once a vertical wall
-stands, its south end is extended downward ahead of the fire's corner.
+The flanks need no rule of their own: the north row's cells beyond the north
+wall, and each column's cells below its wall, fall due one per round as the
+fire's corner passes them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 from .budget import Budget
 from .engine import FireState, SimView, StrategyError
@@ -47,7 +51,7 @@ class WallPlan:
     m: int
     r: int
     phase_ends: tuple[int, int, int, int]
-    tasks: tuple[WallTask, ...]  # by deadline, then in wall order
+    tasks: tuple[WallTask, ...]  # by deadline, then in build order
 
     @property
     def round_bound(self) -> int:
@@ -81,42 +85,17 @@ def wall_plan(m: int, r: int) -> WallPlan:
     e = 6 * r * m + r + 1
     w = -(6 * r * m * m + 10 * r * m + r + m + 1)
     s = 1 - phase_ends[-1]
-    t_north = 2 * r
-    t_east = e - r
-    t_west = -r - w
-    t_south = -r - s
-
-    raw: list[tuple[Point, int]] = []
-    # North wall, centre outward so every cell touches an earlier one.
-    raw.append(((0, n), t_north))
-    for k in range(1, n + 1):
-        raw.append(((k, n), t_north))
-        raw.append(((-k, n), t_north))
-    # North row grows east until it meets the east wall's column...
-    for x in range(n + 1, e + 1):
-        raw.append(((x, n), x - r))
-    # ...and west until it tops the (farther) west wall.
-    for x in range(-n - 1, w - 1, -1):
-        raw.append(((x, n), -r - x))
-    # East wall, top-down; the bottom cell sits one below the fire's reach at
-    # arrival, guarding the diagonal around the corner.
-    for y in range(n - 1, -r - t_east - 1, -1):
-        raw.append(((e, y), t_east))
-    # East wall's south end tracks the descending fire corner, one per round.
-    for y in range(-r - t_east - 1, s, -1):
-        raw.append(((e, y), -r - y))
-    # West wall, top-down on arrival; then its own southward guard.
-    for y in range(n - 1, w - 1, -1):
-        raw.append(((w, y), t_west))
-    for y in range(w - 1, s, -1):
-        raw.append(((w, y), -r - y))
-    # South wall, west to east, meeting both vertical walls at the corners.
-    for x in range(w, e + 1):
-        raw.append(((x, s), t_south))
-
-    # Earliest deadline first; the stable sort keeps wall contiguity among
-    # equal deadlines, which share a phase.
-    raw.sort(key=lambda entry: entry[1])
+    # The box's boundary in build order: the north row from the centre
+    # outward, east of a pair first, so every cell touches an earlier one;
+    # the east and west columns top-down; the south row west to east.
+    cells = [(x, n) for x in sorted(range(w, e + 1), key=lambda x: (abs(x), -x))]
+    cells += [(x, y) for x in (e, w) for y in range(n - 1, s, -1)]
+    cells += [(x, s) for x in range(w, e + 1)]
+    # A cell is due by the round in which the free fire would burn it.
+    # Earliest deadline first; the stable sort keeps build order among equal
+    # deadlines, which share a phase.
+    timed = sorted(((max(abs(x), abs(y)) - r, (x, y)) for x, y in cells),
+                   key=lambda entry: entry[0])
     return WallPlan(
         m=m,
         r=r,
@@ -124,7 +103,7 @@ def wall_plan(m: int, r: int) -> WallPlan:
         # A task's phase is the first whose end is at or after its deadline.
         tasks=tuple(
             WallTask(target=p, deadline=d, phase=bisect_left(phase_ends, d) + 1)
-            for p, d in raw
+            for d, p in timed
         ),
     )
 
@@ -135,13 +114,8 @@ def schedule_is_feasible(plan: WallPlan, budget: Budget) -> tuple[bool, int | No
     Returns (ok, first round at which demand outstrips supply).
     """
     demand = 0
-    i = 0
-    tasks = plan.tasks
-    while i < len(tasks):
-        d = tasks[i].deadline
-        while i < len(tasks) and tasks[i].deadline == d:
-            demand += 1
-            i += 1
+    for d, due in groupby(plan.tasks, key=attrgetter("deadline")):
+        demand += sum(1 for _ in due)
         if demand > budget.cumulative(d):
             return False, d
     return True, None
@@ -168,17 +142,13 @@ class ContainmentStrategy:
     def next_placements(self, view: SimView, available: int) -> list[Point]:
         t = view.round + 1  # the squad being placed
         tasks = self.plan.tasks
-        picked: list[Point] = []
-        while len(picked) < available and self._next < len(tasks):
-            picked.append(tasks[self._next].target)
-            self._next += 1
+        squad = tasks[self._next:self._next + available]
+        self._next += len(squad)
         if self._next < len(tasks) and tasks[self._next].deadline <= t:
             missed = tasks[self._next]
             raise StrategyError(
                 f"wall cell {missed.target} (phase {missed.phase}) cannot be "
                 f"protected by its deadline {missed.deadline}; the budget is "
-                "too thin for this plan",
-                round_no=t,
+                "too thin for this plan"
             )
-        return picked
-
+        return [task.target for task in squad]

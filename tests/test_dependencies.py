@@ -18,7 +18,8 @@ The package's ``__all__`` names each name that ``__init__`` imports, once,
 and no other. The cyclic collector is switched in one place: only ``grid``
 imports ``gc``, only its ``_collector_off`` calls it, and that helper
 decorates exactly ``run``, ``replay_validate``, ``RunTrace.read`` and
-``check_invariants``.
+``check_invariants``. Every wall cell's deadline comes from one rule: the
+package's one ``WallTask`` call is in ``wallplan.wall_plan``.
 """
 
 from __future__ import annotations
@@ -124,6 +125,20 @@ def test_one_carry_holds_the_symmetry_tables():
     assert readers == []
     assert {"images", "key"}.isdisjoint(window)
     assert "children" not in core
+
+
+def test_only_wall_plan_makes_wall_tasks():
+    """A plan's deadlines all come from ``wall_plan``'s one rule, so the
+    package builds a ``WallTask`` in one call, in that function."""
+    calls = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        plan = set(ast.walk(_function(tree, "wall_plan"))) if path.name == "wallplan.py" else ()
+        calls += [f"{path.name}:{'wall_plan' if node in plan else node.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "WallTask" in (
+                      getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert calls == ["wallplan.py:wall_plan"]
 
 
 def test_the_monitor_walk_counts_in_quarters():

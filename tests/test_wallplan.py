@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from gridfire.budget import constant, containment_budget, periodic
-from gridfire.engine import FireState, run
+from gridfire.engine import FireState, replay_validate, run
 from gridfire.grid import Topology, ball
 from gridfire.wallplan import (
     ContainmentStrategy,
@@ -18,6 +19,7 @@ from gridfire.wallplan import (
 )
 
 ALL_CELLS = [(m, r) for m in (1, 2, 3) for r in (1, 2, 3)]
+GRID = [(m, r) for m in range(1, 7) for r in range(1, 7)]
 
 
 def contain_run(m: int, r: int, budget=None, horizon=None):
@@ -83,23 +85,43 @@ def test_targets_fit_cumulative_phase_budgets():
             assert running <= budgets[phase], (m, r, phase)
 
 
+def test_plans_are_pinned():
+    # Every task of every plan with m, r <= 6, in order, with its deadline
+    # and phase: a rewrite of the plan builder must leave these bytes alone.
+    digest = hashlib.sha256()
+    for m, r in GRID:
+        digest.update(repr(wall_plan(m, r).tasks).encode())
+    assert digest.hexdigest() == (
+        "b64666dd9f409c5772b83b64cc271de3e51454d4beaea0edc2fd13485f58a6b8")
+
+
 def test_tasks_sorted_and_unique():
-    plan = wall_plan(2, 2)
-    deadlines = [t.deadline for t in plan.tasks]
-    assert deadlines == sorted(deadlines)
-    targets = [t.target for t in plan.tasks]
-    assert len(targets) == len(set(targets))
+    # The targets are the boundary of the plan's box, each listed once.
+    for m, r in GRID:
+        plan = wall_plan(m, r)
+        deadlines = [t.deadline for t in plan.tasks]
+        assert deadlines == sorted(deadlines), (m, r)
+        targets = [t.target for t in plan.tasks]
+        assert len(targets) == len(set(targets)), (m, r)
+        xs = [x for x, _ in targets]
+        ys = [y for _, y in targets]
+        west, east, south, north = min(xs), max(xs), min(ys), max(ys)
+        boundary = {(x, y) for x in range(west, east + 1) for y in (south, north)}
+        boundary |= {(x, y) for x in (west, east) for y in range(south, north + 1)}
+        assert set(targets) == boundary, (m, r)
 
 
 def test_schedule_feasible_under_matched_budget():
-    for m, r in ALL_CELLS:
+    for m, r in GRID:
         ok, miss = schedule_is_feasible(wall_plan(m, r), containment_budget(m))
         assert ok, (m, r, miss)
 
 
 def test_schedule_infeasible_under_constant_three():
-    ok, miss = schedule_is_feasible(wall_plan(1, 1), constant(3))
-    assert not ok and miss is not None
+    # The north wall arrives at round 2r: 6r + 1 cells are due by then and
+    # three a round supply 6r.
+    for m, r in GRID:
+        assert schedule_is_feasible(wall_plan(m, r), constant(3)) == (False, 2 * r), (m, r)
 
 
 def test_containment_m1_r1_controls_within_bound():
@@ -115,9 +137,13 @@ def test_containment_m2_r1_periodic_budget():
 
 
 def test_containment_constant_three_misses_deadline():
+    # ``run`` names the round once, as the error's prefix.
     _, trace = contain_run(1, 1, budget=constant(3))
     assert trace.status == "strategy-error"
-    assert "deadline" in trace.error
+    assert trace.error == (
+        "round 2: wall cell (-3, 3) (phase 1) cannot be protected by its "
+        "deadline 2; the budget is too thin for this plan")
+    replay_validate(trace)
 
 
 def test_burnt_stays_rectangular():
