@@ -9,7 +9,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 from types import NoneType
@@ -234,11 +233,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not cells:
         print("empty sweep")
         return 0
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = [_sweep_cell(c) for c in cells]
+    rows = [_sweep_cell(c) for c in cells]
     print("  m  r  status      T   T<=   width/bound  height/bound")
     for row in rows:
         print(
@@ -324,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="containment parameter sweep")
     p.add_argument("--m", type=_ints(least=1), default="1,2,3")
     p.add_argument("--r", type=_ints(least=1), default="1,2,3")
-    p.add_argument("--jobs", type=_ints(1, 1), default=1)
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -15,6 +15,11 @@ from .grid import Interned, Point, Topology, _collector_off
 # bookkeeping could never find a cycle; one encoder serves every line.
 _encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
+# The keys ``write`` writes, and so the only keys ``read`` takes.
+_HEADER_KEYS = frozenset(
+    ("topology", "initial", "budget", "strategy", "seed", "status", "control_round", "error"))
+_ROUND_KEYS = frozenset(("t", "f", "placed", "ignited"))
+
 
 class MalformedTraceError(Exception):
     """Raised when a trace file cannot be parsed or fails replay validation."""
@@ -92,7 +97,7 @@ class RunTrace:
         """Parse a trace written by ``write``, checking every field's type.
 
         Raises MalformedTraceError with the file's own line number, blank
-        lines included. Lines end at line feeds only: JSON strings may hold
+        lines included; a key that ``write`` never writes is malformed too. Lines end at line feeds only: JSON strings may hold
         U+0085, U+2028 and U+2029 raw, which ``str.splitlines`` would also
         break at. Every line is parsed by ``json.loads``, whose C
         scanner checks the grammar, with its integers taken from one
@@ -120,6 +125,7 @@ class RunTrace:
                                      int, NoneType),
                 error=_typed(header.get("error"), "error", str, NoneType),
             )
+            _only_keys(header, _HEADER_KEYS)
         except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise MalformedTraceError(f"bad header: {exc}", line=head_line) from exc
         for t, (n, ln) in enumerate(lines[1:], start=1):
@@ -133,6 +139,7 @@ class RunTrace:
                 )
                 if rec.f < 0:
                     raise ValueError(f"f must be nonnegative, got {rec.f}")
+                _only_keys(obj, _ROUND_KEYS)
             except (KeyError, ValueError, TypeError, RecursionError) as exc:
                 raise MalformedTraceError(f"bad round record: {exc}", line=n) from exc
             if rec.t != t:
@@ -170,6 +177,12 @@ def _typed(value, name: str, *kinds: type):
         names = " or ".join(k.__name__ for k in kinds)
         raise TypeError(f"{name} must be {names}, got {value!r}")
     return value
+
+
+def _only_keys(obj: dict, keys: frozenset[str]) -> None:
+    unknown = obj.keys() - keys
+    if unknown:
+        raise ValueError(f"unknown key {min(unknown)!r}")
 
 
 def _points(values) -> tuple[Point, ...]:

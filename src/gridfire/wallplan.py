@@ -1,17 +1,18 @@
-"""Four-phase wall containment for strong-grid fires.
+"""Wall containment for strong-grid fires.
 
 The plan boxes in a fire that starts as the axes-parallel square of radius r.
-Its targets are the boundary of one box. On the strong grid the unchecked fire
-is the L-infinity ball of radius r + t at round t, so one rule gives every wall
-cell its deadline: a cell is due by the round in which the free fire would
-burn it, its L-infinity distance from the origin less r. The cells are listed
-in build order (the north row from the centre outward, the east and west
-columns top-down, the south row west to east) and sorted stably by deadline.
+Its targets are the boundary of one box, and ``_boundary_tasks`` turns any box
+into its tasks. On the strong grid the unchecked fire is the L-infinity ball
+of radius r + t at round t, so one rule gives every wall cell its deadline:
+a cell is due by the round in which the free fire would burn it, its
+L-infinity distance from the origin less r. The cells are listed in build
+order (the north row from the centre outward, the east and west columns
+top-down, the south row west to east) and sorted stably by deadline.
 An earliest-deadline-first scheduler then spends each round's squad on the
 most urgent unbuilt cells, pre-building later walls with any surplus.
 
-Geometry, for parameters m >= 1 and r >= 1 (a straight side's wall falls due
-all at once, at the deadline of its nearest cell):
+Geometry, for parameters m >= 1 and r >= 1 and the round bound T (a straight
+side's wall falls due all at once, at the deadline of its nearest cell):
 
 * north wall on row 3r, due at round 2r;
 * east wall on column 6rm+r+1, due at round 6rm+1;
@@ -19,8 +20,7 @@ all at once, at the deadline of its nearest cell):
   6rm^2+10rm+m+1 -- the extra m+1 columns of clearance are what makes the
   east-west guard traffic plus the wall lump affordable exactly when the
   budget supplies 3t+ceil(t/m) by round t;
-* south wall on row 1-(12rm^2+30rm), due at round 12rm^2+30rm-r-1,
-  which bounds the control round.
+* south wall on row 1-T, due at round T-r-1, which bounds the control round.
 
 The flanks need no rule of their own: the north row's cells beyond the north
 wall, and each column's cells below its wall, fall due one per round as the
@@ -29,8 +29,7 @@ fire's corner passes them.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import attrgetter
 
@@ -43,20 +42,19 @@ from .grid import Point, Topology
 class WallTask:
     target: Point
     deadline: int  # last round by which the target must be protected
-    phase: int  # 1..4, by which nominal phase window the deadline falls in
 
 
 @dataclass(frozen=True)
 class WallPlan:
     m: int
     r: int
-    phase_ends: tuple[int, int, int, int]
     tasks: tuple[WallTask, ...]  # by deadline, then in build order
 
     @property
     def round_bound(self) -> int:
-        """12rm^2 + 30rm: the plan controls the fire by this round."""
-        return self.phase_ends[-1]
+        """T = 12rm^2 + 30rm: the plan controls the fire by this round."""
+        m, r = self.m, self.r
+        return 12 * r * m * m + 30 * r * m
 
     @property
     def width_bound(self) -> int:
@@ -66,7 +64,7 @@ class WallPlan:
 
     @property
     def height_bound(self) -> int:
-        """12rm^2 + 30rm + 3r - 1: the final fire height the plan is held to."""
+        """T + 3r - 1: the final fire height the plan is held to."""
         return self.round_bound + 3 * self.r - 1
 
     @property
@@ -75,16 +73,10 @@ class WallPlan:
         return self.round_bound + 5
 
 
-def wall_plan(m: int, r: int) -> WallPlan:
-    """Emit the complete deadline-annotated target list for parameters (m, r)."""
-    if m < 1 or r < 1:
-        raise ValueError("m and r must be positive")
-    phase_ends = (2 * r, 6 * r * m + 1, 6 * r * m * m + 10 * r * m,
-                  12 * r * m * m + 30 * r * m)
-    n = 3 * r
-    e = 6 * r * m + r + 1
-    w = -(6 * r * m * m + 10 * r * m + r + m + 1)
-    s = 1 - phase_ends[-1]
+def _boundary_tasks(r: int, box: tuple[int, int, int, int]) -> tuple[WallTask, ...]:
+    """The boundary of ``box`` = (west, east, south, north) as tasks against
+    the fire from the radius-r square, by deadline, then in build order."""
+    w, e, s, n = box
     # The box's boundary in build order: the north row from the centre
     # outward, east of a pair first, so every cell touches an earlier one;
     # the east and west columns top-down; the south row west to east.
@@ -93,19 +85,19 @@ def wall_plan(m: int, r: int) -> WallPlan:
     cells += [(x, s) for x in range(w, e + 1)]
     # A cell is due by the round in which the free fire would burn it.
     # Earliest deadline first; the stable sort keeps build order among equal
-    # deadlines, which share a phase.
-    timed = sorted(((max(abs(x), abs(y)) - r, (x, y)) for x, y in cells),
-                   key=lambda entry: entry[0])
-    return WallPlan(
-        m=m,
-        r=r,
-        phase_ends=phase_ends,
-        # A task's phase is the first whose end is at or after its deadline.
-        tasks=tuple(
-            WallTask(target=p, deadline=d, phase=bisect_left(phase_ends, d) + 1)
-            for d, p in timed
-        ),
-    )
+    # deadlines.
+    tasks = [WallTask(target=(x, y), deadline=max(abs(x), abs(y)) - r) for x, y in cells]
+    return tuple(sorted(tasks, key=attrgetter("deadline")))
+
+
+def wall_plan(m: int, r: int) -> WallPlan:
+    """Emit the complete deadline-annotated target list for parameters (m, r)."""
+    if m < 1 or r < 1:
+        raise ValueError("m and r must be positive")
+    plan = WallPlan(m=m, r=r, tasks=())
+    box = (-(6 * r * m * m + 10 * r * m + r + m + 1), 6 * r * m + r + 1,
+           1 - plan.round_bound, 3 * r)
+    return replace(plan, tasks=_boundary_tasks(r, box))
 
 
 def schedule_is_feasible(plan: WallPlan, budget: Budget) -> tuple[bool, int | None]:
@@ -147,8 +139,7 @@ class ContainmentStrategy:
         if self._next < len(tasks) and tasks[self._next].deadline <= t:
             missed = tasks[self._next]
             raise StrategyError(
-                f"wall cell {missed.target} (phase {missed.phase}) cannot be "
-                f"protected by its deadline {missed.deadline}; the budget is "
-                "too thin for this plan"
+                f"wall cell {missed.target} cannot be protected by its "
+                f"deadline {missed.deadline}; the budget is too thin for this plan"
             )
         return [task.target for task in squad]

@@ -241,7 +241,8 @@ def test_criterion_6_property_suites():
             break
 
     # Containment fires stay rectangular; sides freeze monotonically.
-    strong = _contain(1, 2)
+    m, r = 1, 2
+    strong = _contain(m, r)
     burnt = set(strong.initial)
     boxes = {}
     for rec in strong.rounds:
@@ -252,14 +253,16 @@ def test_criterion_6_property_suites():
             failures.append(f"fire not rectangular at round {rec.t}")
             break
         boxes[rec.t] = (min(xs), max(xs), min(ys), max(ys))
-    plan = wall_plan(1, 2)
+    # The paper's phase ends: 2r, 6rm + 1, 6rm^2 + 10rm and 12rm^2 + 30rm.
+    phase_ends = (2 * r, 6 * r * m + 1, 6 * r * m * m + 10 * r * m,
+                  12 * r * m * m + 30 * r * m)
 
     def frozen_count(t):
         if t not in boxes or t + 1 not in boxes:
             return 4  # at or past control: nothing grows any more
         return sum(boxes[t][i] == boxes[t + 1][i] for i in range(4))
 
-    counts = [frozen_count(t) for t in plan.phase_ends]
+    counts = [frozen_count(t) for t in phase_ends]
     if counts != sorted(counts) or counts[-1] != 4:
         failures.append(f"frozen-front counts not monotone: {counts}")
 

@@ -8,7 +8,6 @@ import hashlib
 import json
 import re
 import shlex
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -239,26 +238,6 @@ def test_sweep_single_cell(capsys):
     assert "controlled" in captured
 
 
-def test_sweep_jobs_match_a_serial_sweep(capsys, tmp_path, monkeypatch):
-    workers = []
-
-    class Pool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
-    rows = {}
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}.json"
-        assert run_cli("sweep", "--m", "1", "--r", "1,2", "--jobs", jobs,
-                       "--json-out", str(out)) == 0
-        rows[jobs] = json.loads(out.read_text())
-    capsys.readouterr()
-    assert workers == [2]
-    assert rows["2"] == rows["1"] and len(rows["1"]) == 2
-
-
 def test_render_round_zero(capsys, tmp_path):
     out = tmp_path / "t.jsonl"
     run_cli("run", "--topology", "cartesian", "--radius", "0",
@@ -434,6 +413,15 @@ def _repeated_initial_trace_file(tmp_path) -> str:
     return _text_file(tmp_path, "\n".join([json.dumps(header)] + lines[1:]) + "\n")
 
 
+def _trace_with_unknown_key(tmp_path) -> str:
+    """A true trace whose header holds a key that ``write`` never writes."""
+    with open(_trace_file(tmp_path)) as fp:
+        lines = fp.read().splitlines()
+    header = json.loads(lines[0])
+    header["extra"] = 5
+    return _text_file(tmp_path, "\n".join([json.dumps(header)] + lines[1:]) + "\n")
+
+
 PARSE_ERRORS = {
     "run-config-missing-file":
         lambda tmp: ["run", "--config", str(tmp / "absent.json")],
@@ -506,6 +494,8 @@ PARSE_ERRORS = {
         lambda tmp: ["monitor", "--trace", _latin1_trace_file(tmp)],
     "monitor-repeated-initial-cell":
         lambda tmp: ["monitor", "--trace", _repeated_initial_trace_file(tmp)],
+    "monitor-unknown-header-key":
+        lambda tmp: ["monitor", "--trace", _trace_with_unknown_key(tmp)],
     "render-trace-not-utf8":
         lambda tmp: ["render", "--trace", _latin1_trace_file(tmp), "--round", "0",
                      "--window=0,1,0,1"],
@@ -529,8 +519,6 @@ PARSE_ERRORS = {
                      "--json-out", str(tmp / "absent" / "s.json")],
     "sweep-bad-m": lambda tmp: ["sweep", "--m", "a", "--r", "1"],
     "sweep-zero-r": lambda tmp: ["sweep", "--m", "1", "--r", "0"],
-    "sweep-zero-jobs": lambda tmp: ["sweep", "--m", "1", "--r", "1", "--jobs", "0"],
-    "sweep-negative-jobs": lambda tmp: ["sweep", "--m", "1", "--r", "1", "--jobs", "-2"],
     "reduce-horizon-zero":
         lambda tmp: ["reduce", "--strategy", "contain:m=1,r=1", "--budget", "const:4",
                      "--horizon", "0"],

@@ -19,7 +19,8 @@ and no other. The cyclic collector is switched in one place: only ``grid``
 imports ``gc``, only its ``_collector_off`` calls it, and that helper
 decorates exactly ``run``, ``replay_validate``, ``RunTrace.read`` and
 ``check_invariants``. Every wall cell's deadline comes from one rule: the
-package's one ``WallTask`` call is in ``wallplan.wall_plan``.
+package's one ``WallTask`` call is in ``wallplan._boundary_tasks``, which only
+``wall_plan`` calls, and ``wall_plan`` gets its tasks only from that call.
 """
 
 from __future__ import annotations
@@ -128,17 +129,29 @@ def test_one_carry_holds_the_symmetry_tables():
 
 
 def test_only_wall_plan_makes_wall_tasks():
-    """A plan's deadlines all come from ``wall_plan``'s one rule, so the
-    package builds a ``WallTask`` in one call, in that function."""
-    calls = []
+    """A plan's deadlines all come from one box-to-tasks rule: the package
+    builds a ``WallTask`` in one call, in ``_boundary_tasks``, and calls that
+    function once, in ``wall_plan``, whose every ``tasks=`` is that call or
+    the empty placeholder it replaces."""
+    found = {"WallTask": [], "_boundary_tasks": []}
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
-        plan = set(ast.walk(_function(tree, "wall_plan"))) if path.name == "wallplan.py" else ()
-        calls += [f"{path.name}:{'wall_plan' if node in plan else node.lineno}"
-                  for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and "WallTask" in (
-                      getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-    assert calls == ["wallplan.py:wall_plan"]
+        owners = {}
+        if path.name == "wallplan.py":
+            for name in ("_boundary_tasks", "wall_plan"):
+                owners.update(dict.fromkeys(ast.walk(_function(tree, name)), name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if called in found:
+                    found[called].append(f"{path.name}:{owners.get(node, node.lineno)}")
+    assert found == {"WallTask": ["wallplan.py:_boundary_tasks"],
+                     "_boundary_tasks": ["wallplan.py:wall_plan"]}
+    path = next(path for path in SOURCES if path.name == "wallplan.py")
+    plan = _function(ast.parse(path.read_text(), str(path)), "wall_plan")
+    given = [ast.unparse(node.value) for node in ast.walk(plan)
+             if isinstance(node, ast.keyword) and node.arg == "tasks"]
+    assert sorted(given, key=len) == ["()", "_boundary_tasks(r, box)"]
 
 
 def test_the_monitor_walk_counts_in_quarters():

@@ -29,7 +29,13 @@ from gridfire.strategies import (
     RandomStrategy,
     ReplayStrategy,
 )
-from gridfire.trace import MalformedTraceError, RoundRecord, RunTrace
+from gridfire.trace import (
+    _HEADER_KEYS,
+    _ROUND_KEYS,
+    MalformedTraceError,
+    RoundRecord,
+    RunTrace,
+)
 
 from conftest import bfs_ball, scan_endangered, scan_near, single_source
 
@@ -836,6 +842,23 @@ def test_trace_read_rejects_malformed_fields(case):
     with pytest.raises(MalformedTraceError) as exc:
         RunTrace.from_text(edit(_greedy_const1_text()))
     assert exc.value.line == line
+
+
+def test_trace_read_takes_only_the_keys_write_writes():
+    # A key ``write`` never writes would be dropped by rewriting the trace.
+    text = _greedy_const1_text()
+    head, first = (json.loads(line) for line in text.splitlines()[:2])
+    assert (head.keys(), first.keys()) == (_HEADER_KEYS, _ROUND_KEYS)
+    for line, key, value in ((1, "extra", 5), (3, "junk", [1])):
+        with pytest.raises(MalformedTraceError) as exc:
+            RunTrace.from_text(_edit_json(line, **{key: value})(text))
+        kind = "header" if line == 1 else "round record"
+        assert str(exc.value) == f"bad {kind}: unknown key {key!r} (line {line})"
+    # The optional header keys may still be left out, and read as their defaults.
+    bare = {key: head[key] for key in ("topology", "initial", "budget", "strategy")}
+    trace = RunTrace.from_text(json.dumps(bare) + "\n")
+    assert (trace.seed, trace.status, trace.control_round, trace.error) == (
+        None, "horizon", None, None)
 
 
 # A malformed point list is named by its first bad point, whichever check

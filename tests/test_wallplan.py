@@ -3,23 +3,42 @@
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from gridfire.budget import constant, containment_budget, periodic
 from gridfire.engine import FireState, replay_validate, run
-from gridfire.grid import Topology, ball
+from gridfire.grid import Topology, ball, bounding_box
 from gridfire.wallplan import (
     ContainmentStrategy,
-    WallTask,
+    _boundary_tasks,
     schedule_is_feasible,
     wall_plan,
 )
 
 ALL_CELLS = [(m, r) for m in (1, 2, 3) for r in (1, 2, 3)]
 GRID = [(m, r) for m in range(1, 7) for r in range(1, 7)]
+
+
+def phase_ends(m: int, r: int) -> tuple[int, int, int, int]:
+    """The paper's four phase ends: 2r, 6rm + 1, 6rm^2 + 10rm, 12rm^2 + 30rm."""
+    return (2 * r, 6 * r * m + 1, 6 * r * m * m + 10 * r * m,
+            12 * r * m * m + 30 * r * m)
+
+
+def plan_box(plan) -> tuple[int, int, int, int]:
+    """(west, east, south, north): the box whose boundary the plan walls."""
+    return bounding_box(t.target for t in plan.tasks)
+
+
+def arrivals(plan) -> tuple[int, int, int, int]:
+    """The round each wall falls due, north, east, west and south: the
+    earliest deadline among the cells of its side of the box."""
+    west, east, south, north = plan_box(plan)
+    sides = (lambda p: p[1] == north, lambda p: p[0] == east,
+             lambda p: p[0] == west, lambda p: p[1] == south)
+    return tuple(min(t.deadline for t in plan.tasks if side(t.target)) for side in sides)
 
 
 def contain_run(m: int, r: int, budget=None, horizon=None):
@@ -36,19 +55,21 @@ def contain_run(m: int, r: int, budget=None, horizon=None):
 
 
 def test_phase_boundaries_m1_r1():
+    # The paper's phases end at rounds 2, 7, 16 and 42. The north wall falls
+    # due at the first end, the east wall at the second, the west wall m + 1
+    # rounds after the third, and the south wall r + 1 rounds before the last,
+    # which is the plan's round bound.
     plan = wall_plan(1, 1)
-    assert plan.phase_ends == (2, 7, 16, 42)
+    assert phase_ends(1, 1) == (2, 7, 16, 42)
+    assert arrivals(plan) == (2, 7, 18, 40)
+    assert plan.round_bound == 42
 
 
 def test_phase_boundaries_formula():
     for m, r in ALL_CELLS:
         plan = wall_plan(m, r)
-        assert plan.phase_ends == (
-            2 * r,
-            6 * r * m + 1,
-            6 * r * m * m + 10 * r * m,
-            12 * r * m * m + 30 * r * m,
-        )
+        ends = phase_ends(m, r)
+        assert arrivals(plan) == (ends[0], ends[1], ends[2] + m + 1, ends[3] - r - 1)
         assert (plan.round_bound, plan.width_bound, plan.height_bound, plan.horizon) == (
             12 * r * m * m + 30 * r * m,
             6 * r * m * m + 16 * r * m + 2 * r,
@@ -70,42 +91,44 @@ def test_eastern_wall_column_m2_r1():
 
 
 def test_targets_fit_cumulative_phase_budgets():
+    # The cells due by each of the paper's phase ends fit its cumulative
+    # budget there; every cell is due by the last end.
     for m, r in ALL_CELLS:
         plan = wall_plan(m, r)
-        budgets = {
-            1: 6 * r + 1,
-            2: 18 * r * m + 6 * r + 4,
-            3: 18 * r * m * m + 36 * r * m + 10 * r,
-            4: 36 * r * m * m + 102 * r * m + 30 * r,
-        }
-        running = 0
-        counts = Counter(task.phase for task in plan.tasks)
-        for phase in (1, 2, 3, 4):
-            running += counts[phase]
-            assert running <= budgets[phase], (m, r, phase)
+        budgets = (
+            6 * r + 1,
+            18 * r * m + 6 * r + 4,
+            18 * r * m * m + 36 * r * m + 10 * r,
+            36 * r * m * m + 102 * r * m + 30 * r,
+        )
+        for phase, (end, budget) in enumerate(zip(phase_ends(m, r), budgets), 1):
+            due = sum(1 for t in plan.tasks if t.deadline <= end)
+            assert due <= budget, (m, r, phase)
+        assert due == len(plan.tasks), (m, r)
 
 
 def test_plans_are_pinned():
-    # Every task of every plan with m, r <= 6, in order, with its deadline
-    # and phase: a rewrite of the plan builder must leave these bytes alone.
+    # Every task of every plan with m, r <= 6, in order, as its target and
+    # deadline: a rewrite of the plan builder must leave these bytes alone.
     digest = hashlib.sha256()
     for m, r in GRID:
-        digest.update(repr(wall_plan(m, r).tasks).encode())
+        digest.update(repr([(t.target, t.deadline) for t in wall_plan(m, r).tasks]).encode())
     assert digest.hexdigest() == (
-        "b64666dd9f409c5772b83b64cc271de3e51454d4beaea0edc2fd13485f58a6b8")
+        "53c69fcb1ba4382c1221f9c2f923cebbafe0989d5c4c8c8fcb26b34a4bd610b9")
 
 
 def test_tasks_sorted_and_unique():
-    # The targets are the boundary of the plan's box, each listed once.
+    # The targets are the boundary of the plan's box, each listed once, and
+    # each is due when the free fire would burn it: at its L-infinity
+    # distance from the origin less r.
     for m, r in GRID:
         plan = wall_plan(m, r)
         deadlines = [t.deadline for t in plan.tasks]
         assert deadlines == sorted(deadlines), (m, r)
+        assert all(t.deadline == max(map(abs, t.target)) - r for t in plan.tasks), (m, r)
         targets = [t.target for t in plan.tasks]
         assert len(targets) == len(set(targets)), (m, r)
-        xs = [x for x, _ in targets]
-        ys = [y for _, y in targets]
-        west, east, south, north = min(xs), max(xs), min(ys), max(ys)
+        west, east, south, north = plan_box(plan)
         boundary = {(x, y) for x in range(west, east + 1) for y in (south, north)}
         boundary |= {(x, y) for x in (west, east) for y in range(south, north + 1)}
         assert set(targets) == boundary, (m, r)
@@ -141,8 +164,8 @@ def test_containment_constant_three_misses_deadline():
     _, trace = contain_run(1, 1, budget=constant(3))
     assert trace.status == "strategy-error"
     assert trace.error == (
-        "round 2: wall cell (-3, 3) (phase 1) cannot be protected by its "
-        "deadline 2; the budget is too thin for this plan")
+        "round 2: wall cell (-3, 3) cannot be protected by its deadline 2; "
+        "the budget is too thin for this plan")
     replay_validate(trace)
 
 
@@ -188,11 +211,12 @@ def test_frozen_sides_accumulate_across_phases():
         now, nxt = boxes[t], boxes[t + 1]
         return sum(now[i] == nxt[i] for i in range(4))
 
-    counts = [frozen_count(t) for t in plan.phase_ends]
+    ends = phase_ends(plan.m, plan.r)
+    counts = [frozen_count(t) for t in ends]
     assert counts == sorted(counts)
     assert counts[-1] == 4
     # North froze in phase 1 and never thaws.
-    north_rows = [boxes[t][3] for t in sorted(boxes) if t >= plan.phase_ends[0]]
+    north_rows = [boxes[t][3] for t in sorted(boxes) if t >= ends[0]]
     assert len(set(north_rows)) == 1
 
 
@@ -230,37 +254,6 @@ def test_wall_plan_rejects_nonpositive_parameters(m, r):
         wall_plan(m, r)
 
 
-def _deadline(p, r: int) -> int:
-    """The round by which a strong fire from the radius-r square first comes
-    within reach of ``p``: its L-infinity distance from the origin less r."""
-    return max(abs(p[0]), abs(p[1])) - r
-
-
-def _walls_at(plan, clearance: int, east_shift: int = 0):
-    """The plan's tasks with the west wall ``clearance`` columns beyond the
-    fire's width at its arrival, where the plan has m + 1, and the east wall
-    moved ``east_shift`` columns west: each wall column moves, the north-row
-    and south-row cells outside the two columns are dropped, and every
-    deadline is recomputed by ``_deadline``. No cell is listed twice."""
-    m, r = plan.m, plan.r
-    xs = [t.target[0] for t in plan.tasks]
-    ys = [t.target[1] for t in plan.tasks]
-    west, east, north, south = min(xs), max(xs), max(ys), min(ys)
-    west2 = west + (m + 1 - clearance)
-    east2 = east - east_shift
-    targets = []
-    for task in plan.tasks:
-        x, y = task.target
-        if y in (north, south):
-            if west2 <= x <= east2:
-                targets.append((x, y))
-        else:
-            targets.append((west2 if x == west else east2 if x == east else x, y))
-    assert len(set(targets)) == len(targets)
-    return sorted((WallTask(p, _deadline(p, r), 0) for p in targets),
-                  key=lambda t: t.deadline)
-
-
 @pytest.mark.parametrize("m,r", ALL_CELLS)
 def test_a_narrower_west_wall_fails_halls_condition_at_its_arrival(m, r):
     # The plan's west wall stands m + 1 columns beyond the width that
@@ -269,13 +262,12 @@ def test_a_narrower_west_wall_fails_halls_condition_at_its_arrival(m, r):
     # sooner per column, and the matched budget falls short right there.
     plan = wall_plan(m, r)
     budget = containment_budget(m)
-    assert all(t.deadline == _deadline(t.target, r) for t in plan.tasks)
-    full = _walls_at(plan, m + 1)
-    assert full == [WallTask(t.target, t.deadline, 0) for t in plan.tasks]
-    assert schedule_is_feasible(replace(plan, tasks=tuple(full)), budget) == (True, None)
+    west, east, south, north = plan_box(plan)
+    assert _boundary_tasks(r, (west, east, south, north)) == plan.tasks
+    assert schedule_is_feasible(plan, budget) == (True, None)
     for clearance in range(m + 1):
-        tasks = _walls_at(plan, clearance)
-        assert schedule_is_feasible(replace(plan, tasks=tuple(tasks)), budget) == (
+        tasks = _boundary_tasks(r, (west + m + 1 - clearance, east, south, north))
+        assert schedule_is_feasible(replace(plan, tasks=tasks), budget) == (
             False, 6 * r * m * m + 10 * r * m + clearance)
 
 
@@ -287,8 +279,42 @@ def test_a_nearer_east_wall_fails_halls_condition_at_its_arrival(m, r):
     # west wall, however near, is due.
     plan = wall_plan(m, r)
     budget = containment_budget(m)
+    west, east, south, north = plan_box(plan)
     for east_shift in range(1, 6):
         for clearance in range(m + 2):
-            tasks = _walls_at(plan, clearance, east_shift)
-            assert schedule_is_feasible(replace(plan, tasks=tuple(tasks)), budget) == (
+            box = (west + m + 1 - clearance, east - east_shift, south, north)
+            tasks = _boundary_tasks(r, box)
+            assert schedule_is_feasible(replace(plan, tasks=tasks), budget) == (
                 False, 6 * r * m + 1 - east_shift), (east_shift, clearance)
+
+
+# Boxes (west, east, south, north) narrower than the plan's that pass Hall's
+# condition under the matched budget, with the control round, final width and
+# final height of their runs. Each north wall is nearer than the plan's row 3r.
+NARROW_BOXES = [
+    ((1, 2), (-33, 14, -56, 5), (54, 46, 60)),
+    ((1, 3), (-47, 20, -80, 7), (77, 66, 86)),
+    ((2, 2), (-85, 25, -158, 5), (156, 109, 162)),
+    ((2, 3), (-130, 38, -242, 8), (239, 167, 249)),
+    ((3, 3), (-244, 55, -595, 8), (591, 298, 602)),
+]
+
+
+@pytest.mark.parametrize("cell, box, outcome", NARROW_BOXES,
+                         ids=[f"{m}-{r}" for (m, r), _, _ in NARROW_BOXES])
+def test_narrow_boxes_contain_within_criterion_1_bounds(cell, box, outcome):
+    # Criterion 1 asks for width at most 6rm^2 + 16rm + 2r, which the plan's
+    # own box misses by m + 1 columns; these five boxes meet it.
+    m, r = cell
+    plan = replace(wall_plan(m, r), tasks=_boundary_tasks(r, box))
+    assert schedule_is_feasible(plan, containment_budget(m)) == (True, None)
+    trace = run(FireState.source(Topology.STRONG, r), containment_budget(m),
+                ContainmentStrategy(plan), plan.horizon)
+    replay_validate(trace)
+    assert trace.status == "controlled"
+    xmin, xmax, ymin, ymax = bounding_box(trace.state_at(trace.final_round())[0])
+    control, width, height = outcome
+    assert (trace.control_round, xmax - xmin + 1, ymax - ymin + 1) == outcome
+    assert control <= plan.round_bound
+    assert width <= plan.width_bound
+    assert height <= plan.height_bound
