@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import sys
 from contextlib import contextmanager
 from enum import Enum
 from operator import itemgetter
@@ -69,6 +70,16 @@ class Interned(dict):
         return value
 
 
+# What ``_collector_off`` has moved into the oldest generation since its last
+# full collection, and how much it may move before it runs the next one;
+# process-wide, as the collector is. The bound is the heap's size in
+# allocated blocks at that collection, and never below the floor, so a full
+# collection visits about one object per object promoted.
+_PROMOTION_FLOOR = 1 << 20
+_promoted = 0
+_promotion_bound = _PROMOTION_FLOOR
+
+
 @contextmanager
 def _collector_off():
     """Hold off CPython's cyclic garbage collector for the length of a call.
@@ -82,12 +93,24 @@ def _collector_off():
     nothing; a test holds that each of them leaves no cyclic garbage. The
     search drivers are left alone: the collector takes 0-1% of a search.
 
-    The switch is process-wide. Cycles that a caller's own strategy makes
-    during ``run`` are collected after the call returns, not lost, and
-    another thread that changes the setting during a call can have it reset
-    when the call ends. The collector is turned off only if it is on, and
-    turned back on as the call returns or raises.
+    As the call ends, everything young that it leaves alive is promoted to
+    the oldest generation at once (``gc.freeze`` then ``gc.unfreeze``, which
+    splice lists), so no young collection walks a trace's point tuples. The
+    collector's own rule for full collections does not count promoted
+    objects, so the helper tallies them, and once the tally passes the bound
+    above it runs one full collection instead of promoting. Until then a
+    promoted cycle, such as one a caller's strategy makes during ``run``,
+    stays alive: up to about the bound's worth of objects wait for the next
+    full collection, not lost. If a caller has frozen objects of its own
+    (``gc.get_freeze_count``), the call promotes nothing, so as not to thaw
+    them, and the young collection runs as usual.
+
+    The switch is process-wide; another thread that changes the setting
+    during a call can have it reset when the call ends. The collector is
+    turned off only if it is on, and turned back on as the call returns or
+    raises; a call nested in another leaves promotion to the outer one.
     """
+    global _promoted, _promotion_bound
     if not gc.isenabled():
         yield
         return
@@ -95,6 +118,15 @@ def _collector_off():
     try:
         yield
     finally:
+        if not gc.get_freeze_count():
+            _promoted += gc.get_count()[0]
+            if _promoted > _promotion_bound:
+                gc.collect()
+                _promoted = 0
+                _promotion_bound = max(_PROMOTION_FLOOR, sys.getallocatedblocks())
+            else:
+                gc.freeze()
+                gc.unfreeze()
         gc.enable()
 
 

@@ -125,11 +125,11 @@ def parse_strategy(spec: str):
         params = _parse_params(kind, rest, ("seed",))
         if "seed" not in params:
             raise ValueError("random strategy requires an explicit seed (random:seed=N)")
-        return RandomStrategy(int(params["seed"]))
+        return RandomStrategy(_int_param(kind, params, "seed"))
     if kind == "contain":
         params = _parse_params(kind, rest, ("m", "r"))
-        m = int(params.get("m", 1))
-        r = int(params.get("r", 1))
+        m = _int_param(kind, params, "m", "1")
+        r = _int_param(kind, params, "r", "1")
         return ContainmentStrategy(wall_plan(m, r))
     if kind == "replay":
         params = _parse_params(kind, rest, ("file",))
@@ -164,3 +164,14 @@ def _parse_params(kind: str, rest: str, names: tuple[str, ...]) -> dict[str, str
             raise ValueError(f"{kind} strategy parameter {key!r} given twice")
         params[key] = value.strip()
     return params
+
+
+def _int_param(kind: str, params: dict[str, str], key: str, default: str | None = None) -> int:
+    """``params[key]`` (or ``default``) as an int; a ValueError names the
+    strategy and the parameter, not just the literal."""
+    value = params.get(key, default)
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(
+            f"{kind} strategy parameter {key!r} must be an integer, got {value!r}") from None

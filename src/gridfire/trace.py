@@ -97,12 +97,13 @@ class RunTrace:
         """Parse a trace written by ``write``, checking every field's type.
 
         Raises MalformedTraceError with the file's own line number, blank
-        lines included; a key that ``write`` never writes is malformed too. Lines end at line feeds only: JSON strings may hold
-        U+0085, U+2028 and U+2029 raw, which ``str.splitlines`` would also
-        break at. Every line is parsed by ``json.loads``, whose C
-        scanner checks the grammar, with its integers taken from one
-        ``Interned`` table keyed by literal: the trace read holds one int
-        object per distinct number, as a trace from ``run`` does.
+        lines included; a key that ``write`` never writes is malformed too.
+        Lines end at line feeds only: JSON strings may hold U+0085, U+2028
+        and U+2029 raw, which ``str.splitlines`` would also break at. Every
+        line is parsed by ``json.loads``, whose C scanner checks the
+        grammar, with its integers taken from one ``Interned`` table keyed
+        by literal: the trace read holds one int object per distinct
+        number, as a trace from ``run`` does.
         """
         loads = partial(json.loads, parse_int=Interned(int).__getitem__)
         # (physical line number, text) of every non-blank line

@@ -458,6 +458,9 @@ PARSE_ERRORS = {
     "run-horizon-zero": lambda tmp: ["run", "--horizon", "0"],
     "run-bad-center": lambda tmp: ["run", "--center", "1"],
     "run-bad-budget": lambda tmp: ["run", "--budget", "const:x"],
+    "run-random-seed-not-int": lambda tmp: ["run", "--strategy", "random:seed=x"],
+    "run-contain-m-not-int": lambda tmp: ["run", "--strategy", "contain:m=x"],
+    "run-contain-fractional-r": lambda tmp: ["run", "--strategy", "contain:r=1.0"],
     "search-negative-radius":
         lambda tmp: ["search", "--radius", "-1", "--budget", "const:1", "--horizon", "1"],
     "search-horizon-zero":

@@ -7,7 +7,10 @@ only because those calls make no reference cycles: whatever they drop,
 reference counting frees. The first test holds that premise in the pattern of
 ``tests/test_search.py::test_a_search_leaves_no_cyclic_garbage``. The others
 hold that the collector is off inside the calls, that each call leaves it as
-it found it, and that cycles a strategy makes are collected afterwards.
+it found it, and that cycles a strategy makes are collected afterwards. The
+last three hold that what a call leaves alive is promoted out of the young
+generation, that a caller's frozen objects stay frozen, and that promotion is
+bounded: a full collection comes in time without being asked for.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ import weakref
 
 import pytest
 
+from gridfire import grid
 from gridfire.budget import containment_budget, periodic
 from gridfire.engine import FireState, replay_validate, run
 from gridfire.grid import Topology
 from gridfire.monitor import check_invariants
 from gridfire.reduction import run_reduction
-from gridfire.strategies import GreedyNearest, RandomStrategy, ScriptedStrategy
+from gridfire.strategies import GreedyNearest, NullStrategy, RandomStrategy, ScriptedStrategy
 from gridfire.trace import MalformedTraceError, RunTrace
 from gridfire.wallplan import ContainmentStrategy, wall_plan
 
@@ -208,3 +212,65 @@ def test_cycles_a_strategy_makes_are_collected_after_the_run():
     # ...and not lost: the collector frees them all once the run is over.
     gc.collect()
     assert all(ref() is None for ref in maker.refs)
+
+
+def _reachable_ids(root) -> set[int]:
+    """The ids of ``root`` and of every object the collector tracks below it."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for child in gc.get_referents(stack.pop()):
+            if gc.is_tracked(child) and id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
+    return seen
+
+
+# ``run_reduction`` is not wrapped: it builds its report after its runs end.
+_RETURNING = [(topo, name) for topo, name in CASES
+              if name != "reduction" and not isinstance(_calls(topo)[name][1], type)]
+
+
+@pytest.mark.parametrize("topo,name", _RETURNING, ids=[f"{t.value}-{n}" for t, n in _RETURNING])
+def test_a_wrapped_call_leaves_nothing_it_returns_young(topo, name):
+    # The call ends by moving its survivors to the oldest generation (or by a
+    # full collection), so no young collection walks them later.
+    call, check = _calls(topo)[name]
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    result = call()
+    young = {id(obj) for obj in gc.get_objects(0)}
+    assert check(result)
+    assert young.isdisjoint(_reachable_ids(result))
+
+
+def test_a_call_leaves_a_callers_frozen_objects_frozen():
+    gc.collect()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        trace = run(_source(Topology.CARTESIAN), BUDGET, GreedyNearest(), ROUNDS)
+        assert gc.get_freeze_count() == frozen
+        assert RunTrace.from_text(trace.to_text()) == trace
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
+PROMOTION_BOUND = 100
+
+
+def test_promotion_is_bounded_by_a_full_collection(monkeypatch):
+    # Promotion alone would keep every knot below alive: no young collection
+    # ever sees it, and CPython's own rule for full collections does not
+    # count promoted objects. The tally runs one full collection instead.
+    monkeypatch.setattr(grid, "_PROMOTION_FLOOR", PROMOTION_BOUND)
+    monkeypatch.setattr(grid, "_promotion_bound", PROMOTION_BOUND)
+    monkeypatch.setattr(grid, "_promoted", 0)
+    monkeypatch.setattr(grid.sys, "getallocatedblocks", lambda: 0)
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+    refs = []
+    for _ in range(2 * PROMOTION_BOUND):
+        refs.append(weakref.ref(_Knot()))
+        run(_source(Topology.CARTESIAN), BUDGET, NullStrategy(), 5)
+    assert sum(ref() is not None for ref in refs) <= PROMOTION_BOUND

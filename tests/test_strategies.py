@@ -191,6 +191,18 @@ def test_replay_path_may_hold_commas(tmp_path, origin_cartesian):
         parse_strategy(f"replay:x=1,file={path}")
 
 
+@pytest.mark.parametrize("spec,kind,key,value", [
+    ("random:seed=x", "random", "seed", "x"),
+    ("contain:m=x", "contain", "m", "x"),
+    ("contain:m=2,r=1.0", "contain", "r", "1.0"),
+])
+def test_parse_strategy_names_a_parameter_that_is_not_an_integer(spec, kind, key, value):
+    with pytest.raises(ValueError) as info:
+        parse_strategy(spec)
+    assert str(info.value) == (
+        f"{kind} strategy parameter {key!r} must be an integer, got {value!r}")
+
+
 @pytest.mark.parametrize("spec", [
     "null:", "null:anything", "greedy:x", "contain:m=1,m=2", "contain:m=2,q=1",
     "random:seed=1,seed=2", "random:seed=1,extra=2", "replay:file=a,file=b",

@@ -318,3 +318,89 @@ def test_narrow_boxes_contain_within_criterion_1_bounds(cell, box, outcome):
     assert control <= plan.round_bound
     assert width <= plan.width_bound
     assert height <= plan.height_bound
+
+
+def _due(w: int, e: int, s: int | None, n: int, reach: int) -> int:
+    """How many boundary cells of the box (w, e, s, n) lie within L-infinity
+    distance ``reach`` of the origin, so fall due by round ``reach - r``;
+    ``s`` is None for a box open to the south. Each side costs O(1)."""
+    cols = (e <= reach) + (-w <= reach)
+    low = -reach if s is None or s < -reach else s + 1
+    due = cols * ((n - 1 if n <= reach else reach) - low + 1) if cols else 0
+    rows = (n <= reach) + (s is not None and -s <= reach)
+    if rows:
+        due += rows * ((e if e < reach else reach) + (-w if -w < reach else reach) + 1)
+    return due
+
+
+def _passing_boxes(m: int, r: int, width: int) -> list[tuple[int, int, int, int]]:
+    """Every box (w, e, s, n) around the radius-r source, of interior width at
+    most ``width`` and height at most criterion 1's, whose boundary passes
+    Hall's condition under the matched budget: one box per mirror class,
+    the one with e <= -w and n <= -s (deadlines are symmetric in both axes).
+
+    Until round -s - r a box's demand is that of the box open to the south.
+    So one pass over the open box per (w, e, n) finds the round at which it
+    first fails, and no deeper south wall is worth trying. An open box's
+    demand grows by 2 a round once all three of its walls are due, and the
+    supply by at least 3, so its pass ends there; a closed box's demand stops
+    growing once its last wall is due."""
+    height = wall_plan(m, r).height_bound
+    budget = containment_budget(m)
+    supply = [budget.cumulative(t) for t in range(width + height + 4)]
+    found = []
+    for w in range(-r - 1, -width - 2, -1):
+        for e in range(r + 1, min(-w, width + 1 + w) + 1):
+            for n in range(r + 1, (height + 1) // 2 + 1):
+                last = max(-w, e, n) - r
+                fails = next((t for t in range(min(n, e) - r, last + 1)
+                              if _due(w, e, None, n, r + t) > supply[t]), None)
+                for s in range(-n, n - height - 2, -1):
+                    if fails is not None and -s - r > fails:
+                        break
+                    if all(_due(w, e, s, n, r + t) <= supply[t]
+                           for t in range(-s - r, max(last, -s - r) + 1)):
+                        found.append((w, e, s, n))
+    return found
+
+
+def _mirrors(box: tuple[int, int, int, int]) -> set[tuple[int, int, int, int]]:
+    w, e, s, n = box
+    return {(w, e, s, n), (-e, -w, s, n), (w, e, -n, -s), (-e, -w, -n, -s)}
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_the_box_scan_counts_demand_by_the_plans_deadlines(r):
+    # The scan's O(1) count per side agrees with ``_boundary_tasks``'
+    # deadlines on every box near the source, and on a box open to the south
+    # for every round before its south wall (here far off) falls due.
+    for w in range(-r - 5, -r):
+        for e in range(r + 1, r + 6):
+            for n in range(r + 1, r + 6):
+                for s in (-r - 1, -r - 3, -r - 6, -60):
+                    deadlines = [t.deadline for t in _boundary_tasks(r, (w, e, s, n))]
+                    for t in range(1, 62 - r):
+                        due = sum(d <= t for d in deadlines)
+                        assert _due(w, e, s, n, r + t) == due, (w, e, s, n, t)
+                        if t < -s - r:
+                            assert _due(w, e, None, n, r + t) == due, (w, e, n, t)
+
+
+@pytest.mark.parametrize("m,r", [(1, 1), (2, 1)])
+def test_no_box_of_criterion_1_width_passes_halls_condition(m, r):
+    # Criterion 1 asks for an interior width of at most 6rm^2 + 16rm + 2r.
+    # At (1, 1) and (2, 1) no box of that width, however placed, can be
+    # walled in time: the plan's own box misses it by m + 1 columns, and a
+    # non-box ring is the open question (ROADMAP item 1).
+    assert _passing_boxes(m, r, wall_plan(m, r).width_bound) == []
+
+
+def test_two_columns_wider_the_box_scan_finds_the_plans_box():
+    plan = wall_plan(1, 1)
+    budget = containment_budget(1)
+    boxes = set().union(*map(_mirrors, _passing_boxes(1, 1, plan.width_bound + 2)))
+    assert len(boxes) == 48
+    assert plan_box(plan) in boxes
+    for box in boxes:
+        tasks = _boundary_tasks(1, box)
+        assert schedule_is_feasible(replace(plan, tasks=tasks), budget) == (True, None), box
